@@ -2,8 +2,8 @@
 //! over every combination of its questions, plus a measured validation
 //! that following the advice beats the OS default.
 
+use nqp_advisor::{advise, WorkloadProfile};
 use nqp_bench::{agg_cardinality, agg_n, banner, gcyc, Tbl, SEED};
-use nqp_core::advisor::{advise, WorkloadProfile};
 use nqp_core::TuningConfig;
 use nqp_datagen::{generate, Dataset};
 use nqp_query::{run_aggregation_on, AggConfig, WorkloadEnv};
@@ -53,7 +53,6 @@ fn main() {
         allocator: plan.allocator_or_default(),
         threads: 16,
         engine: nqp_query::EngineKind::Tuple,
-        batch: nqp_query::DEFAULT_BATCH_SIZE,
     };
     let d = run_aggregation_on(&default.env(16), &cfg, &records).exec_cycles;
     let a = run_aggregation_on(&advised, &cfg, &records).exec_cycles;

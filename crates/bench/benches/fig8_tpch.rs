@@ -37,7 +37,6 @@ fn main() {
         allocator: AllocatorKind::Ptmalloc,
         threads,
         engine: nqp_query::EngineKind::Tuple,
-        batch: nqp_query::DEFAULT_BATCH_SIZE,
     };
     let tuned_env = |thp: bool| WorkloadEnv {
         // The paper's W5 tuning changes no thread placement: First Touch,
@@ -49,7 +48,6 @@ fn main() {
         allocator: AllocatorKind::Tbbmalloc,
         threads,
         engine: nqp_query::EngineKind::Tuple,
-        batch: nqp_query::DEFAULT_BATCH_SIZE,
     };
 
     let mut t = Tbl::new(

@@ -29,7 +29,6 @@ fn main() {
             allocator: alloc,
             threads,
             engine: nqp_query::EngineKind::Tuple,
-            batch: nqp_query::DEFAULT_BATCH_SIZE,
         };
         let mut cells = vec![alloc.label().to_string()];
         for qnum in [5usize, 18] {

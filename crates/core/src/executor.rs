@@ -1,5 +1,7 @@
-//! The parallel sweep executor: `sweep_supervised`'s grid, fanned
-//! across a scoped worker pool, with the same bytes out.
+//! The grid executor: one scoped worker pool with one journal-writer
+//! thread ([`run_pool`]), shared by `sweep` ([`sweep_parallel`]) and
+//! `nqp-serve`'s cell grid — with the same bytes out for every job
+//! count.
 //!
 //! The paper's methodology is a large Cartesian sweep (allocator ×
 //! placement × policy × THP) whose trials are deterministic and
@@ -12,24 +14,23 @@
 //!   breaker and the `fault_attempt` retry loop are per-config state
 //!   walked in trial order, so their decisions are identical to the
 //!   serial path no matter how configs interleave across workers.
-//! * **Deterministic retry quota.** The serial path spends
-//!   `SupervisorPolicy::global_retry_budget` in grid order; under
-//!   parallel scheduling that order does not exist, so the budget
-//!   becomes a per-config quota of `ceil(budget / configs)` fixed
-//!   before any worker starts. Admission decisions then depend only on
-//!   the config's own trial history — never on scheduling order — and
-//!   `sweep_parallel(jobs=k)` produces the same report for every `k`.
-//!   (When the budget never binds — the common case — the parallel
-//!   report is bit-identical to the serial one; when it binds, the two
-//!   paths ration differently and DESIGN.md §4c documents the split.)
-//! * **Completion-order journal, grid-order report.** A single
-//!   journal-writer thread receives finished [`TrialRecord`]s over a
-//!   channel and hands them to the sink in completion order — resume
-//!   matching is by `(config, trial)`, so an out-of-order journal
-//!   resumes correctly, serial or parallel. The in-memory
-//!   [`SweepReport`] is assembled in grid order from per-config result
-//!   slots, so `table()`/`to_csv()`/`to_json()` are byte-identical to
-//!   a serial run of the same grid.
+//! * **Deterministic retry quota.** `global_retry_budget` becomes a
+//!   per-config quota of `ceil(budget / configs)` fixed before any
+//!   worker starts. Admission decisions then depend only on the
+//!   config's own trial history — never on scheduling order — so
+//!   `sweep_parallel(jobs=k)` produces the same report for every `k`,
+//!   including `k = 1`. (The reference
+//!   [`crate::runner::sweep_supervised`] spends the budget in grid
+//!   order instead; the two agree whenever the budget never binds.)
+//! * **Write-ahead journal, grid-order report.** A single
+//!   journal-writer thread receives finished records over a channel
+//!   and hands them to the sink in completion order; the worker that
+//!   emitted a record waits until the sink has run, so a cell is
+//!   durable before its worker moves past it. Resume matching is by
+//!   `(config, trial)`, so an out-of-order journal resumes correctly
+//!   under any job count. The in-memory [`SweepReport`] is assembled in
+//!   grid order from per-unit result slots, so
+//!   `table()`/`to_csv()`/`to_json()` never depend on `jobs`.
 //!
 //! `max_cells` admission (which cells run, which are adopted from
 //! `resume`, where the grid is truncated) is computed up front by
@@ -102,14 +103,14 @@ fn admission_plan<'a>(
 
 /// Run every admitted cell of one configuration, in trial order, with
 /// the per-config supervision state (circuit breaker, retry quota).
-/// Fresh records are sent to the journal-writer channel as they finish.
+/// Fresh records are emitted to the journal writer as they finish.
 fn run_config<F>(
     plan: &ConfigPlan<'_>,
     threads: usize,
     policy: &SupervisorPolicy,
     quota: Option<u32>,
     workload: &F,
-    fresh: &mpsc::Sender<TrialRecord>,
+    emit: &dyn Fn(TrialRecord),
 ) -> Vec<TrialRecord>
 where
     F: Fn(&WorkloadEnv, usize) -> SimResult<TrialMeasurement> + Sync,
@@ -140,10 +141,7 @@ where
                     policy.watchdog_budget_cycles,
                     &mut |env, t| workload(env, t),
                 );
-                // A send only fails if the writer thread died; its
-                // panic propagates when the scope joins, so the error
-                // carries no extra information here.
-                let _ = fresh.send(r.clone());
+                emit(r.clone());
                 r
             }
         };
@@ -160,18 +158,82 @@ where
     out
 }
 
-/// [`crate::runner::sweep_supervised`], fanned across `jobs` scoped
-/// workers. Each configuration's trials stay on one worker in trial
-/// order; `sink` (the journal append hook) runs on a dedicated writer
-/// thread and observes records in completion order; the returned
-/// report is in grid order, byte-identical (table/CSV/JSON) to a
-/// serial run of the same grid — see the module docs for the
-/// determinism argument and the one semantic difference
-/// (`global_retry_budget` becomes a per-config quota of
-/// `ceil(budget / configs)`).
+/// The grid worker pool: run `work` over every unit on `jobs` scoped
+/// workers (each claims the next unclaimed unit) and return the results
+/// in unit order. `work` gets an `emit` hook; every emitted item is
+/// handed to `sink` on the single journal-writer thread, in completion
+/// order, and `emit` returns only once `sink` has run — so whatever the
+/// sink writes is durable before the worker moves on.
 ///
-/// `jobs == 0` is treated as 1; `jobs` above the config count is
-/// clamped (a worker's unit of work is a whole configuration).
+/// `jobs == 0` is treated as 1; `jobs` above the unit count is clamped.
+pub fn run_pool<U, R, J, W>(
+    units: &[U],
+    jobs: usize,
+    sink: &mut (dyn FnMut(J) + Send),
+    work: W,
+) -> Vec<R>
+where
+    U: Sync,
+    R: Send,
+    J: Send,
+    W: Fn(&U, &dyn Fn(J)) -> R + Sync,
+{
+    let jobs = jobs.clamp(1, units.len().max(1));
+    // One result slot per unit: workers fill their claimed slots, the
+    // results are read back in unit order below.
+    let results: Vec<Mutex<Option<R>>> = units.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+
+    std::thread::scope(|s| {
+        let (tx, rx) = mpsc::channel::<(J, mpsc::SyncSender<()>)>();
+        // The single journal writer: completion-order appends, one
+        // thread, so the sink needs Send but not Sync.
+        s.spawn(move || {
+            for (item, done) in rx {
+                sink(item);
+                let _ = done.send(());
+            }
+        });
+        let (results, next, work) = (&results, &next, &work);
+        for _ in 0..jobs {
+            let tx = tx.clone();
+            s.spawn(move || {
+                let emit = |item: J| {
+                    let (done_tx, done_rx) = mpsc::sync_channel(1);
+                    // Both ends fail only if the writer thread died; its
+                    // panic propagates when the scope joins.
+                    if tx.send((item, done_tx)).is_ok() {
+                        let _ = done_rx.recv();
+                    }
+                };
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(unit) = units.get(i) else { break };
+                    let r = work(unit, &emit);
+                    *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+                }
+            });
+        }
+        // Drop the original sender so the writer thread's receive loop
+        // ends once every worker has finished and dropped its clone.
+        drop(tx);
+    });
+
+    // Every slot is filled: a worker that panicked re-raised its panic
+    // when the scope joined.
+    results
+        .into_iter()
+        .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect()
+}
+
+/// The supervised sweep grid ([`crate::runner::sweep_supervised`]'s
+/// semantics, with the per-config retry quota) on [`run_pool`]. Each
+/// configuration's trials stay on one worker in trial order; `sink`
+/// (the journal append hook) observes fresh records in completion
+/// order, each before its worker moves on; the returned report is in
+/// grid order and byte-identical (table/CSV/JSON) for every `jobs` —
+/// see the module docs for the determinism argument.
 // Mirrors sweep_supervised's seven parameters plus `jobs`; grouping
 // them would diverge the two call shapes for no clarity gain.
 #[allow(clippy::too_many_arguments)]
@@ -192,48 +254,10 @@ where
     let quota = policy
         .global_retry_budget
         .map(|b| b.div_ceil(configs.len().max(1) as u32));
-    let jobs = jobs.clamp(1, plans.len().max(1));
-
-    // One result slot per configuration: workers fill their claimed
-    // slots, the report is reassembled in grid order below.
-    let results: Vec<Mutex<Vec<TrialRecord>>> =
-        plans.iter().map(|_| Mutex::new(Vec::new())).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<TrialRecord>();
-        // The single journal writer: completion-order appends, one
-        // thread, so the sink needs Send but not Sync.
-        s.spawn(move || {
-            for rec in rx {
-                sink(&rec);
-            }
-        });
-        let plans = &plans;
-        let results = &results;
-        let next = &next;
-        let workload = &workload;
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(plan) = plans.get(i) else { break };
-                let recs = run_config(plan, threads, policy, quota, workload, &tx);
-                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = recs;
-            });
-        }
-        // Drop the original sender so the writer thread's receive loop
-        // ends once every worker has finished and dropped its clone.
-        drop(tx);
+    let per_config = run_pool(&plans, jobs, &mut |rec: TrialRecord| sink(&rec), |plan, emit| {
+        run_config(plan, threads, policy, quota, &workload, emit)
     });
-
-    let mut report = SweepReport { trials: Vec::new(), interrupted };
-    for slot in results {
-        report
-            .trials
-            .extend(slot.into_inner().unwrap_or_else(PoisonError::into_inner));
-    }
-    report
+    SweepReport { trials: per_config.into_iter().flatten().collect(), interrupted }
 }
 
 #[cfg(test)]
@@ -285,6 +309,18 @@ mod tests {
             assert_eq!(parallel.to_csv(), serial.to_csv());
             assert_eq!(parallel.to_json(), serial.to_json());
         }
+    }
+
+    #[test]
+    fn emit_returns_only_after_the_sink_ran() {
+        let written = Mutex::new(Vec::new());
+        let mut sink = |u: usize| written.lock().unwrap().push(u);
+        let seen = run_pool(&[0usize, 1, 2], 1, &mut sink, |&u, emit| {
+            let before = written.lock().unwrap().clone();
+            emit(u);
+            before
+        });
+        assert_eq!(seen, vec![vec![], vec![0], vec![0, 1]], "write-ahead, in unit order");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use nqp_advisor::{ControllerConfig, OnlineController};
 use nqp_alloc::AllocatorKind;
-use nqp_query::{EngineKind, WorkloadEnv, DEFAULT_BATCH_SIZE};
+use nqp_query::{EngineKind, WorkloadEnv};
 use nqp_sim::{HookChain, MemPolicy, RegionHook, SimConfig, ThreadPlacement, TuneFactory};
 use nqp_tier::{TierDaemon, TierSpec};
 use nqp_topology::MachineSpec;
@@ -38,9 +38,6 @@ pub struct TuningConfig {
     /// Operator architecture: tuple-at-a-time (the default and the
     /// differential oracle) or the vectorized batch-at-a-time path.
     pub engine: EngineKind,
-    /// Host-side batch size for the vectorized path (never affects
-    /// simulated cycles; see `nqp_query::vector`).
-    pub batch: usize,
 }
 
 impl TuningConfig {
@@ -54,7 +51,6 @@ impl TuningConfig {
             advisor: AdvisorMode::Static,
             tier: TierSpec::NONE,
             engine: EngineKind::Tuple,
-            batch: DEFAULT_BATCH_SIZE,
         }
     }
 
@@ -67,7 +63,6 @@ impl TuningConfig {
             advisor: AdvisorMode::Static,
             tier: TierSpec::NONE,
             engine: EngineKind::Tuple,
-            batch: DEFAULT_BATCH_SIZE,
         }
     }
 
@@ -147,12 +142,6 @@ impl TuningConfig {
         self
     }
 
-    /// Builder-style batch-size override for the vectorized path.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// Convert to the workload environment the W1–W4 runners take.
     pub fn env(&self, threads: usize) -> WorkloadEnv {
         let mut sim = self.sim.clone();
@@ -187,7 +176,6 @@ impl TuningConfig {
             allocator: self.allocator,
             threads,
             engine: self.engine,
-            batch: self.batch,
         }
     }
 }

@@ -12,7 +12,9 @@
 //!
 //! # Format
 //!
-//! Line 1 is a header; every further line is one trial record:
+//! Line 1 is a header; every further line is one record of the
+//! journal's [`JournalRecord`] kind — a sweep's trial records, or
+//! `nqp-serve`'s `serve-cell` records:
 //!
 //! ```text
 //! {"v":1,"kind":"header","fp":"<16-hex grid fingerprint>","grid":"<description>"}
@@ -25,7 +27,7 @@
 //! does not match the requested sweep is an error — mixing cells from
 //! different grids would silently corrupt the table. A torn tail (a
 //! record cut mid-line by the crash — either missing its newline or
-//! unparseable as the last line) is discarded on read and truncated on
+//! undecodable as the last line) is discarded on read and truncated on
 //! append, so the interrupted cell simply re-runs.
 //!
 //! Records are hand-serialised: the schema is small, owned by this
@@ -80,8 +82,8 @@ impl JournalWriter {
     /// Open an existing journal for resumption: read it back (discarding
     /// a torn tail), truncate the file to the last intact record, and
     /// return the writer positioned for appending plus the recovered
-    /// contents.
-    pub fn append_to(path: &Path) -> io::Result<(Self, JournalContents)> {
+    /// records of type `R`.
+    pub fn append_to<R: JournalRecord>(path: &Path) -> io::Result<(Self, JournalContents<R>)> {
         let contents = read_journal(path)?;
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(contents.valid_len)?;
@@ -97,50 +99,84 @@ impl JournalWriter {
         &self.fingerprint
     }
 
-    /// Append one trial record and fsync it — the write-ahead step that
-    /// makes the cell durable.
-    pub fn record(&mut self, rec: &TrialRecord) -> io::Result<()> {
-        self.append_kind("trial", &record_fields_json(rec))
-    }
-
-    /// Append one record of an arbitrary kind (e.g. `serve-cell`) with
-    /// caller-supplied JSON fields (no braces, no envelope), fsync'd.
-    /// The envelope (`v`, `kind`, `fp`) is owned here so every journal
-    /// line stays resumable and fingerprint-checked.
-    pub fn append_kind(&mut self, kind: &str, fields_json: &str) -> io::Result<()> {
+    /// Append one record and fsync it — the write-ahead step that makes
+    /// the cell durable. The envelope (`v`, `kind`, `fp`) is owned here
+    /// so every journal line stays resumable and fingerprint-checked.
+    pub fn record<R: JournalRecord>(&mut self, rec: &R) -> io::Result<()> {
         let line = format!(
             "{{\"v\":{JOURNAL_VERSION},\"kind\":\"{}\",\"fp\":\"{}\",{}}}\n",
-            esc(kind),
+            esc(R::KIND),
             esc(&self.fingerprint),
-            fields_json
+            rec.fields_json()
         );
         self.file.write_all(line.as_bytes())?;
         self.file.sync_data()
     }
+}
 
-    /// Like [`JournalWriter::append_to`], but recovers records of *any*
-    /// kind as parsed objects instead of decoding trial records — the
-    /// resume path for journals owned by other crates (serve cells).
-    pub fn append_raw_to(path: &Path) -> io::Result<(Self, RawJournal)> {
-        let contents = read_journal_raw(path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(contents.valid_len)?;
-        file.seek(SeekFrom::End(0))?;
-        let writer =
-            JournalWriter { file, fingerprint: contents.fingerprint.clone() };
-        Ok((writer, contents))
+/// A record type a journal carries: trial records here, serve cells in
+/// `nqp-serve`. One journal holds records of one kind.
+pub trait JournalRecord: Sized {
+    /// The `kind` tag of this record's journal lines.
+    const KIND: &'static str;
+    /// The record's JSON fields (no braces, no journal envelope).
+    fn fields_json(&self) -> String;
+    /// Decode a record from its parsed journal line (envelope fields
+    /// included); `None` marks the line as corrupt.
+    fn from_obj(obj: &[(String, JVal)]) -> Option<Self>;
+}
+
+impl JournalRecord for TrialRecord {
+    const KIND: &'static str = "trial";
+
+    fn fields_json(&self) -> String {
+        let cycles = self.cycles.map_or_else(|| "null".to_string(), |c| c.to_string());
+        let error = self.error.as_ref().map_or_else(|| "null".to_string(), error_json);
+        format!(
+            "\"config\":\"{}\",\"trial\":{},\"outcome\":\"{}\",\"attempts\":{},\
+             \"cycles\":{},\"evacuated_pages\":{},\"error\":{}",
+            esc(&self.config),
+            self.trial,
+            self.outcome.label(),
+            self.attempts,
+            cycles,
+            self.evacuated_pages,
+            error
+        )
+    }
+
+    fn from_obj(obj: &[(String, JVal)]) -> Option<Self> {
+        let cycles = match get(obj, "cycles")? {
+            JVal::Num(n) => Some(*n),
+            JVal::Null => None,
+            _ => return None,
+        };
+        let error = match get(obj, "error")? {
+            JVal::Obj(o) => Some(error_from_obj(o)?),
+            JVal::Null => None,
+            _ => return None,
+        };
+        Some(TrialRecord {
+            config: get_str(obj, "config")?.to_string(),
+            trial: get_num(obj, "trial")? as usize,
+            outcome: Outcome::parse(get_str(obj, "outcome")?)?,
+            cycles,
+            attempts: get_num(obj, "attempts")? as u32,
+            evacuated_pages: get_num(obj, "evacuated_pages")?,
+            error,
+        })
     }
 }
 
 /// Everything recovered from a journal file.
 #[derive(Debug, Clone)]
-pub struct JournalContents {
+pub struct JournalContents<R> {
     /// The grid fingerprint from the header.
     pub fingerprint: String,
     /// The human-readable grid description from the header.
     pub grid_desc: String,
-    /// Intact trial records, in append order.
-    pub records: Vec<TrialRecord>,
+    /// Intact records, in append order.
+    pub records: Vec<R>,
     /// A torn tail (crash mid-append) was discarded.
     pub torn: bool,
     /// File length in bytes up to the last intact record (the append
@@ -148,11 +184,11 @@ pub struct JournalContents {
     valid_len: u64,
 }
 
-/// Read a journal back. The last line is allowed to be torn (missing
-/// newline or unparseable) and is silently discarded; corruption
-/// anywhere *before* the tail is an `InvalidData` error, as is a trial
-/// record whose fingerprint does not match the header.
-pub fn read_journal(path: &Path) -> io::Result<JournalContents> {
+/// Read a journal of `R` records back. The last line is allowed to be
+/// torn (missing newline, or not an `R` record of this journal's
+/// version and fingerprint) and is discarded; such a line anywhere
+/// *before* the tail is an `InvalidData` error.
+pub fn read_journal<R: JournalRecord>(path: &Path) -> io::Result<JournalContents<R>> {
     let data = std::fs::read(path)?;
     let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
 
@@ -192,26 +228,22 @@ pub fn read_journal(path: &Path) -> io::Result<JournalContents> {
 
     let mut records = Vec::new();
     for (idx, &(offset, line)) in lines.iter().enumerate().skip(1) {
-        let last = idx == lines.len() - 1;
         let parsed = parse_json_obj(line).and_then(|obj| {
-            if get_str(&obj, "kind") != Some("trial")
+            if get_str(&obj, "kind") != Some(R::KIND)
                 || get_num(&obj, "v") != Some(JOURNAL_VERSION)
                 || get_str(&obj, "fp") != Some(fingerprint.as_str())
             {
                 return None;
             }
-            record_from_obj(&obj)
+            R::from_obj(&obj)
         });
         match parsed {
             Some(rec) => records.push(rec),
-            None if last && !torn => {
-                // An unparseable final line is a torn write too (e.g. a
+            None if idx == lines.len() - 1 => {
+                // An undecodable final line is a torn write too (e.g. a
                 // partial record that happens to end in a newline from
                 // pre-crash buffered data).
                 torn = true;
-                valid_len = offset as u64;
-            }
-            None if last => {
                 valid_len = offset as u64;
             }
             None => {
@@ -223,112 +255,6 @@ pub fn read_journal(path: &Path) -> io::Result<JournalContents> {
         }
     }
     Ok(JournalContents { fingerprint, grid_desc, records, torn, valid_len })
-}
-
-/// A journal recovered without decoding records: each body line is the
-/// parsed object (envelope fields included), tagged with its `kind`.
-#[derive(Debug, Clone)]
-pub struct RawJournal {
-    /// The grid fingerprint from the header.
-    pub fingerprint: String,
-    /// The human-readable grid description from the header.
-    pub grid_desc: String,
-    /// Intact body records as `(kind, fields)`, in append order.
-    pub records: Vec<(String, Vec<(String, JVal)>)>,
-    /// A torn tail (crash mid-append) was discarded.
-    pub torn: bool,
-    /// File length in bytes up to the last intact record.
-    valid_len: u64,
-}
-
-/// Read a journal of arbitrary record kinds. Envelope validation (UTF-8
-/// lines, header first, version, per-line fingerprint match) and
-/// torn-tail semantics are identical to [`read_journal`]; record bodies
-/// are returned as parsed objects for the owning crate to decode.
-pub fn read_journal_raw(path: &Path) -> io::Result<RawJournal> {
-    let data = std::fs::read(path)?;
-    let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-
-    let mut lines: Vec<(usize, &str)> = Vec::new();
-    let mut torn = false;
-    let mut start = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            let line = std::str::from_utf8(&data[start..i])
-                .map_err(|_| bad(format!("journal is not UTF-8 at byte {start}")))?;
-            lines.push((start, line));
-            start = i + 1;
-        }
-    }
-    if start < data.len() {
-        torn = true;
-    }
-    let mut valid_len = start as u64;
-
-    let Some(&(_, header_line)) = lines.first() else {
-        return Err(bad("journal has no header line".to_string()));
-    };
-    let header = parse_json_obj(header_line)
-        .ok_or_else(|| bad("journal header is not valid JSON".to_string()))?;
-    if get_str(&header, "kind") != Some("header") {
-        return Err(bad("journal's first line is not a header".to_string()));
-    }
-    match get_num(&header, "v") {
-        Some(JOURNAL_VERSION) => {}
-        v => return Err(bad(format!("unsupported journal version {v:?}"))),
-    }
-    let fingerprint = get_str(&header, "fp")
-        .ok_or_else(|| bad("journal header has no fingerprint".to_string()))?
-        .to_string();
-    let grid_desc = get_str(&header, "grid").unwrap_or_default().to_string();
-
-    let mut records = Vec::new();
-    for (idx, &(offset, line)) in lines.iter().enumerate().skip(1) {
-        let last = idx == lines.len() - 1;
-        let parsed = parse_json_obj(line).and_then(|obj| {
-            if get_num(&obj, "v") != Some(JOURNAL_VERSION)
-                || get_str(&obj, "fp") != Some(fingerprint.as_str())
-            {
-                return None;
-            }
-            let kind = get_str(&obj, "kind")?.to_string();
-            Some((kind, obj))
-        });
-        match parsed {
-            Some(rec) => records.push(rec),
-            None if last => {
-                // An unparseable final line is a torn write too.
-                torn = true;
-                valid_len = offset as u64;
-            }
-            None => {
-                return Err(bad(format!(
-                    "corrupt journal record on line {}",
-                    idx + 1
-                )));
-            }
-        }
-    }
-    Ok(RawJournal { fingerprint, grid_desc, records, torn, valid_len })
-}
-
-/// The shared body of a trial-record JSON object (no braces, no journal
-/// envelope) — used by journal lines and `SweepReport::to_json`.
-#[must_use]
-pub fn record_fields_json(t: &TrialRecord) -> String {
-    let cycles = t.cycles.map_or_else(|| "null".to_string(), |c| c.to_string());
-    let error = t.error.as_ref().map_or_else(|| "null".to_string(), error_json);
-    format!(
-        "\"config\":\"{}\",\"trial\":{},\"outcome\":\"{}\",\"attempts\":{},\
-         \"cycles\":{},\"evacuated_pages\":{},\"error\":{}",
-        esc(&t.config),
-        t.trial,
-        t.outcome.label(),
-        t.attempts,
-        cycles,
-        t.evacuated_pages,
-        error
-    )
 }
 
 /// Serialise a `SimError` structurally so it round-trips exactly — the
@@ -397,28 +323,6 @@ fn error_from_obj(obj: &[(String, JVal)]) -> Option<SimError> {
         }),
         _ => None,
     }
-}
-
-fn record_from_obj(obj: &[(String, JVal)]) -> Option<TrialRecord> {
-    let cycles = match get(obj, "cycles")? {
-        JVal::Num(n) => Some(*n),
-        JVal::Null => None,
-        _ => return None,
-    };
-    let error = match get(obj, "error")? {
-        JVal::Obj(o) => Some(error_from_obj(o)?),
-        JVal::Null => None,
-        _ => return None,
-    };
-    Some(TrialRecord {
-        config: get_str(obj, "config")?.to_string(),
-        trial: get_num(obj, "trial")? as usize,
-        outcome: Outcome::parse(get_str(obj, "outcome")?)?,
-        cycles,
-        attempts: get_num(obj, "attempts")? as u32,
-        evacuated_pages: get_num(obj, "evacuated_pages")?,
-        error,
-    })
 }
 
 /// JSON string escaping for the subset journal lines emit.
@@ -720,7 +624,7 @@ mod tests {
             w.record(r).unwrap();
         }
         drop(w);
-        let back = read_journal(&path).unwrap();
+        let back = read_journal::<TrialRecord>(&path).unwrap();
         assert_eq!(back.fingerprint, fp);
         assert_eq!(back.grid_desc, "grid desc, with comma");
         assert!(!back.torn);
@@ -740,14 +644,14 @@ mod tests {
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 9]).unwrap();
 
-        let (mut w, contents) = JournalWriter::append_to(&path).unwrap();
+        let (mut w, contents) = JournalWriter::append_to::<TrialRecord>(&path).unwrap();
         assert!(contents.torn, "truncated tail must be detected");
         assert_eq!(contents.records.len(), 1, "torn record is discarded");
         assert_eq!(contents.records[0].trial, 0);
         // Appending after recovery lands on a clean line boundary.
         w.record(&rec("a", 1, None)).unwrap();
         drop(w);
-        let back = read_journal(&path).unwrap();
+        let back = read_journal::<TrialRecord>(&path).unwrap();
         assert!(!back.torn);
         assert_eq!(back.records.len(), 2);
         assert_eq!(back.records[1].trial, 1);
@@ -766,7 +670,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         let mangled = format!("{}\nnot json at all\n{}\n", lines[0], lines[2]);
         std::fs::write(&path, mangled).unwrap();
-        let err = read_journal(&path).unwrap_err();
+        let err = read_journal::<TrialRecord>(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
@@ -785,9 +689,59 @@ mod tests {
         std::fs::write(&path, header_fixed).unwrap();
         // The mismatching record is the last line → treated as torn and
         // discarded rather than fatal.
-        let back = read_journal(&path).unwrap();
+        let back = read_journal::<TrialRecord>(&path).unwrap();
         assert!(back.torn);
         assert!(back.records.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A minimal `serve-cell` record: the journal owns the envelope and
+    /// the torn-tail rule, whatever crate owns the record kind.
+    #[derive(Debug, PartialEq)]
+    struct Cell {
+        config: String,
+    }
+
+    impl JournalRecord for Cell {
+        const KIND: &'static str = "serve-cell";
+
+        fn fields_json(&self) -> String {
+            format!("\"config\":\"{}\"", esc(&self.config))
+        }
+
+        fn from_obj(obj: &[(String, JVal)]) -> Option<Self> {
+            Some(Cell { config: get_str(obj, "config")?.to_string() })
+        }
+    }
+
+    #[test]
+    fn undecodable_serve_cell_is_an_error_before_the_tail_and_torn_at_it() {
+        let path = temp_path("serve-cell");
+        let mut w = JournalWriter::create(&path, "ffff", "g").unwrap();
+        for config in ["os-default", "tuned", "online"] {
+            w.record(&Cell { config: config.to_string() }).unwrap();
+        }
+        drop(w);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        // Same envelope, but the body no longer decodes as a cell.
+        let broken = lines[2].replace("\"config\"", "\"konfig\"");
+
+        let middle = format!("{}\n{}\n{broken}\n{}\n", lines[0], lines[1], lines[3]);
+        std::fs::write(&path, middle).unwrap();
+        let err = read_journal::<Cell>(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 3"), "{err}");
+
+        let tail = format!("{}\n{}\n{broken}\n", lines[0], lines[1]);
+        std::fs::write(&path, tail).unwrap();
+        let back = read_journal::<Cell>(&path).unwrap();
+        assert!(back.torn, "an undecodable last line is a torn tail");
+        assert_eq!(back.records, vec![Cell { config: "os-default".to_string() }]);
+
+        // A trial journal's reader rejects serve cells outright.
+        let err = read_journal::<TrialRecord>(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 
@@ -795,11 +749,11 @@ mod tests {
     fn missing_or_bad_header_is_an_error() {
         let path = temp_path("hdr");
         std::fs::write(&path, "").unwrap();
-        assert!(read_journal(&path).is_err(), "empty journal has no header");
+        assert!(read_journal::<TrialRecord>(&path).is_err(), "empty journal has no header");
         std::fs::write(&path, "{\"v\":1,\"kind\":\"trial\"}\n").unwrap();
-        assert!(read_journal(&path).is_err(), "first line must be a header");
+        assert!(read_journal::<TrialRecord>(&path).is_err(), "first line must be a header");
         std::fs::write(&path, "{\"v\":99,\"kind\":\"header\",\"fp\":\"x\"}\n").unwrap();
-        assert!(read_journal(&path).is_err(), "unknown version must be rejected");
+        assert!(read_journal::<TrialRecord>(&path).is_err(), "unknown version must be rejected");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,41 +1,25 @@
 // Harness-path code must surface faults, never panic on them: unwrap()
 // and expect() are denied outside tests (enforced by scripts/check.sh).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-//! The paper's contribution as a library: systematic, application-
-//! agnostic NUMA tuning.
+//! The experiment harness behind every table and figure.
 //!
-//! * [`advisor`] — the Figure 10 decision flowchart as an executable
-//!   function: describe your workload and environment, get back an
-//!   ordered [`TuningPlan`].
-//! * [`experiment`] — the experiment runner used by every bench target:
-//!   sweeps [`TuningConfig`]s over workloads and reports speedups.
+//! * [`experiment`] — named [`TuningConfig`]s and speedup arithmetic.
+//! * [`runner`] — supervised trials: retries, watchdog, circuit breaker.
+//! * [`executor`] — the grid worker pool `sweep` and `serve` run on.
+//! * [`journal`] — the crash-safe write-ahead journal behind `--resume`.
 //!
-//! ```
-//! use nqp_core::advisor::{advise, WorkloadProfile};
-//!
-//! let profile = WorkloadProfile {
-//!     threads_managed: false,
-//!     memory_bandwidth_bound: true,
-//!     superuser: true,
-//!     memory_placement_defined: false,
-//!     allocation_heavy: true,
-//!     free_memory_constrained: false,
-//! };
-//! let plan = advise(&profile);
-//! assert!(plan.disable_autonuma && plan.disable_thp);
-//! ```
+//! The Figure 10 decision flowchart lives in `nqp_advisor::flowchart`.
 
-pub mod advisor;
 pub mod executor;
 pub mod experiment;
 pub mod journal;
 pub mod runner;
 
-pub use advisor::{advise, TuningPlan, WorkloadProfile};
-pub use executor::sweep_parallel;
+pub use executor::{run_pool, sweep_parallel};
 pub use experiment::{speedup, AdvisorMode, ExperimentResult, TuningConfig};
 pub use journal::{
-    grid_fingerprint, read_journal, JournalContents, JournalWriter, JOURNAL_VERSION,
+    grid_fingerprint, read_journal, JournalContents, JournalRecord, JournalWriter,
+    JOURNAL_VERSION,
 };
 pub use runner::{
     run_trial, run_trial_measured, sweep, sweep_supervised, Outcome, RetryPolicy,

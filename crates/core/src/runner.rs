@@ -25,6 +25,7 @@
 //! argument).
 
 use crate::experiment::TuningConfig;
+use crate::journal::JournalRecord;
 use nqp_query::WorkloadEnv;
 use nqp_sim::{SimError, SimResult};
 
@@ -357,7 +358,7 @@ impl SweepReport {
                 out.push(',');
             }
             out.push_str("\n  {");
-            out.push_str(&crate::journal::record_fields_json(t));
+            out.push_str(&t.fields_json());
             out.push('}');
         }
         out.push_str("\n]\n");

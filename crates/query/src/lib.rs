@@ -42,11 +42,8 @@ pub use phase_shift::{
     run_phase_shift, try_run_phase_shift, PhaseShiftConfig, PhaseShiftOutcome,
 };
 pub use inl_join::{run_inl_join, run_inl_join_on, try_run_inl_join, try_run_inl_join_on, InlConfig, InlOutcome};
-pub use runner::{
-    load_tuples, parse_batch_size, try_load_tuples, EngineKind, WorkloadEnv,
-    DEFAULT_BATCH_SIZE, MAX_BATCH_SIZE,
-};
+pub use runner::{load_tuples, try_load_tuples, EngineKind, WorkloadEnv};
 pub use vector::{
-    aligned_batch, try_load_columns, try_run_aggregation_vec, try_run_hash_join_vec,
+    try_load_columns, try_run_aggregation_vec, try_run_hash_join_vec,
     try_run_inl_join_vec, Batch,
 };

@@ -21,13 +21,6 @@ pub enum EngineKind {
     Vectorized,
 }
 
-/// Default host-side batch size (lanes per [`crate::vector::Batch`]).
-pub const DEFAULT_BATCH_SIZE: usize = 256;
-
-/// Largest accepted `--batch-size`; anything bigger is an overflow spec
-/// error rather than a silent multi-megabyte host allocation per worker.
-pub const MAX_BATCH_SIZE: usize = 1 << 20;
-
 impl EngineKind {
     /// Parse a CLI token (`tuple`, `vec`, `vectorized`); unknown tokens
     /// become a typed [`SimError::BadSpec`] naming the offender.
@@ -52,24 +45,6 @@ impl EngineKind {
     }
 }
 
-/// Parse a `--batch-size` token: rejects non-numbers, zero, and values
-/// past [`MAX_BATCH_SIZE`] as typed [`SimError::BadSpec`]s.
-pub fn parse_batch_size(token: &str) -> SimResult<usize> {
-    let bad = |why: &str| SimError::BadSpec {
-        flag: "--batch-size".into(),
-        token: token.into(),
-        why: why.into(),
-    };
-    let v: u64 = token.parse().map_err(|_| bad("not an unsigned integer"))?;
-    if v == 0 {
-        return Err(bad("batch size must be nonzero"));
-    }
-    if v > MAX_BATCH_SIZE as u64 {
-        return Err(bad("batch size overflows the supported range (max 1048576)"));
-    }
-    Ok(v as usize)
-}
-
 /// Everything Table IV varies besides the workload itself: the machine
 /// and OS knobs (inside [`SimConfig`]), the allocator, and the thread
 /// count — plus the operator architecture (tuple vs vectorized), the one
@@ -84,10 +59,6 @@ pub struct WorkloadEnv {
     pub threads: usize,
     /// Tuple-at-a-time (default) or vectorized operator path.
     pub engine: EngineKind,
-    /// Host-side batch size for the vectorized path. Rounded up to the
-    /// bulk-run granularity at use, so it never changes simulated
-    /// cycles — only host-memory staging.
-    pub batch: usize,
 }
 
 impl WorkloadEnv {
@@ -100,7 +71,6 @@ impl WorkloadEnv {
             allocator: AllocatorKind::Ptmalloc,
             threads,
             engine: EngineKind::Tuple,
-            batch: DEFAULT_BATCH_SIZE,
         }
     }
 
@@ -113,7 +83,6 @@ impl WorkloadEnv {
             allocator: AllocatorKind::Tbbmalloc,
             threads,
             engine: EngineKind::Tuple,
-            batch: DEFAULT_BATCH_SIZE,
         }
     }
 
@@ -132,12 +101,6 @@ impl WorkloadEnv {
     /// Builder-style engine override.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Builder-style batch-size override (vectorized path only).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
         self
     }
 }

@@ -18,10 +18,9 @@
 //! traffic counters* legitimately differ between the engines (that delta
 //! is the experiment; see EXPERIMENTS.md §vectorized-vs-tuple), but the
 //! vectorized path is itself byte-identical across `--jobs`, `--shards`,
-//! tracing, fault plans, kill-and-resume, and any `--batch-size`: all
-//! simulated transfers move in fixed [`COLUMN_RUN_WORDS`]-word runs and
-//! the host batch size is rounded up to that granularity, so the touch
-//! stream never depends on it.
+//! tracing, fault plans and kill-and-resume: all simulated transfers
+//! move in fixed [`COLUMN_RUN_WORDS`]-word runs, and each [`Batch`] holds
+//! exactly one such run.
 
 use crate::aggregate::{AggConfig, AggKind, AggOutcome};
 use crate::hash_join::JoinOutcome;
@@ -73,14 +72,6 @@ impl Batch {
     pub fn selected(&self) -> usize {
         self.sel.len()
     }
-}
-
-/// Round the host-side batch size up to the bulk-run granularity, so
-/// every simulated transfer inside a partition is a maximal
-/// [`COLUMN_RUN_WORDS`]-word run regardless of what `--batch-size` the
-/// user picked — the mechanism behind batch-size cycle invariance.
-pub fn aligned_batch(batch: usize) -> usize {
-    batch.max(1).div_ceil(COLUMN_RUN_WORDS) * COLUMN_RUN_WORDS
 }
 
 /// Load records into a [`ColumnTable`] with the same partition-parallel,
@@ -150,7 +141,6 @@ pub fn try_run_aggregation_vec(
     let mut sim = NumaSim::new(env.sim.clone());
     let mut heap = SimHeap::new(env.allocator, &mut sim);
     let threads = env.threads;
-    let bs = aligned_batch(env.batch);
     let nslots = cfg.cardinality.max(1) as usize;
 
     sim.phase_begin("load");
@@ -188,11 +178,9 @@ pub fn try_run_aggregation_vec(
     sim.phase_begin("agg:build");
     regions.push(sim.try_parallel(threads, &mut heap, |w, heap| {
         let range = input.partition(w.tid(), threads);
-        let mut b = Batch::with_capacity(bs);
+        let mut b = Batch::with_capacity(COLUMN_RUN_WORDS);
         // The simulated stream always moves one run-width vector at a
-        // time — one bulk key read, then that vector's slot ops — so the
-        // touch order (and with it every cache/TLB/cycle outcome) never
-        // depends on the host-side batch size.
+        // time — one bulk key read, then that vector's slot ops.
         let mut i = range.start;
         while i < range.end {
             let n = (range.end - i).min(COLUMN_RUN_WORDS);
@@ -290,7 +278,6 @@ pub fn try_run_aggregation_vec(
 pub fn try_run_hash_join_vec(env: &WorkloadEnv, data: &JoinDataset) -> SimResult<JoinOutcome> {
     let mut sim = NumaSim::new(env.sim.clone());
     let threads = env.threads;
-    let bs = aligned_batch(env.batch);
     // Perfect-hash domain: dense build keys make max+1 slots exact.
     let nslots = data.r.iter().map(|t| t.key).max().map_or(1, |m| m as usize + 1);
 
@@ -318,7 +305,7 @@ pub fn try_run_hash_join_vec(env: &WorkloadEnv, data: &JoinDataset) -> SimResult
         built.ok_or(SimError::Harness { what: "join slots were not mapped".to_string() })?;
     sim.try_parallel(threads, &mut (), |w, ()| {
         let range = r_cols.partition(w.tid(), threads);
-        let mut b = Batch::with_capacity(bs);
+        let mut b = Batch::with_capacity(COLUMN_RUN_WORDS);
         let mut i = range.start;
         while i < range.end {
             let n = (range.end - i).min(COLUMN_RUN_WORDS);
@@ -346,7 +333,7 @@ pub fn try_run_hash_join_vec(env: &WorkloadEnv, data: &JoinDataset) -> SimResult
         let mut local_matches = 0u64;
         let mut local_sum = 0u64;
         let range = s_cols.partition(w.tid(), threads);
-        let mut b = Batch::with_capacity(bs);
+        let mut b = Batch::with_capacity(COLUMN_RUN_WORDS);
         let mut i = range.start;
         while i < range.end {
             let n = (range.end - i).min(COLUMN_RUN_WORDS);
@@ -403,7 +390,6 @@ pub fn try_run_inl_join_vec(
     let mut sim = NumaSim::new(env.sim.clone());
     let heap = SimHeap::new(env.allocator, &mut sim);
     let threads = env.threads;
-    let bs = aligned_batch(env.batch);
 
     sim.phase_begin("load");
     let s_cols = try_load_join_columns(&mut sim, &data.s, threads)?;
@@ -430,8 +416,8 @@ pub fn try_run_inl_join_vec(
         let mut local_matches = 0u64;
         let mut local_sum = 0u64;
         let range = s_cols.partition(w.tid(), threads);
-        let mut b = Batch::with_capacity(bs);
-        let mut hits: Vec<u64> = Vec::with_capacity(bs);
+        let mut b = Batch::with_capacity(COLUMN_RUN_WORDS);
+        let mut hits: Vec<u64> = Vec::with_capacity(COLUMN_RUN_WORDS);
         let mut i = range.start;
         while i < range.end {
             let n = (range.end - i).min(COLUMN_RUN_WORDS);
@@ -479,7 +465,7 @@ mod tests {
     use crate::aggregate::reference_checksum;
     use crate::hash_join::reference_join;
     use crate::runner::EngineKind;
-    use nqp_datagen::{generate, Dataset};
+    use nqp_datagen::generate;
     use nqp_topology::machines;
 
     fn env() -> WorkloadEnv {
@@ -526,23 +512,6 @@ mod tests {
             let out = crate::run_inl_join_on(&env(), kind, &data);
             assert_eq!(out.matches, expect_matches, "{kind:?}");
             assert_eq!(out.checksum, expect_checksum, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn batch_size_never_changes_cycles() {
-        // The load-bearing invariance: any host batch size produces the
-        // same simulated clock, counters, and results.
-        let cfg = AggConfig::w2(3_000, 64, 5);
-        let records = generate(cfg.dataset, cfg.n, cfg.cardinality, cfg.seed);
-        let baseline = try_run_aggregation_vec(&env(), &cfg, &records).unwrap();
-        for batch in [1, 31, 32, 100, 256, 4096] {
-            let out =
-                try_run_aggregation_vec(&env().with_batch(batch), &cfg, &records).unwrap();
-            assert_eq!(out.exec_cycles, baseline.exec_cycles, "batch={batch}");
-            assert_eq!(out.load_cycles, baseline.load_cycles, "batch={batch}");
-            assert_eq!(out.checksum, baseline.checksum, "batch={batch}");
-            assert_eq!(out.counters, baseline.counters, "batch={batch}");
         }
     }
 

@@ -37,8 +37,9 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use nqp_advisor::CircuitBreaker;
+use nqp_core::executor::run_pool;
 use nqp_core::runner::RetryPolicy;
-use nqp_sim::SimResult;
+use nqp_sim::{SimError, SimResult};
 
 use crate::arrival::{ArrivalGen, SplitMix};
 use crate::histogram::LatencyHistogram;
@@ -578,18 +579,22 @@ pub fn run_serve(
 }
 
 /// Per-cell result consumer: `(stats, profiles, sessions)` for each
-/// newly computed cell, in grid order (see [`run_cells`]).
+/// newly computed cell, as that cell finishes (see [`run_cells`]).
 pub type CellSink<'a> =
-    dyn FnMut(&CellStats, &[ClassProfile], &[Session]) -> SimResult<()> + 'a;
+    dyn FnMut(&CellStats, &[ClassProfile], &[Session]) -> SimResult<()> + Send + 'a;
 
-/// Run a grid of serve cells, honouring adopted (resumed) results and
-/// an optional cell budget, optionally across `jobs` worker threads.
+/// Run a grid of serve cells on the shared grid worker pool
+/// ([`nqp_core::executor::run_pool`]), honouring adopted (resumed)
+/// results and an optional cell budget.
 ///
 /// `calibrate(i)` produces the class profiles for cell `i` (one real
 /// engine run per class/health — the expensive part, so it runs inside
-/// the worker). `sink` is called for each *newly computed* cell in grid
-/// order — journal writes and session dumps go through it, which is
-/// what makes serial and parallel runs byte-identical on disk.
+/// the worker). `sink` runs on the pool's journal-writer thread for each
+/// *newly computed* cell the moment it finishes, before its worker moves
+/// on — journal writes and session dumps go through it, so a kill loses
+/// at most the cells in flight. The report is assembled in grid order,
+/// so it never depends on `jobs`. The first calibration or serve error
+/// in grid order wins; otherwise the first sink error is returned.
 pub fn run_cells(
     cells: &[CellInput],
     adopted: &HashMap<String, CellStats>,
@@ -606,69 +611,34 @@ pub fn run_cells(
     let to_run = &pending[..budget.min(pending.len())];
     let interrupted = to_run.len() < pending.len();
 
-    type CellOut = (Vec<ClassProfile>, CellStats, Vec<Session>);
-    let mut results: Vec<Option<SimResult<CellOut>>> = (0..cells.len()).map(|_| None).collect();
-
-    if jobs <= 1 || to_run.len() <= 1 {
-        for &i in to_run {
-            let out = calibrate(i).and_then(|profiles| {
-                let (stats, sessions) =
-                    run_serve(&cells[i].config, &cells[i].spec, &profiles, record_sessions)?;
-                Ok((profiles, stats, sessions))
-            });
-            results[i] = Some(out);
+    let mut sink_err: Option<SimError> = None;
+    let mut write = |(stats, profiles, sessions): (CellStats, Vec<ClassProfile>, Vec<Session>)| {
+        if sink_err.is_none() {
+            sink_err = sink(&stats, &profiles, &sessions).err();
         }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<SimResult<CellOut>>>> =
-            to_run.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(to_run.len()) {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if k >= to_run.len() {
-                        break;
-                    }
-                    let i = to_run[k];
-                    let out = calibrate(i).and_then(|profiles| {
-                        let (stats, sessions) = run_serve(
-                            &cells[i].config,
-                            &cells[i].spec,
-                            &profiles,
-                            record_sessions,
-                        )?;
-                        Ok((profiles, stats, sessions))
-                    });
-                    if let Ok(mut slot) = slots[k].lock() {
-                        *slot = Some(out);
-                    }
-                });
-            }
-        });
-        for (k, slot) in slots.into_iter().enumerate() {
-            if let Ok(mut guard) = slot.lock() {
-                results[to_run[k]] = guard.take();
-            }
-        }
-    }
+    };
+    let results = run_pool(to_run, jobs, &mut write, |&i, emit| {
+        let profiles = calibrate(i)?;
+        let (stats, sessions) =
+            run_serve(&cells[i].config, &cells[i].spec, &profiles, record_sessions)?;
+        emit((stats.clone(), profiles, sessions));
+        Ok(stats)
+    });
 
-    // Assemble in grid order; sink new cells in grid order too.
+    // Assemble in grid order; cells beyond the budget are left out.
+    let mut fresh = to_run.iter().zip(results).peekable();
     let mut out = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         if let Some(stats) = adopted.get(&cell.config) {
             out.push(stats.clone());
-            continue;
-        }
-        match results[i].take() {
-            Some(Ok((profiles, stats, sessions))) => {
-                sink(&stats, &profiles, &sessions)?;
-                out.push(stats);
-            }
-            Some(Err(e)) => return Err(e),
-            None => {} // beyond the cell budget
+        } else if let Some((_, stats)) = fresh.next_if(|(&j, _)| j == i) {
+            out.push(stats?);
         }
     }
-    Ok(ServeReport { cells: out, interrupted })
+    match sink_err {
+        Some(e) => Err(e),
+        None => Ok(ServeReport { cells: out, interrupted }),
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use crate::histogram::LatencyHistogram;
 use crate::spec::ServeOutcome;
-use nqp_core::journal::{esc, get, get_num, get_str, JVal};
+use nqp_core::journal::{esc, get, get_num, get_str, JVal, JournalRecord};
 
 /// Monotone counters for one tenant over the whole run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -158,10 +158,14 @@ impl CellStats {
     pub fn recovery_gap_permille(&self) -> u64 {
         self.slo_pre_permille.saturating_sub(self.slo_post_permille)
     }
+}
 
-    /// The journal / JSON field body for this cell (no braces).
-    #[must_use]
-    pub fn fields_json(&self) -> String {
+/// A serve journal holds one `serve-cell` record per finished cell; its
+/// fields are also the cell's object in [`ServeReport::to_json`].
+impl JournalRecord for CellStats {
+    const KIND: &'static str = "serve-cell";
+
+    fn fields_json(&self) -> String {
         let hist: Vec<String> = self
             .hist
             .nonzero_buckets()
@@ -225,10 +229,7 @@ impl CellStats {
         )
     }
 
-    /// Decode a cell from a parsed journal object (the inverse of
-    /// [`CellStats::fields_json`] under the journal envelope).
-    #[must_use]
-    pub fn from_obj(obj: &[(String, JVal)]) -> Option<CellStats> {
+    fn from_obj(obj: &[(String, JVal)]) -> Option<CellStats> {
         fn nums(v: &JVal) -> Option<Vec<u64>> {
             match v {
                 JVal::Arr(items) => items

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nqp::core::advisor::{advise, WorkloadProfile};
+use nqp::advisor::{advise, WorkloadProfile};
 use nqp::core::TuningConfig;
 use nqp::datagen::{generate, Dataset};
 use nqp::query::{run_aggregation_on, AggConfig, WorkloadEnv};
@@ -37,7 +37,6 @@ fn main() {
         allocator: plan.allocator_or_default(),
         threads: 16,
         engine: nqp::query::EngineKind::Tuple,
-        batch: nqp::query::DEFAULT_BATCH_SIZE,
     };
     let after = run_aggregation_on(&advised, &cfg, &records);
     println!("\ntuned:             {:>12} cycles", after.exec_cycles);

@@ -9,16 +9,20 @@
 //!                [--placement sparse|dense|none] [--autonuma on|off]
 //!                [--thp on|off] [--n N] [--card N] [--index NAME] [--seed N]
 //!                [--faults SPEC] [--trial-budget CYCLES] [--tier SPEC]
-//!                [--engine tuple|vec] [--batch-size N]
+//!                [--engine tuple|vec]
 //! nqp-cli compare w1|w2|w3|w4 [--machine A|B|C]      # default vs tuned
 //! nqp-cli sweep w1|w2|w3|w4|wshift [--trials N] [--retries N] [--faults SPEC]
 //!                [--trial-budget CYCLES] [--machine A|B|C|S|machine_b_cxl] [--jobs N]
 //!                [--shards N] [--advisor online[,autonuma]] [--tier SPEC[+SPEC..]]
-//!                [--engine E[+E..]] [--batch-size N]
+//!                [--engine E[+E..]]
 //!                [--journal PATH | --resume PATH] [--max-cells N]
 //!                [--watchdog CYCLES] [--retry-budget N] [--breaker K]
 //!                [--csv FILE] [--json FILE]
 //!                [--trace-dir DIR] [--trace-epoch CYCLES]
+//! nqp-cli serve w1|w2|w3|w4[,..] [--tenants N] [--duration MCYCLES] [--arrivals SPEC]
+//!                [--configs both|os-default|tuned] [--tier SPEC] [--engine tuple|vec]
+//!                [--jobs N] [--shards N] [--journal PATH | --resume PATH] [--max-cells N]
+//!                [--csv FILE] [--json FILE] [--trace-dir DIR]   # full list: `help`
 //! nqp-cli hotpath w1|w3 [--machine A|B|C] [--threads N] [--n N] [--card N] [--reps K]
 //!                [--engine tuple|vec]
 //! nqp-cli trace FILE [--chrome OUT] [--csv OUT] [--decisions OUT] [--report]
@@ -37,12 +41,20 @@
 //! sweep with `--resume PATH` to skip the journaled cells and produce a
 //! final table bit-identical to an uninterrupted run.
 //!
-//! `--jobs N` (default 1 = the serial path) fans configurations across
-//! N worker threads; the table/CSV/JSON output is byte-identical to the
-//! serial run and the journal stays resumable, serial or parallel (the
-//! one semantic shift: `--retry-budget` becomes a deterministic
-//! per-config quota of `ceil(budget / configs)` so admission never
-//! depends on scheduling order).
+//! `sweep` and `serve` share one grid harness: the worker pool of
+//! `nqp_core::executor`, one journal reader, and one set of helpers for
+//! presets, `--jobs`, `--trace-dir`, `--journal`/`--resume`, and
+//! `--csv`/`--json`. `--jobs N` (default 1) fans sweep configurations or
+//! serve cells across N workers; every output — table, CSV, JSON, trace
+//! artifacts — is byte-identical for any N, and each finished cell is
+//! journaled (fsync'd) before its worker moves on, so the journal stays
+//! resumable under any job count. `--retry-budget` is a deterministic
+//! per-config quota of `ceil(budget / configs)`, so admission never
+//! depends on scheduling order.
+//!
+//! Every subcommand rejects a flag it does not read (nonzero exit,
+//! naming the flag): a typo never runs silently with a default, and
+//! never leaks into a sweep's grid fingerprint.
 //!
 //! `--shards N` (default 1) spreads the simulated workers of each
 //! *single* trial across N host threads; like `--jobs`, every output is
@@ -62,28 +74,21 @@
 //! byte-identical query results (the `checksum:` line); only the
 //! charged cycles move, so — like `--tier` — it enters the grid
 //! fingerprint, and on `sweep` a `+` list (`--engine tuple+vec`)
-//! crosses every contender with each path. `--batch-size N` only
-//! resizes the vectorized path's host-side staging buffers (the
-//! simulated stream is fixed at the 32-word column run), so it can
-//! never change results; 0 and absurd sizes are rejected.
+//! crosses every contender with each path.
 
-use nqp::advisor::ControllerConfig;
+use nqp::advisor::{advise, ControllerConfig, WorkloadProfile};
 use nqp::alloc::AllocatorKind;
-use nqp::core::advisor::{advise, WorkloadProfile};
-use nqp::core::journal::{grid_fingerprint, JournalWriter};
 use nqp::core::executor::sweep_parallel;
-use nqp::core::runner::{
-    sweep_supervised, RetryPolicy, SupervisorPolicy, TrialMeasurement, TrialRecord,
-};
+use nqp::core::journal::{grid_fingerprint, JournalRecord, JournalWriter};
+use nqp::core::runner::{RetryPolicy, SupervisorPolicy, TrialMeasurement, TrialRecord};
 use nqp::core::{AdvisorMode, TuningConfig};
 use nqp::datagen::tpch::TpchData;
 use nqp::datagen::{generate, JoinDataset};
 use nqp::engines::{query_name, DbSystem, SystemKind};
 use nqp::indexes::IndexKind;
 use nqp::query::{
-    parse_batch_size, try_run_aggregation_on, try_run_hash_join_on, try_run_inl_join_on,
-    try_run_phase_shift, AggConfig, AggKind, EngineKind, PhaseShiftConfig, WorkloadEnv,
-    DEFAULT_BATCH_SIZE,
+    try_run_aggregation_on, try_run_hash_join_on, try_run_inl_join_on, try_run_phase_shift,
+    AggConfig, AggKind, EngineKind, PhaseShiftConfig, WorkloadEnv,
 };
 use nqp::sim::{
     Access, Counters, FaultPlan, MemPolicy, NumaSim, SimError, SimResult, ThreadPlacement,
@@ -135,11 +140,11 @@ const USAGE: &str = "usage:
   nqp-cli machines
   nqp-cli advise [--managed] [--cache-bound] [--no-root] [--placed] [--alloc-light] [--mem-tight]
   nqp-cli workload <w1|w2|w3|w4> [options] [--faults SPEC] [--trial-budget CYCLES] [--tier SPEC]
-                [--engine tuple|vec] [--batch-size N]
+                [--engine tuple|vec]
   nqp-cli compare <w1|w2|w3|w4> [--machine A|B|C]
   nqp-cli sweep <w1|w2|w3|w4|wshift> [--trials N] [--retries N] [--faults SPEC] [--trial-budget CYCLES]
                 [--advisor online[,autonuma]] [--tier SPEC[+SPEC..]]
-                [--engine tuple|vec|tuple+vec] [--batch-size N]
+                [--engine tuple|vec|tuple+vec]
                 [--jobs N] [--shards N] [--journal PATH | --resume PATH]
                 [--max-cells N] [--watchdog CYCLES]
                 [--retry-budget N] [--breaker K] [--csv FILE] [--json FILE]
@@ -158,15 +163,40 @@ const USAGE: &str = "usage:
   nqp-cli trace <FILE.trace> [--chrome OUT.json] [--csv OUT.csv] [--decisions OUT.csv] [--report]
   nqp-cli tpch <1..22> [--system monetdb|postgresql|mysql|dbmsx|quickstep] [--sf 0.005] [--tuned]
                 [--engine tuple|vec]
-  (see `nqp-cli workload --help` equivalents in the README)";
+  (every command rejects flags it does not read; see the README for the full option lists)";
 
-/// Parse `--key value` / `--flag` argument lists.
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+/// Flags [`machine_arg`] and [`config_from_flags`] read.
+const CONFIG_FLAGS: &[&str] = &[
+    "machine", "placement", "policy", "autonuma", "thp", "alloc", "seed", "faults",
+    "trial-budget", "shards",
+];
+/// Flags [`WorkloadPlan::parse`] reads.
+const PLAN_FLAGS: &[&str] = &["n", "card", "index", "seed"];
+/// Flags both grid commands (`sweep`, `serve`) read through the shared
+/// grid helpers.
+const GRID_FLAGS: &[&str] = &[
+    "threads", "tier", "engine", "advisor", "breaker", "jobs", "max-cells", "journal",
+    "resume", "csv", "json", "trace-dir",
+];
+
+/// Parse `--key value` / `--flag` argument lists, rejecting any flag
+/// outside `known` (the union of the lists a command reads), so a typo
+/// fails loudly instead of running with a default.
+fn parse_flags(
+    cmd: &str,
+    args: &[String],
+    known: &[&[&str]],
+) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !known.iter().any(|list| list.contains(&name)) {
+                return Err(format!(
+                    "unknown flag `--{name}` for `{cmd}` (see `nqp-cli help`)"
+                ));
+            }
             let takes_value = it
                 .peek()
                 .is_some_and(|next| !next.starts_with("--"));
@@ -285,7 +315,11 @@ fn cmd_machines() -> Result<(), String> {
 }
 
 fn cmd_advise(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags) = parse_flags(
+        "advise",
+        args,
+        &[&["managed", "cache-bound", "no-root", "placed", "alloc-light", "mem-tight"]],
+    )?;
     let profile = WorkloadProfile {
         threads_managed: flags.contains_key("managed"),
         memory_bandwidth_bound: !flags.contains_key("cache-bound"),
@@ -349,13 +383,6 @@ fn config_from_flags(
     if let Some(b) = flags.get("trial-budget") {
         let cycles: u64 = b.parse().map_err(|_| format!("bad --trial-budget `{b}`"))?;
         cfg = cfg.with_trial_budget(cycles);
-    }
-    // --batch-size only resizes the vectorized path's host-side staging
-    // buffers; the simulated access stream is fixed at the column run
-    // width, so results never move with it. Zero and overflow are typed
-    // BadSpec errors (nonzero exit), not silent clamps.
-    if let Some(b) = flags.get("batch-size") {
-        cfg = cfg.with_batch(parse_batch_size(b).map_err(|e| e.to_string())?);
     }
     // --shards N spreads one trial's simulated workers over N host
     // threads. Results are byte-identical for every shard count (the
@@ -520,7 +547,8 @@ fn run_workload(
 }
 
 fn cmd_workload(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) =
+        parse_flags("workload", args, &[CONFIG_FLAGS, PLAN_FLAGS, &["threads", "tier", "engine"]])?;
     let which = pos.first().ok_or("workload needs w1|w2|w3|w4")?;
     let machine = machine_arg(&flags)?;
     let threads: usize = flags
@@ -562,7 +590,7 @@ fn cmd_workload(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("compare", args, &[&["machine"], PLAN_FLAGS])?;
     let which = pos.first().ok_or("compare needs w1|w2|w3|w4")?;
     let machine = machine_arg(&flags)?;
     let threads = machine.total_hw_threads();
@@ -588,7 +616,8 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 /// this). Prints wall-ns (best of `--reps`) plus a machine-readable
 /// `hotpath_ns=` line.
 fn cmd_hotpath(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) =
+        parse_flags("hotpath", args, &[CONFIG_FLAGS, &["threads", "reps", "engine", "n", "card"]])?;
     let which = pos.first().map(String::as_str).unwrap_or("w1");
     let machine = machine_arg(&flags)?;
     let threads: usize = flags.get("threads").and_then(|s| s.parse().ok()).unwrap_or(8);
@@ -822,6 +851,182 @@ fn cmd_hotpath(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+// ---- the grid harness shared by `sweep` and `serve` ----------------
+
+/// `--jobs N` (default 1): how many workers of the shared grid pool run
+/// cells. Every output is byte-identical for any N, so it never enters
+/// a grid fingerprint.
+fn jobs_arg(flags: &HashMap<String, String>) -> Result<usize, String> {
+    match flags.get("jobs") {
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("bad --jobs `{s}` (need an integer >= 1)")),
+        None => Ok(1),
+    }
+}
+
+/// `--trace-dir DIR`, created up front so a bad path fails before any
+/// cell runs.
+fn trace_dir_arg(flags: &HashMap<String, String>) -> Result<Option<PathBuf>, String> {
+    let Some(dir) = flags.get("trace-dir").map(PathBuf::from) else {
+        return Ok(None);
+    };
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| format!("cannot create --trace-dir `{}`: {e}", dir.display()))?;
+    Ok(Some(dir))
+}
+
+/// The two presets every grid starts from. Both get the same fault
+/// plan / budget / policy overrides, so an injected fault stresses the
+/// whole grid, not one column.
+fn preset_configs(
+    machine: &MachineSpec,
+    flags: &HashMap<String, String>,
+) -> Result<Vec<TuningConfig>, String> {
+    let os_default = config_from_flags(machine.clone(), flags)?.named("os-default (+flags)");
+    let preset = TuningConfig::tuned(machine.clone());
+    let mut tuned = config_from_flags(machine.clone(), flags)?.named("tuned (+flags)");
+    tuned.sim = tuned
+        .sim
+        .with_threads(preset.sim.thread_placement)
+        .with_policy(preset.sim.mem_policy)
+        .with_autonuma(preset.sim.autonuma)
+        .with_thp(preset.sim.thp);
+    tuned.allocator = preset.allocator;
+    Ok(vec![os_default, tuned])
+}
+
+/// Cross every contender with each tiering policy, then with each
+/// operator path — the knobs × policies and engine studies. A `none`
+/// tier or the `tuple` engine keeps the base column untouched (same
+/// name, default behaviour), so `--tier none` or `--engine tuple`
+/// yields output byte-identical to omitting the flag; any other entry
+/// appends ` tier=…` / ` engine=…` to the name. Both flags enter the
+/// grid fingerprint (they change charged cycles), unlike `--jobs`.
+fn cross_grid(
+    configs: Vec<TuningConfig>,
+    tiers: &[TierSpec],
+    engines: &[EngineKind],
+) -> Vec<TuningConfig> {
+    let mut out = configs;
+    if tiers.iter().any(|t| !t.is_none()) {
+        out = out
+            .iter()
+            .flat_map(|cfg| {
+                tiers.iter().map(move |t| {
+                    if t.is_none() {
+                        cfg.clone()
+                    } else {
+                        let name = format!("{} tier={}", cfg.name, t.label());
+                        cfg.clone().with_tier(*t).named(name)
+                    }
+                })
+            })
+            .collect();
+    }
+    if engines.iter().any(|e| *e != EngineKind::Tuple) {
+        out = out
+            .iter()
+            .flat_map(|cfg| {
+                engines.iter().map(move |e| {
+                    if *e == EngineKind::Tuple {
+                        cfg.clone()
+                    } else {
+                        let name = format!("{} engine={}", cfg.name, e.as_str());
+                        cfg.clone().with_engine(*e).named(name)
+                    }
+                })
+            })
+            .collect();
+    }
+    out
+}
+
+/// Open the grid's write-ahead journal. `--resume PATH` reads it back —
+/// refusing a journal of a different grid, noting a discarded torn
+/// tail — and returns its records for adoption; `--journal PATH` starts
+/// a fresh one; neither flag means no journal.
+fn open_journal<R: JournalRecord>(
+    flags: &HashMap<String, String>,
+    what: &str,
+    fp: &str,
+    grid_desc: &str,
+    cells: usize,
+) -> Result<(Option<JournalWriter>, Vec<R>), String> {
+    if let Some(path) = flags.get("resume") {
+        let (w, contents) = JournalWriter::append_to::<R>(Path::new(path))
+            .map_err(|e| format!("cannot resume from `{path}`: {e}"))?;
+        if contents.fingerprint != fp {
+            return Err(format!(
+                "journal `{path}` records a different {what} grid (its fingerprint \
+                 {} != requested {fp}); refusing to mix results\n  journal grid:   {}\n  requested grid: {grid_desc}",
+                contents.fingerprint, contents.grid_desc
+            ));
+        }
+        if contents.torn {
+            eprintln!(
+                "note: discarded a torn record at the end of `{path}` \
+                 (crash mid-append); that cell will re-run"
+            );
+        }
+        eprintln!(
+            "resuming: {} of {cells} cells already journaled in `{path}`",
+            contents.records.len()
+        );
+        return Ok((Some(w), contents.records));
+    }
+    match flags.get("journal") {
+        Some(path) => {
+            let w = JournalWriter::create(Path::new(path), fp, grid_desc)
+                .map_err(|e| format!("cannot create journal `{path}`: {e}"))?;
+            Ok((Some(w), Vec::new()))
+        }
+        None => Ok((None, Vec::new())),
+    }
+}
+
+/// `--csv FILE` / `--json FILE`: write the report's renderings, each
+/// only when asked for.
+fn write_reports(
+    flags: &HashMap<String, String>,
+    csv: impl FnOnce() -> String,
+    json: impl FnOnce() -> String,
+) -> Result<(), String> {
+    if let Some(path) = flags.get("csv") {
+        std::fs::write(path, csv()).map_err(|e| format!("cannot write CSV to `{path}`: {e}"))?;
+    }
+    if let Some(path) = flags.get("json") {
+        std::fs::write(path, json())
+            .map_err(|e| format!("cannot write JSON to `{path}`: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Flags no grid descriptor records raw: durability and interruption
+/// (`journal`, `resume`, `max-cells`), output destinations (`csv`,
+/// `json`, `trace-dir`), host parallelism (`jobs`, `shards` — every
+/// output is byte-identical for any count, so a journal resumes under
+/// any of them), and the two a descriptor spells out itself.
+const NOT_FINGERPRINTED: &[&str] = &[
+    "journal", "resume", "max-cells", "csv", "json", "trace-dir", "jobs", "shards", "machine",
+    "threads",
+];
+
+/// The raw-flag tail of a grid descriptor: every flag outside
+/// [`NOT_FINGERPRINTED`] and `also_skip`, as `key=value` sorted by key.
+fn raw_grid_flags(flags: &HashMap<String, String>, also_skip: &[&str]) -> String {
+    let mut kv: Vec<(&str, &str)> = flags
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .filter(|(k, _)| !NOT_FINGERPRINTED.contains(k) && !also_skip.contains(k))
+        .collect();
+    kv.sort_unstable();
+    let rest: Vec<String> = kv.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    rest.join(" ")
+}
+
 /// Canonical description of a sweep grid: everything that changes the
 /// final table, in a stable order. Flags that only affect durability or
 /// interruption (`--journal`, `--resume`, `--max-cells`) and output
@@ -834,35 +1039,16 @@ fn grid_descriptor(
     trials: usize,
     flags: &HashMap<String, String>,
 ) -> String {
-    let mut kv: Vec<(&str, &str)> = flags
-        .iter()
-        .filter(|(k, _)| {
-            // `jobs` is excluded too: the parallel executor produces the
-            // same bytes, so a journal from a --jobs run resumes under
-            // any job count (and vice versa). `shards` follows the same
-            // contract inside one trial, so it is excluded for the same
-            // reason. The trace flags are excluded because tracing
-            // never changes cycle results — artifacts are a side
-            // output, like `--csv`.
-            !matches!(
-                k.as_str(),
-                "journal" | "resume" | "max-cells" | "csv" | "json"
-                    | "machine" | "threads" | "trials" | "jobs" | "shards"
-                    | "trace-dir" | "trace-epoch"
-            )
-        })
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    kv.sort_unstable();
-    let rest: Vec<String> = kv.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    // The trace epoch joins the skipped flags: tracing never changes
+    // cycle results — artifacts are a side output, like `--csv`.
     format!(
         "sweep {which} machine={machine_name} threads={threads} trials={trials} {}",
-        rest.join(" ")
+        raw_grid_flags(flags, &["trials", "trace-epoch"])
     )
 }
 
-/// `sweep`: os-default and tuned configurations × N trials, through the
-/// supervised harness. Transient injected faults are retried with
+/// `sweep`: os-default and tuned configurations × N trials, supervised
+/// on the shared grid pool (`sweep_parallel`). Transient injected faults are retried with
 /// backoff; every other fault is recorded as that trial's outcome.
 ///
 /// With `--journal PATH` every finished cell is appended to a fsync'd
@@ -874,7 +1060,16 @@ fn grid_descriptor(
 /// a misbehaving configuration can cost. The command fails (nonzero
 /// exit) only when every trial of some configuration failed.
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags(
+        "sweep",
+        args,
+        &[
+            CONFIG_FLAGS,
+            PLAN_FLAGS,
+            GRID_FLAGS,
+            &["trials", "retries", "watchdog", "retry-budget", "trace-epoch"],
+        ],
+    )?;
     let which = pos.first().ok_or("sweep needs w1|w2|w3|w4|wshift")?;
     let machine = machine_arg(&flags)?;
     let threads: usize = flags
@@ -883,14 +1078,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .unwrap_or(machine.total_hw_threads());
     let trials: usize = flags.get("trials").and_then(|s| s.parse().ok()).unwrap_or(3);
     let retries: u32 = flags.get("retries").and_then(|s| s.parse().ok()).unwrap_or(3);
-    let jobs: usize = match flags.get("jobs") {
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("bad --jobs `{s}` (need an integer >= 1)"))?,
-        None => 1,
-    };
+    let jobs = jobs_arg(&flags)?;
     let supervisor = SupervisorPolicy {
         retry: RetryPolicy { max_retries: retries, ..RetryPolicy::default() },
         watchdog_budget_cycles: flags.get("watchdog").and_then(|s| s.parse().ok()),
@@ -898,7 +1086,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         breaker_threshold: flags.get("breaker").and_then(|s| s.parse().ok()),
         max_cells: flags.get("max-cells").and_then(|s| s.parse().ok()),
     };
-    let trace_dir: Option<PathBuf> = flags.get("trace-dir").map(PathBuf::from);
     let trace_epoch: u64 = match flags.get("trace-epoch") {
         Some(s) => s
             .parse()
@@ -907,54 +1094,23 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("bad --trace-epoch `{s}` (need cycles >= 1)"))?,
         None => TraceConfig::default().epoch_cycles,
     };
-    if let Some(dir) = &trace_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create --trace-dir `{}`: {e}", dir.display()))?;
-    }
+    let trace_dir = trace_dir_arg(&flags)?;
 
-    // Both presets get the same fault plan / budget / policy overrides,
-    // so an injected fault stresses the whole sweep, not one column.
-    let mut configs = vec![
-        config_from_flags(machine.clone(), &flags)?
-            .named("os-default (+flags)"),
-        {
-            let tuned = TuningConfig::tuned(machine.clone());
-            let mut cfg =
-                config_from_flags(machine.clone(), &flags)?.named("tuned (+flags)");
-            cfg.sim = cfg
-                .sim
-                .with_threads(tuned.sim.thread_placement)
-                .with_policy(tuned.sim.mem_policy)
-                .with_autonuma(tuned.sim.autonuma)
-                .with_thp(tuned.sim.thp);
-            cfg.allocator = tuned.allocator;
-            cfg
-        },
-    ];
+    let mut configs = preset_configs(&machine, &flags)?;
     // `--advisor online[,autonuma]` appends runtime-adaptive contenders:
     // both start from the tuned preset pinned to FirstTouch (the
     // placement the phase shift punishes), then either the epoch-driven
     // controller or the kernel's AutoNUMA model gets to fix it mid-run.
     if let Some(list) = flags.get("advisor") {
+        let first_touch = configs[1].clone().with_policy(MemPolicy::FirstTouch);
         for entry in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            let tuned = TuningConfig::tuned(machine.clone());
-            let mut cfg = config_from_flags(machine.clone(), &flags)?;
-            cfg.sim = cfg
-                .sim
-                .with_threads(tuned.sim.thread_placement)
-                .with_policy(MemPolicy::FirstTouch)
-                .with_thp(tuned.sim.thp);
-            cfg.allocator = tuned.allocator;
             configs.push(match entry {
-                "online" => {
-                    cfg.sim = cfg.sim.with_autonuma(false);
-                    cfg.named("online (+flags)")
-                        .with_advisor(AdvisorMode::Online(ControllerConfig::default()))
-                }
-                "autonuma" => {
-                    cfg.sim = cfg.sim.with_autonuma(true);
-                    cfg.named("autonuma (+flags)")
-                }
+                "online" => first_touch
+                    .clone()
+                    .with_autonuma(false)
+                    .named("online (+flags)")
+                    .with_advisor(AdvisorMode::Online(ControllerConfig::default())),
+                "autonuma" => first_touch.clone().with_autonuma(true).named("autonuma (+flags)"),
                 other => {
                     return Err(format!(
                         "unknown --advisor entry `{other}` (online, autonuma)"
@@ -963,47 +1119,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             });
         }
     }
-    // `--tier P1+P2+...` crosses every contender above with each tiering
-    // policy — the knobs × policies study. A `none` entry keeps the base
-    // column untouched (same name, no daemon), so `--tier none` yields a
-    // table byte-identical to omitting the flag.
-    let tiers = tier_arg(&flags)?;
-    if tiers.iter().any(|t| !t.is_none()) {
-        let mut crossed = Vec::with_capacity(configs.len() * tiers.len());
-        for cfg in &configs {
-            for t in &tiers {
-                crossed.push(if t.is_none() {
-                    cfg.clone()
-                } else {
-                    let name = format!("{} tier={}", cfg.name, t.label());
-                    cfg.clone().with_tier(*t).named(name)
-                });
-            }
-        }
-        configs = crossed;
-    }
-    // `--engine E1+E2` crosses every contender with each operator path,
-    // exactly like `--tier`: a `tuple` entry keeps the base column
-    // untouched (same name, default engine), so `--engine tuple` yields
-    // a table byte-identical to omitting the flag, and `--engine
-    // tuple+vec` puts the oracle and the vectorized path side by side
-    // in one grid. The flag enters the grid fingerprint (it changes
-    // charged cycles), unlike `--jobs`/`--shards`.
-    let engines = engine_arg(&flags)?;
-    if engines.iter().any(|e| *e != EngineKind::Tuple) {
-        let mut crossed = Vec::with_capacity(configs.len() * engines.len());
-        for cfg in &configs {
-            for e in &engines {
-                crossed.push(if *e == EngineKind::Tuple {
-                    cfg.clone()
-                } else {
-                    let name = format!("{} engine={}", cfg.name, e.as_str());
-                    cfg.clone().with_engine(*e).named(name)
-                });
-            }
-        }
-        configs = crossed;
-    }
+    // `+` lists on `--tier` and `--engine` cross every contender above.
+    let mut configs = cross_grid(configs, &tier_arg(&flags)?, &engine_arg(&flags)?);
     if trace_dir.is_some() {
         // Tracing is pay-for-what-you-use: the hooks charge no cycles,
         // so enabling it here cannot perturb the sweep's results. The
@@ -1030,38 +1147,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let grid_desc =
         grid_descriptor(which, &configs[0].sim.machine.name, threads, trials, &flags);
     let fp = grid_fingerprint(&grid_desc);
-
-    let mut resumed: Vec<TrialRecord> = Vec::new();
-    let mut writer: Option<JournalWriter> = None;
-    if let Some(path) = flags.get("resume") {
-        let (w, contents) = JournalWriter::append_to(Path::new(path))
-            .map_err(|e| format!("cannot resume from `{path}`: {e}"))?;
-        if contents.fingerprint != fp {
-            return Err(format!(
-                "journal `{path}` records a different sweep grid (its fingerprint \
-                 {} != requested {fp}); refusing to mix results\n  journal grid:   {}\n  requested grid: {grid_desc}",
-                contents.fingerprint, contents.grid_desc
-            ));
-        }
-        if contents.torn {
-            eprintln!(
-                "note: discarded a torn record at the end of `{path}` \
-                 (crash mid-append); that cell will re-run"
-            );
-        }
-        eprintln!(
-            "resuming: {} of {} cells already journaled in `{path}`",
-            contents.records.len(),
-            configs.len() * trials
-        );
-        resumed = contents.records;
-        writer = Some(w);
-    } else if let Some(path) = flags.get("journal") {
-        writer = Some(
-            JournalWriter::create(Path::new(path), &fp, &grid_desc)
-                .map_err(|e| format!("cannot create journal `{path}`: {e}"))?,
-        );
-    }
+    let (mut writer, resumed) =
+        open_journal::<TrialRecord>(&flags, "sweep", &fp, &grid_desc, configs.len() * trials)?;
 
     let plan = WorkloadPlan::parse(which, &flags)?;
     let mut journal_err: Option<String> = None;
@@ -1102,16 +1189,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 evacuated_pages: counters.evacuated_pages,
             })
         };
-        if jobs > 1 {
-            sweep_parallel(
-                &configs, threads, trials, &supervisor, &resumed, jobs, &mut sink,
-                workload,
-            )
-        } else {
-            sweep_supervised(
-                &configs, threads, trials, &supervisor, &resumed, &mut sink, workload,
-            )
-        }
+        sweep_parallel(
+            &configs, threads, trials, &supervisor, &resumed, jobs, &mut sink, workload,
+        )
     };
     if let Some(e) = journal_err {
         return Err(format!("journal write failed mid-sweep: {e}"));
@@ -1144,14 +1224,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         }
     }
 
-    if let Some(path) = flags.get("csv") {
-        std::fs::write(path, report.to_csv())
-            .map_err(|e| format!("cannot write CSV to `{path}`: {e}"))?;
-    }
-    if let Some(path) = flags.get("json") {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| format!("cannot write JSON to `{path}`: {e}"))?;
-    }
+    write_reports(&flags, || report.to_csv(), || report.to_json())?;
 
     if report.interrupted {
         // Salvage, not failure: the partial table above is real data and
@@ -1180,23 +1253,14 @@ fn serve_grid_descriptor(
 ) -> String {
     // Spec-resolved values go in canonically (so defaults and explicit
     // flags fingerprint identically); the remaining flags (n, card,
-    // index, configs, ...) go in raw, sorted, minus output-only flags.
-    let mut kv: Vec<(&str, &str)> = flags
-        .iter()
-        .filter(|(k, _)| {
-            !matches!(
-                k.as_str(),
-                "journal" | "resume" | "max-cells" | "csv" | "json" | "jobs"
-                    | "shards" | "trace-dir" | "machine" | "threads" | "tenants"
-                    | "duration" | "arrivals" | "lanes" | "queue-cap" | "tokens"
-                    | "refill" | "deadline" | "breaker" | "epoch" | "outage"
-                    | "advisor" | "seed"
-            )
-        })
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    kv.sort_unstable();
-    let rest: Vec<String> = kv.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    // index, configs, ...) go in raw.
+    let rest = raw_grid_flags(
+        flags,
+        &[
+            "tenants", "duration", "arrivals", "lanes", "queue-cap", "tokens", "refill",
+            "deadline", "breaker", "epoch", "outage", "advisor", "seed",
+        ],
+    );
     let outage =
         spec.outage.map_or_else(|| "none".to_string(), |o| o.canonical());
     // `advisor` is appended only when non-default, so every pre-existing
@@ -1220,7 +1284,7 @@ fn serve_grid_descriptor(
         spec.breaker_threshold,
         spec.epoch_mcycles,
         spec.seed,
-        rest.join(" ")
+        rest
     )
 }
 
@@ -1257,7 +1321,19 @@ fn profile_phases(trace: Option<TraceLog>, total_cycles: u64) -> Vec<(String, u6
 /// degraded answers during the window, recovery after, never a wedged
 /// queue.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags(
+        "serve",
+        args,
+        &[
+            CONFIG_FLAGS,
+            PLAN_FLAGS,
+            GRID_FLAGS,
+            &[
+                "tenants", "duration", "arrivals", "lanes", "queue-cap", "tokens", "refill",
+                "deadline", "epoch", "outage", "configs",
+            ],
+        ],
+    )?;
     let which = pos
         .first()
         .ok_or("serve needs query classes, e.g. `w1` or `w1,w3`")?;
@@ -1321,80 +1397,30 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .to_string(),
         );
     }
-    let jobs: usize = match flags.get("jobs") {
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("bad --jobs `{s}` (need an integer >= 1)"))?,
-        None => 1,
-    };
+    let jobs = jobs_arg(&flags)?;
     let max_cells: Option<usize> = flags.get("max-cells").and_then(|s| s.parse().ok());
-    let trace_dir: Option<PathBuf> = flags.get("trace-dir").map(PathBuf::from);
-    if let Some(dir) = &trace_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create --trace-dir `{}`: {e}", dir.display()))?;
-    }
+    let trace_dir = trace_dir_arg(&flags)?;
     let record_sessions = trace_dir.is_some();
 
     // Same two presets as `sweep`, selectable via --configs.
-    let all_configs = vec![
-        config_from_flags(machine.clone(), &flags)?.named("os-default (+flags)"),
-        {
-            let tuned = TuningConfig::tuned(machine.clone());
-            let mut cfg = config_from_flags(machine.clone(), &flags)?.named("tuned (+flags)");
-            cfg.sim = cfg
-                .sim
-                .with_threads(tuned.sim.thread_placement)
-                .with_policy(tuned.sim.mem_policy)
-                .with_autonuma(tuned.sim.autonuma)
-                .with_thp(tuned.sim.thp);
-            cfg.allocator = tuned.allocator;
-            cfg
-        },
-    ];
-    let configs: Vec<TuningConfig> =
+    let presets = preset_configs(&machine, &flags)?;
+    let presets: Vec<TuningConfig> =
         match flags.get("configs").map(String::as_str).unwrap_or("both") {
-            "both" => all_configs,
-            "os-default" => vec![all_configs.into_iter().next().ok_or("no configs")?],
-            "tuned" => vec![all_configs.into_iter().nth(1).ok_or("no configs")?],
+            "both" => presets,
+            "os-default" => presets.into_iter().take(1).collect(),
+            "tuned" => presets.into_iter().skip(1).collect(),
             other => {
                 return Err(format!(
                     "unknown --configs `{other}` (both, os-default, tuned)"
                 ))
             }
         };
-    // One --tier policy applies to every serve configuration: the serve
-    // loop replays calibrated engine profiles, so the daemon's effect is
-    // captured during each configuration's calibration run.
-    let tier = single_tier_arg(&flags)?;
-    let configs: Vec<TuningConfig> = if tier.is_none() {
-        configs
-    } else {
-        configs
-            .into_iter()
-            .map(|c| {
-                let name = format!("{} tier={}", c.name, tier.label());
-                c.with_tier(tier).named(name)
-            })
-            .collect()
-    };
-    // One --engine applies to every serve configuration (like --tier):
-    // the operator path shapes each class's calibrated phase costs, so
-    // it enters the grid fingerprint via the raw flag. `tuple` keeps the
-    // base names, so omitting the flag changes nothing.
-    let engine = single_engine_arg(&flags)?;
-    let configs: Vec<TuningConfig> = if engine == EngineKind::Tuple {
-        configs
-    } else {
-        configs
-            .into_iter()
-            .map(|c| {
-                let name = format!("{} engine={}", c.name, engine.as_str());
-                c.with_engine(engine).named(name)
-            })
-            .collect()
-    };
+    // One --tier policy and one --engine apply to every serve
+    // configuration: the serve loop replays calibrated engine profiles,
+    // so the daemon's effect and the operator path are captured during
+    // each configuration's calibration run.
+    let configs =
+        cross_grid(presets, &[single_tier_arg(&flags)?], &[single_engine_arg(&flags)?]);
     let cells: Vec<CellInput> = configs
         .iter()
         .map(|c| CellInput { config: c.name.clone(), spec: spec.clone() })
@@ -1403,44 +1429,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let grid_desc =
         serve_grid_descriptor(which, &machine.name, threads, &spec, &flags);
     let fp = grid_fingerprint(&grid_desc);
-
-    let mut adopted: HashMap<String, CellStats> = HashMap::new();
-    let mut writer: Option<JournalWriter> = None;
-    if let Some(path) = flags.get("resume") {
-        let (w, contents) = JournalWriter::append_raw_to(Path::new(path))
-            .map_err(|e| format!("cannot resume from `{path}`: {e}"))?;
-        if contents.fingerprint != fp {
-            return Err(format!(
-                "journal `{path}` records a different serve grid (its fingerprint \
-                 {} != requested {fp}); refusing to mix results\n  journal grid:   {}\n  requested grid: {grid_desc}",
-                contents.fingerprint, contents.grid_desc
-            ));
-        }
-        if contents.torn {
-            eprintln!(
-                "note: discarded a torn record at the end of `{path}` \
-                 (crash mid-append); that cell will re-run"
-            );
-        }
-        for (kind, obj) in &contents.records {
-            if kind == "serve-cell" {
-                if let Some(cell) = CellStats::from_obj(obj) {
-                    adopted.insert(cell.config.clone(), cell);
-                }
-            }
-        }
-        eprintln!(
-            "resuming: {} of {} cells already journaled in `{path}`",
-            adopted.len(),
-            cells.len()
-        );
-        writer = Some(w);
-    } else if let Some(path) = flags.get("journal") {
-        writer = Some(
-            JournalWriter::create(Path::new(path), &fp, &grid_desc)
-                .map_err(|e| format!("cannot create journal `{path}`: {e}"))?,
-        );
-    }
+    let (mut writer, journaled) =
+        open_journal::<CellStats>(&flags, "serve", &fp, &grid_desc, cells.len())?;
+    let adopted: HashMap<String, CellStats> =
+        journaled.into_iter().map(|c| (c.config.clone(), c)).collect();
 
     // Serve sessions are interactive-sized queries, not batch scans:
     // default to much smaller inputs than `sweep` unless overridden, so
@@ -1497,7 +1489,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
      -> SimResult<()> {
         let harness = |what: String| SimError::Harness { what };
         if let Some(w) = writer.as_mut() {
-            w.append_kind("serve-cell", &stats.fields_json())
+            w.record(stats)
                 .map_err(|e| harness(format!("journal write failed: {e}")))?;
         }
         if let Some(dir) = &trace_dir {
@@ -1582,14 +1574,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     }
 
-    if let Some(path) = flags.get("csv") {
-        std::fs::write(path, report.to_csv())
-            .map_err(|e| format!("cannot write CSV to `{path}`: {e}"))?;
-    }
-    if let Some(path) = flags.get("json") {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| format!("cannot write JSON to `{path}`: {e}"))?;
-    }
+    write_reports(&flags, || report.to_csv(), || report.to_json())?;
 
     if report.interrupted {
         eprintln!(
@@ -1609,7 +1594,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// `chrome://tracing`); `--csv OUT` writes the epoch-binned counter
 /// timeline; `--report` forces the report even when converting.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) =
+        parse_flags("trace", args, &[&["chrome", "csv", "decisions", "report"]])?;
     let file = pos.first().ok_or("trace needs a .trace artifact FILE")?;
     let trace = Trace::read_file(Path::new(file))
         .map_err(|e| format!("cannot read trace `{file}`: {e}"))?;
@@ -1639,7 +1625,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_tpch(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) =
+        parse_flags("tpch", args, &[&["sf", "system", "machine", "engine", "tuned"]])?;
     let qnum: usize = pos
         .first()
         .and_then(|s| s.parse().ok())
@@ -1656,10 +1643,6 @@ fn cmd_tpch(args: &[String]) -> Result<(), String> {
     };
     let machine = machine_arg(&flags)?;
     let engine = single_engine_arg(&flags)?;
-    let batch = match flags.get("batch-size") {
-        Some(b) => parse_batch_size(b).map_err(|e| e.to_string())?,
-        None => DEFAULT_BATCH_SIZE,
-    };
     let env = if flags.contains_key("tuned") {
         WorkloadEnv {
             sim: nqp::sim::SimConfig::os_default(machine)
@@ -1669,10 +1652,9 @@ fn cmd_tpch(args: &[String]) -> Result<(), String> {
             allocator: AllocatorKind::Tbbmalloc,
             threads: 16,
             engine,
-            batch,
         }
     } else {
-        WorkloadEnv::os_default(machine).with_engine(engine).with_batch(batch)
+        WorkloadEnv::os_default(machine).with_engine(engine)
     };
     let data = TpchData::generate(sf, 42);
     let mut db = DbSystem::boot(system, &env, &data);

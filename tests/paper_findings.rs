@@ -3,7 +3,7 @@
 //! the reproduction to; the bench harnesses print the full tables.
 
 use nqp::alloc::AllocatorKind;
-use nqp::core::advisor::{advise, WorkloadProfile};
+use nqp::advisor::{advise, WorkloadProfile};
 use nqp::core::TuningConfig;
 use nqp::datagen::{generate, Dataset, JoinDataset};
 use nqp::query::{run_aggregation_on, run_hash_join_on, AggConfig, WorkloadEnv};
@@ -186,7 +186,6 @@ fn advisor_plan_delivers_a_large_speedup() {
         allocator: plan.allocator_or_default(),
         threads: 16,
         engine: nqp::query::EngineKind::Tuple,
-        batch: nqp::query::DEFAULT_BATCH_SIZE,
     };
     let a = run_aggregation_on(&advised, &cfg, &records);
     assert_eq!(d.checksum, a.checksum, "tuning must not change results");

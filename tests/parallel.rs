@@ -5,7 +5,10 @@
 //! as the serial `sweep_supervised` on the identical grid.
 //!
 //! This is the determinism contract the `--jobs` flag sells (DESIGN.md
-//! §4c): parallelism changes wall-clock, never bytes.
+//! §4c): parallelism changes wall-clock, never bytes. The last tests
+//! drive the real `nqp-cli` binary: a grid where `--retry-budget` binds
+//! is byte-identical at every `--jobs`, and a mistyped flag fails
+//! before anything runs.
 
 use nqp::core::executor::sweep_parallel;
 use nqp::core::runner::{
@@ -16,6 +19,8 @@ use nqp::datagen::generate;
 use nqp::query::{try_run_aggregation_on, AggConfig, WorkloadEnv};
 use nqp::sim::{FaultKind, FaultPlan, MemPolicy, SimResult};
 use nqp::topology::machines;
+use std::path::PathBuf;
+use std::process::{Command, Output};
 
 /// The fault dimension of the grid space: healthy, a transient
 /// allocation fault that clears after one retry (exercises the backoff
@@ -155,4 +160,70 @@ fn parallel_interrupt_then_parallel_resume_under_faults() {
     );
     assert_eq!(resumed.to_csv(), reference.to_csv());
     assert_eq!(resumed.trials, reference.trials);
+}
+
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_nqp-cli")).args(args).output().unwrap()
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("nqp-parallel-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Through the real binary: `--retry-budget 2` binds on this grid (every
+/// trial faults three times before it could succeed), yet stdout, the
+/// CSV and the exit code are identical at `--jobs 1`, `2` and `3` — the
+/// budget is the same per-config quota at every job count.
+#[test]
+fn cli_retry_budget_grid_is_byte_identical_across_jobs() {
+    let dir = temp_dir("retry-budget");
+    let run = |jobs: &str| {
+        let csv = dir.join(format!("jobs{jobs}.csv"));
+        let out = cli(&[
+            "sweep", "w1", "--machine", "B", "--threads", "4", "--n", "4000", "--card", "400",
+            "--trials", "3", "--retries", "3", "--faults", "alloc@2:attempts=3",
+            "--retry-budget", "2", "--jobs", jobs, "--csv", csv.to_str().unwrap(),
+        ]);
+        (out.status.code(), out.stdout, std::fs::read(&csv).unwrap())
+    };
+    let serial = run("1");
+    let table = String::from_utf8_lossy(&serial.1);
+    assert!(table.contains("faulted"), "the budget must bind: {table}");
+    for jobs in ["2", "3"] {
+        assert!(run(jobs) == serial, "--jobs {jobs} changed the output of {table}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every subcommand rejects a flag it never reads, naming it, before
+/// running anything — a mistyped sweep flag neither runs with a default
+/// nor lands in the journal's grid fingerprint.
+#[test]
+fn cli_rejects_unknown_flags_by_name() {
+    let dir = temp_dir("unknown-flags");
+    let journal = dir.join("j.jsonl");
+    let cases: [(&[&str], &str); 5] = [
+        (&["workload", "w1", "--machine", "B", "--thraeds", "2"], "--thraeds"),
+        (
+            &[
+                "sweep", "w1", "--trials", "1", "--typo-flag", "3", "--journal",
+                journal.to_str().unwrap(),
+            ],
+            "--typo-flag",
+        ),
+        (&["serve", "w1", "--machine", "B", "--trials", "2"], "--trials"),
+        (&["tpch", "6", "--batch-size", "64"], "--batch-size"),
+        (&["advise", "--managed", "--root"], "--root"),
+    ];
+    for (args, flag) in cases {
+        let out = cli(args);
+        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{args:?}: `{err}`");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting: {out:?}");
+    }
+    assert!(!journal.exists(), "a rejected sweep must not create its journal");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -141,7 +141,7 @@ fn interrupted_then_resumed_sweep_is_bit_identical() {
     assert!(partial.interrupted);
     assert_eq!(partial.trials.len(), 1);
 
-    let (mut w, contents) = JournalWriter::append_to(&path).unwrap();
+    let (mut w, contents) = JournalWriter::append_to::<TrialRecord>(&path).unwrap();
     assert_eq!(contents.fingerprint, fp);
     assert!(!contents.torn);
     assert_eq!(contents.records, partial.trials, "journal round-trips the records");
@@ -154,7 +154,7 @@ fn interrupted_then_resumed_sweep_is_bit_identical() {
     assert_eq!(resumed.to_json(), uninterrupted.to_json());
 
     // The journal now holds the full grid and replays to the same table.
-    let full = read_journal(&path).unwrap();
+    let full = read_journal::<TrialRecord>(&path).unwrap();
     assert_eq!(full.records, uninterrupted.trials);
     std::fs::remove_file(&path).ok();
 }
@@ -177,7 +177,7 @@ fn torn_write_is_discarded_and_the_cell_reruns() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 17]).unwrap();
 
-    let (mut w, contents) = JournalWriter::append_to(&path).unwrap();
+    let (mut w, contents) = JournalWriter::append_to::<TrialRecord>(&path).unwrap();
     assert!(contents.torn, "the torn tail must be detected");
     assert_eq!(contents.records.len(), 2, "only intact records survive");
     let resumed = run_sweep(&contents.records, None, &mut |rec| w.record(rec).unwrap());
@@ -185,7 +185,7 @@ fn torn_write_is_discarded_and_the_cell_reruns() {
 
     assert_eq!(resumed.table(), uninterrupted.table());
     assert_eq!(resumed.trials, uninterrupted.trials);
-    let full = read_journal(&path).unwrap();
+    let full = read_journal::<TrialRecord>(&path).unwrap();
     assert!(!full.torn, "append after recovery restores a clean journal");
     assert_eq!(full.records, uninterrupted.trials);
     std::fs::remove_file(&path).ok();
@@ -225,7 +225,7 @@ fn killed_parallel_run_resumes_serial_or_parallel_to_identical_bytes() {
     assert_eq!(partial.trials.len(), 2, "admission matches the serial cutoff");
 
     // Resume serially from the parallel run's journal.
-    let (mut w, contents) = JournalWriter::append_to(&path).unwrap();
+    let (mut w, contents) = JournalWriter::append_to::<TrialRecord>(&path).unwrap();
     assert_eq!(contents.records.len(), 2);
     // Completion order may differ from grid order; resume matches by
     // (config, trial), so sorted sets must agree.
@@ -244,7 +244,7 @@ fn killed_parallel_run_resumes_serial_or_parallel_to_identical_bytes() {
 
     // The journal now covers the full grid (in whatever append order);
     // a parallel resume from it adopts every cell and re-runs nothing.
-    let full = read_journal(&path).unwrap();
+    let full = read_journal::<TrialRecord>(&path).unwrap();
     let mut reran = 0usize;
     let resumed_parallel =
         run_sweep_parallel(&full.records, None, 7, &mut |_| reran += 1);
@@ -264,7 +264,7 @@ fn degraded_records_round_trip_through_the_journal() {
     let mut w = JournalWriter::create(&path, &fp, "degraded-grid").unwrap();
     let report = run_sweep(&[], None, &mut |rec| w.record(rec).unwrap());
     drop(w);
-    let back = read_journal(&path).unwrap();
+    let back = read_journal::<TrialRecord>(&path).unwrap();
     assert_eq!(back.records, report.trials);
     assert!(
         back.records.iter().any(|t| t.outcome == Outcome::Degraded),
@@ -324,7 +324,7 @@ fn timeout_and_faulted_outcomes_round_trip_distinctly() {
     }
     drop(w);
 
-    let back = read_journal(&path).unwrap();
+    let back = read_journal::<TrialRecord>(&path).unwrap();
     assert!(!back.torn);
     assert_eq!(back.records, trials, "records round-trip exactly");
     assert_eq!(back.records[0].outcome, Outcome::Timeout);

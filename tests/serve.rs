@@ -4,7 +4,7 @@
 //! of serve cells — the same discipline `tests/parallel.rs` and
 //! `tests/resume.rs` pin for sweeps.
 
-use nqp::core::journal::{grid_fingerprint, read_journal_raw, JournalWriter};
+use nqp::core::journal::{grid_fingerprint, read_journal, JournalWriter};
 use nqp::serve::{
     run_cells, ArrivalSpec, CellInput, CellStats, ClassProfile, OutageSpec, ServeAdvisor,
     ServeReport, ServeSpec,
@@ -96,7 +96,7 @@ fn run(
     });
     let mut sink = |stats: &CellStats, _: &[ClassProfile], _: &[nqp::serve::Session]| {
         if let Some(w) = writer.as_mut() {
-            w.append_kind("serve-cell", &stats.fields_json()).expect("journal append");
+            w.record(stats).expect("journal append");
         }
         Ok(())
     };
@@ -119,12 +119,10 @@ fn serial_parallel_and_resumed_runs_are_bit_identical() {
     assert!(partial.interrupted);
     assert_eq!(partial.cells.len(), 1);
 
-    let contents = read_journal_raw(&jpath).expect("read journal back");
+    let contents = read_journal::<CellStats>(&jpath).expect("read journal back");
     assert!(!contents.torn);
     let mut adopted = HashMap::new();
-    for (kind, obj) in &contents.records {
-        assert_eq!(kind, "serve-cell");
-        let cell = CellStats::from_obj(obj).expect("journaled cell decodes");
+    for cell in contents.records {
         adopted.insert(cell.config.clone(), cell);
     }
     assert_eq!(adopted.len(), 1);
@@ -147,17 +145,50 @@ fn torn_journal_tail_is_discarded_and_rerun() {
     // Tear the last record mid-line, as a crash mid-append would.
     let data = std::fs::read(&jpath).expect("journal bytes");
     std::fs::write(&jpath, &data[..data.len() - 37]).expect("tear journal");
-    let contents = read_journal_raw(&jpath).expect("read torn journal");
+    let contents = read_journal::<CellStats>(&jpath).expect("read torn journal");
     assert!(contents.torn);
     assert_eq!(contents.records.len(), 1, "only the intact cell survives");
 
     let mut adopted = HashMap::new();
-    for (_, obj) in &contents.records {
-        let cell = CellStats::from_obj(obj).expect("decodes");
+    for cell in contents.records {
         adopted.insert(cell.config.clone(), cell);
     }
     let resumed = run(&grid, &adopted, 1, None, None);
     assert_eq!(resumed, full, "re-running the torn cell reconverges");
+    let _ = std::fs::remove_file(&jpath);
+}
+
+/// Each cell is journaled the moment it finishes, not when the grid
+/// does: calibrating cell 1 (serially, after cell 0) already finds cell
+/// 0's record durable on disk — so a kill at that point loses nothing
+/// that finished.
+#[test]
+fn each_cell_is_durable_before_the_next_one_starts() {
+    let grid = cells(4_000, None);
+    let jpath = temp_journal("write-ahead");
+    let fp = grid_fingerprint("serve test grid");
+    let mut writer = JournalWriter::create(&jpath, &fp, "serve test grid").expect("create");
+    let mut sink = |stats: &CellStats, _: &[ClassProfile], _: &[nqp::serve::Session]| {
+        writer.record(stats).expect("journal append");
+        Ok(())
+    };
+    let on_disk_at_cell_1 = std::sync::Mutex::new(None);
+    let calibrate_and_peek = |i: usize| {
+        if i == 1 {
+            let contents = read_journal::<CellStats>(&jpath).expect("journal readable mid-run");
+            let configs: Vec<String> = contents.records.into_iter().map(|c| c.config).collect();
+            *on_disk_at_cell_1.lock().unwrap() = Some(configs);
+        }
+        calibrate(i)
+    };
+    let report = run_cells(&grid, &HashMap::new(), 1, None, false, &calibrate_and_peek, &mut sink)
+        .expect("serve run");
+    assert_eq!(report.cells.len(), 2);
+    assert_eq!(
+        on_disk_at_cell_1.into_inner().unwrap(),
+        Some(vec!["os-default".to_string()]),
+        "cell 0 must be journaled before cell 1 calibrates"
+    );
     let _ = std::fs::remove_file(&jpath);
 }
 

@@ -8,11 +8,11 @@
 //! optimisation; EXPERIMENTS.md declares it), so the second property
 //! pins the vectorized path against itself instead: byte-identical
 //! cycles, counters, region stats, and trace logs across host shard
-//! counts, batch sizes, the reference memory model, and reruns.
+//! counts, the reference memory model, and reruns.
 //! Finally, the real `nqp-cli` binary is driven through `--engine`
 //! crossings: sweep/serve byte-diffs under `--jobs`/`--shards`,
-//! journal interrupt + resume, and typed rejection of malformed
-//! `--engine` / `--batch-size` tokens.
+//! journal interrupt + resume, typed rejection of malformed `--engine`
+//! tokens, and rejection of the removed `--batch-size` flag.
 
 use nqp::datagen::{generate, JoinDataset};
 use nqp::indexes::IndexKind;
@@ -146,8 +146,8 @@ proptest! {
     }
 
     /// The vectorized path against itself: cycles, counters, region
-    /// stats, and trace logs must not move with the host shard count,
-    /// the staging batch size, or the reference memory model — the
+    /// stats, and trace logs must not move with the host shard count
+    /// or the reference memory model — the
     /// same invariants `--jobs`/`--shards` already carry for the
     /// tuple path.
     #[test]
@@ -157,20 +157,17 @@ proptest! {
         threads in 1usize..5,
         n in 400usize..1600,
         seed in 0u64..1000,
-        batch_idx in 0usize..4,
         shards in 2usize..4,
     ) {
-        let batch = [1usize, 31, 256, 4096][batch_idx];
         let base = env(cfg_idx, threads, EngineKind::Vectorized);
         let one = observe(which, &base, n, seed);
 
         let mut sharded = base.clone();
-        sharded.batch = batch;
         sharded.sim = sharded.sim.with_shards(shards);
         prop_assert_eq!(
             &one,
             &observe(which, &sharded, n, seed),
-            "diverged under shards={} batch={}", shards, batch
+            "diverged under shards={}", shards
         );
 
         let mut reference = base.clone();
@@ -196,8 +193,9 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_nqp-cli"))
 }
 
-/// Malformed `--engine` and `--batch-size` tokens exit nonzero with the
-/// typed BadSpec message naming the offending token.
+/// Malformed `--engine` tokens exit nonzero with the typed BadSpec
+/// message naming the offending token; the removed `--batch-size` flag
+/// exits nonzero as an unknown flag, whatever its value.
 #[test]
 fn malformed_engine_and_batch_specs_are_rejected() {
     let reject = |args: &[&str], needle: &str| {
@@ -209,9 +207,12 @@ fn malformed_engine_and_batch_specs_are_rejected() {
     };
     let w = ["workload", "w1", "--machine", "B", "--n", "500", "--card", "50"];
     reject(&[&w[..], &["--engine", "bogus"]].concat(), "`bogus`");
-    reject(&[&w[..], &["--batch-size", "0"]].concat(), "nonzero");
-    reject(&[&w[..], &["--batch-size", "999999999999"]].concat(), "overflows");
-    reject(&[&w[..], &["--batch-size", "many"]].concat(), "unsigned integer");
+    for value in ["0", "999999999999", "many", "256"] {
+        let out = cli().args(w).args(["--batch-size", value]).output().unwrap();
+        assert!(!out.status.success(), "--batch-size {value} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag `--batch-size`"), "--batch-size {value}: `{err}`");
+    }
     reject(
         &["sweep", "w1", "--trials", "1", "--engine", "tuple+nope"],
         "`nope`",
@@ -220,8 +221,7 @@ fn malformed_engine_and_batch_specs_are_rejected() {
 
 /// Through the real binary: the `checksum:` line — the query result —
 /// is identical under `--engine tuple` and `--engine vec` for every
-/// workload, while `--batch-size` never changes any output byte of the
-/// vectorized run.
+/// workload.
 #[test]
 fn workload_checksums_match_across_engines() {
     for which in ["w1", "w2", "w3", "w4"] {
@@ -251,9 +251,6 @@ fn workload_checksums_match_across_engines() {
             checksum_of(&vec_out),
             "{which}: engines disagree on the result checksum"
         );
-        // Batch size resizes host staging only: every byte identical.
-        let vec_batched = run(&["--engine", "vec", "--batch-size", "7"]);
-        assert_eq!(vec_out, vec_batched, "{which}: --batch-size moved vec output");
     }
 }
 
