@@ -171,9 +171,9 @@ mod tests {
         let mut sim = NumaSim::new(cfg);
         let mut out = R::default();
         let mut f = f;
-        sim.serial(&mut (), |w, s| {
+        sim.try_serial(&mut (), |w, s| {
             out = f(w, s);
-        });
+        }).unwrap();
         out
     }
 

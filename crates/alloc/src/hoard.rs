@@ -173,12 +173,12 @@ mod tests {
     fn surplus_free_memory_moves_to_global_hoard() {
         let mut sim = sim();
         let mut h = Hoard::new(&mut sim);
-        sim.serial(&mut h, |w, h| {
+        sim.try_serial(&mut h, |w, h| {
             let blocks: Vec<VAddr> = (0..400).map(|_| h.alloc(w, 64)).collect();
             for b in blocks {
                 h.free(w, b, 64);
             }
-        });
+        }).unwrap();
         let (class, _) = class_of(64);
         assert!(
             h.global.free_count(class) > 0,
@@ -192,7 +192,7 @@ mod tests {
         let mut h = Hoard::new(&mut sim);
         // Thread 0 frees a pile; thread 1 should adopt from the hoard
         // rather than growing the resident set.
-        sim.parallel(2, &mut h, |w, h| {
+        sim.try_parallel(2, &mut h, |w, h| {
             if w.tid() == 0 {
                 let blocks: Vec<VAddr> = (0..400).map(|_| h.alloc(w, 64)).collect();
                 for b in blocks {
@@ -204,14 +204,14 @@ mod tests {
                 // Allocation served from adopted blocks: no new superblock.
                 assert_eq!(h.src.peak_resident(), resident_before);
             }
-        });
+        }).unwrap();
     }
 
     #[test]
     fn scales_without_global_contention_for_private_churn() {
         let mut sim = sim();
         let mut h = Hoard::new(&mut sim);
-        let stats = sim.parallel(8, &mut h, |w, h| {
+        let stats = sim.try_parallel(8, &mut h, |w, h| {
             let mut live = Vec::new();
             for _ in 0..200 {
                 live.push(h.alloc(w, 128));
@@ -223,7 +223,7 @@ mod tests {
             for p in live {
                 h.free(w, p, 128);
             }
-        });
+        }).unwrap();
         // Distinct heaps: lock waits should be negligible relative to the
         // ~3200 operations x ~26 cycles of base work.
         assert!(

@@ -176,7 +176,7 @@ mod tests {
         let mut sim = sim();
         let mut je = JeMalloc::new(&mut sim);
         let mut lock_waits = 0;
-        let stats = sim.parallel(8, &mut je, |w, je| {
+        let stats = sim.try_parallel(8, &mut je, |w, je| {
             let mut live = Vec::new();
             for _ in 0..200 {
                 live.push(je.alloc(w, 64));
@@ -184,7 +184,7 @@ mod tests {
             for p in live {
                 je.free(w, p, 64);
             }
-        });
+        }).unwrap();
         lock_waits += stats.counters.lock_wait_cycles;
         // 1600 allocations but only ~100 arena trips (batch 16): waits are
         // bounded well below one lock hold per allocation.
@@ -195,7 +195,7 @@ mod tests {
     fn packs_tightly_low_overhead() {
         let mut sim = sim();
         let mut je = JeMalloc::new(&mut sim);
-        sim.parallel(4, &mut je, |w, je| {
+        sim.try_parallel(4, &mut je, |w, je| {
             let mut live = Vec::new();
             for i in 0..2000u64 {
                 let size = 16 << (i % 4);
@@ -203,7 +203,7 @@ mod tests {
             }
             // Keep everything live so requested ~ resident.
             std::mem::forget(live);
-        });
+        }).unwrap();
         assert!(je.overhead() < 3.0, "overhead {}", je.overhead());
     }
 }

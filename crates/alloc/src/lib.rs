@@ -24,14 +24,17 @@
 //! use nqp_sim::{NumaSim, SimConfig};
 //! use nqp_topology::machines;
 //!
+//! # fn main() -> nqp_sim::SimResult<()> {
 //! let mut sim = NumaSim::new(SimConfig::tuned(machines::machine_b()));
-//! let mut alloc = build(AllocatorKind::Jemalloc, &mut sim);
-//! sim.parallel(4, &mut alloc, |w, alloc| {
+//! let mut alloc = build(AllocatorKind::Jemalloc, &mut sim)?;
+//! sim.try_parallel(4, &mut alloc, |w, alloc| {
 //!     let p = alloc.alloc(w, 100);
 //!     w.write_u64(p, 42);
 //!     alloc.free(w, p, 100);
-//! });
+//! })?;
 //! assert!(alloc.peak_resident() >= alloc.peak_requested());
+//! # Ok(())
+//! # }
 //! ```
 
 mod chunks;
@@ -181,16 +184,18 @@ pub trait Allocator {
 }
 
 /// Construct an allocator model, registering its locks with `sim`.
-pub fn build(kind: AllocatorKind, sim: &mut NumaSim) -> Box<dyn Allocator> {
-    match kind {
+/// Fails if a model that maps memory up front (SuperMalloc's lookup
+/// table) faults doing so.
+pub fn build(kind: AllocatorKind, sim: &mut NumaSim) -> SimResult<Box<dyn Allocator>> {
+    Ok(match kind {
         AllocatorKind::Ptmalloc => Box::new(PtMalloc::new(sim)),
         AllocatorKind::Jemalloc => Box::new(JeMalloc::new(sim)),
         AllocatorKind::Tcmalloc => Box::new(TcMalloc::new(sim)),
         AllocatorKind::Hoard => Box::new(Hoard::new(sim)),
         AllocatorKind::Tbbmalloc => Box::new(TbbMalloc::new(sim)),
-        AllocatorKind::Supermalloc => Box::new(SuperMalloc::new(sim)),
+        AllocatorKind::Supermalloc => Box::new(SuperMalloc::new(sim)?),
         AllocatorKind::Mcmalloc => Box::new(McMalloc::new(sim)),
-    }
+    })
 }
 
 /// CPU cycles of the khugepaged split/collapse churn charged on
@@ -257,8 +262,8 @@ mod tests {
     fn every_allocator_round_trips_allocations() {
         for kind in AllocatorKind::ALL {
             let mut sim = sim();
-            let mut alloc = build(kind, &mut sim);
-            sim.parallel(4, &mut alloc, |w, alloc| {
+            let mut alloc = build(kind, &mut sim).unwrap();
+            sim.try_parallel(4, &mut alloc, |w, alloc| {
                 let mut live = Vec::new();
                 for i in 0..200u64 {
                     let size = 16 + (i * 13) % 3000;
@@ -275,7 +280,7 @@ mod tests {
                     assert_eq!(w.read_u64(p), v, "{kind:?} corrupted a block");
                     alloc.free(w, p, size);
                 }
-            });
+            }).unwrap();
             assert_eq!(alloc.live_requested(), 0, "{kind:?} leaked");
             assert!(alloc.overhead() >= 1.0, "{kind:?} overhead < 1");
         }
@@ -285,8 +290,8 @@ mod tests {
     fn live_allocations_never_alias() {
         for kind in AllocatorKind::ALL {
             let mut sim = sim();
-            let mut alloc = build(kind, &mut sim);
-            sim.parallel(2, &mut alloc, |w, alloc| {
+            let mut alloc = build(kind, &mut sim).unwrap();
+            sim.try_parallel(2, &mut alloc, |w, alloc| {
                 let mut ranges: Vec<(u64, u64)> = Vec::new();
                 for i in 0..300u64 {
                     let size = [16u64, 100, 1000, 40_000][(i % 4) as usize];
@@ -299,7 +304,7 @@ mod tests {
                     }
                     ranges.push((p, size));
                 }
-            });
+            }).unwrap();
         }
     }
 
@@ -307,13 +312,13 @@ mod tests {
     fn large_allocations_are_supported() {
         for kind in AllocatorKind::ALL {
             let mut sim = sim();
-            let mut alloc = build(kind, &mut sim);
-            sim.serial(&mut alloc, |w, alloc| {
+            let mut alloc = build(kind, &mut sim).unwrap();
+            sim.try_serial(&mut alloc, |w, alloc| {
                 let p = alloc.alloc(w, 5 << 20);
                 w.write_u64(p, 1);
                 w.write_u64(p + (5 << 20) - 8, 2);
                 alloc.free(w, p, 5 << 20);
-            });
+            }).unwrap();
             assert_eq!(alloc.live_requested(), 0);
             assert!(alloc.peak_requested() >= 5 << 20);
         }
@@ -323,9 +328,9 @@ mod tests {
     fn freed_memory_is_reused_eventually() {
         for kind in AllocatorKind::ALL {
             let mut sim = sim();
-            let alloc = build(kind, &mut sim);
+            let alloc = build(kind, &mut sim).unwrap();
             let mut shared = (alloc, std::collections::HashSet::new(), false);
-            sim.serial(&mut shared, |w, (alloc, seen, hit)| {
+            sim.try_serial(&mut shared, |w, (alloc, seen, hit)| {
                 for _ in 0..50 {
                     let p = alloc.alloc(w, 64);
                     if !seen.insert(p) {
@@ -333,7 +338,7 @@ mod tests {
                     }
                     alloc.free(w, p, 64);
                 }
-            });
+            }).unwrap();
             assert!(shared.2, "{kind:?} never reused a freed block");
         }
     }
@@ -349,7 +354,7 @@ mod tests {
                     .with_faults(FaultPlan::new(11).with_alloc_fail(0, 0, 1))
                     .with_fault_attempt(attempt),
             );
-            let mut alloc = build(AllocatorKind::Jemalloc, &mut sim);
+            let mut alloc = build(AllocatorKind::Jemalloc, &mut sim).unwrap();
             let mut outcome = None;
             let result = sim.try_serial(&mut (&mut alloc, &mut outcome), |w, (alloc, outcome)| {
                 // Big enough that every attempt takes the mmap slow path.
@@ -376,7 +381,7 @@ mod tests {
         let mut sim = sim();
         let friendly: Vec<bool> = AllocatorKind::ALL
             .into_iter()
-            .map(|k| build(k, &mut sim).thp_friendly())
+            .map(|k| build(k, &mut sim).unwrap().thp_friendly())
             .collect();
         // ptmalloc and Hoard tolerate THP; tcmalloc/jemalloc/tbbmalloc
         // do not (§IV-C2).

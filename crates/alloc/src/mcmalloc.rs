@@ -151,7 +151,7 @@ mod tests {
     fn overhead_at(threads: usize) -> f64 {
         let mut sim = sim();
         let mut mc = McMalloc::new(&mut sim);
-        sim.parallel(threads, &mut mc, |w, mc| {
+        sim.try_parallel(threads, &mut mc, |w, mc| {
             // Steady live set per thread across a few classes.
             let mut live = Vec::new();
             for i in 0..300u64 {
@@ -163,7 +163,7 @@ mod tests {
                 }
             }
             std::mem::forget(live);
-        });
+        }).unwrap();
         mc.overhead()
     }
 
@@ -182,7 +182,7 @@ mod tests {
         let mut sim = sim();
         let mc = McMalloc::new(&mut sim);
         let mut shared = (mc, 0u64, 0u64);
-        sim.serial(&mut shared, |w, (mc, early, late)| {
+        sim.try_serial(&mut shared, |w, (mc, early, late)| {
             let before = w.clock();
             let p = mc.alloc(w, 64);
             *early = w.clock() - before;
@@ -196,7 +196,7 @@ mod tests {
             let p = mc.alloc(w, 64);
             *late = w.clock() - before;
             mc.free(w, p, 64);
-        });
+        }).unwrap();
         assert!(shared.1 > shared.2, "early={} late={}", shared.1, shared.2);
     }
 
@@ -204,12 +204,12 @@ mod tests {
     fn few_os_calls_thanks_to_batching() {
         let mut sim = sim();
         let mut mc = McMalloc::new(&mut sim);
-        sim.serial(&mut mc, |w, mc| {
+        sim.try_serial(&mut mc, |w, mc| {
             for _ in 0..2000 {
                 let p = mc.alloc(w, 64);
                 mc.free(w, p, 64);
             }
-        });
+        }).unwrap();
         assert!(mc.src.os_calls() <= 2, "os_calls={}", mc.src.os_calls());
     }
 }

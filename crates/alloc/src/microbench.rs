@@ -9,7 +9,7 @@
 
 use crate::size_class::CLASSES;
 use crate::{build, Allocator, AllocatorKind};
-use nqp_sim::{MemPolicy, NumaSim, SimConfig, ThreadPlacement, VAddr};
+use nqp_sim::{MemPolicy, NumaSim, SimConfig, SimResult, ThreadPlacement, VAddr};
 use nqp_topology::MachineSpec;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -83,7 +83,7 @@ pub fn run_microbench(
     machine: &MachineSpec,
     threads: usize,
     cfg: &MicrobenchConfig,
-) -> MicrobenchRow {
+) -> SimResult<MicrobenchRow> {
     let sim_cfg = SimConfig::os_default(machine.clone())
         .with_threads(ThreadPlacement::Sparse)
         .with_policy(MemPolicy::FirstTouch)
@@ -91,14 +91,14 @@ pub fn run_microbench(
         .with_thp(false)
         .with_seed(cfg.seed);
     let mut sim = NumaSim::new(sim_cfg);
-    let alloc = build(kind, &mut sim);
+    let alloc = build(kind, &mut sim)?;
     let cum = size_weights();
     let mut shared: (Box<dyn Allocator>, ()) = (alloc, ());
     let ops = cfg.ops_per_thread;
     let live_target = cfg.live_target;
     let seed = cfg.seed;
 
-    let stats = sim.parallel(threads, &mut shared, |w, (alloc, _)| {
+    let stats = sim.try_parallel(threads, &mut shared, |w, (alloc, _)| {
         let mut rng = StdRng::seed_from_u64(seed ^ (w.tid() as u64) << 32);
         let mut live: Vec<(VAddr, u64)> = Vec::with_capacity(live_target);
         for _ in 0..ops {
@@ -120,9 +120,9 @@ pub fn run_microbench(
         // and peak-requested must reflect that despite the simulator
         // running threads sequentially.
         std::mem::forget(live);
-    });
+    })?;
 
-    MicrobenchRow {
+    Ok(MicrobenchRow {
         kind,
         threads,
         elapsed_cycles: stats.elapsed_cycles,
@@ -130,22 +130,7 @@ pub fn run_microbench(
         lock_wait_cycles: stats.counters.lock_wait_cycles,
         requested_peak: shared.0.peak_requested(),
         resident_peak: shared.0.peak_resident(),
-    }
-}
-
-/// Run the full Figure 2 sweep: every allocator at each thread count.
-pub fn sweep(
-    machine: &MachineSpec,
-    thread_counts: &[usize],
-    cfg: &MicrobenchConfig,
-) -> Vec<MicrobenchRow> {
-    let mut rows = Vec::new();
-    for kind in AllocatorKind::ALL {
-        for &t in thread_counts {
-            rows.push(run_microbench(kind, machine, t, cfg));
-        }
-    }
-    rows
+    })
 }
 
 #[cfg(test)]
@@ -170,8 +155,8 @@ mod tests {
     #[test]
     fn microbench_is_deterministic() {
         let m = machines::machine_a();
-        let a = run_microbench(AllocatorKind::Jemalloc, &m, 4, &small());
-        let b = run_microbench(AllocatorKind::Jemalloc, &m, 4, &small());
+        let a = run_microbench(AllocatorKind::Jemalloc, &m, 4, &small()).unwrap();
+        let b = run_microbench(AllocatorKind::Jemalloc, &m, 4, &small()).unwrap();
         assert_eq!(a.elapsed_cycles, b.elapsed_cycles);
         assert_eq!(a.overhead, b.overhead);
     }
@@ -180,14 +165,14 @@ mod tests {
     fn tcmalloc_fastest_single_threaded() {
         let m = machines::machine_a();
         let cfg = small();
-        let tc = run_microbench(AllocatorKind::Tcmalloc, &m, 1, &cfg);
+        let tc = run_microbench(AllocatorKind::Tcmalloc, &m, 1, &cfg).unwrap();
         for kind in [
             AllocatorKind::Ptmalloc,
             AllocatorKind::Supermalloc,
             AllocatorKind::Mcmalloc,
             AllocatorKind::Hoard,
         ] {
-            let other = run_microbench(kind, &m, 1, &cfg);
+            let other = run_microbench(kind, &m, 1, &cfg).unwrap();
             assert!(
                 tc.elapsed_cycles < other.elapsed_cycles,
                 "tcmalloc {} !< {:?} {}",
@@ -204,7 +189,7 @@ mod tests {
         // Allocation-heavy enough that per-class live sets overflow
         // tcmalloc's bounded thread cache — the regime Figure 2a measures.
         let cfg = MicrobenchConfig { ops_per_thread: 4_000, live_target: 1_500, seed: 7 };
-        let run = |k| run_microbench(k, &m, 16, &cfg).elapsed_cycles;
+        let run = |k| run_microbench(k, &m, 16, &cfg).unwrap().elapsed_cycles;
         let (hoard, tbb) = (run(AllocatorKind::Hoard), run(AllocatorKind::Tbbmalloc));
         let (tc, sm) = (run(AllocatorKind::Tcmalloc), run(AllocatorKind::Supermalloc));
         assert!(hoard < tc, "hoard={hoard} tcmalloc={tc}");
@@ -217,9 +202,9 @@ mod tests {
     fn mcmalloc_overhead_explodes_with_threads() {
         let m = machines::machine_a();
         let cfg = small();
-        let o1 = run_microbench(AllocatorKind::Mcmalloc, &m, 1, &cfg).overhead;
-        let o16 = run_microbench(AllocatorKind::Mcmalloc, &m, 16, &cfg).overhead;
-        let je16 = run_microbench(AllocatorKind::Jemalloc, &m, 16, &cfg).overhead;
+        let o1 = run_microbench(AllocatorKind::Mcmalloc, &m, 1, &cfg).unwrap().overhead;
+        let o16 = run_microbench(AllocatorKind::Mcmalloc, &m, 16, &cfg).unwrap().overhead;
+        let je16 = run_microbench(AllocatorKind::Jemalloc, &m, 16, &cfg).unwrap().overhead;
         assert!(o16 > 2.0 * o1, "o1={o1:.2} o16={o16:.2}");
         assert!(o16 > 2.0 * je16, "mcmalloc {o16:.2} vs jemalloc {je16:.2}");
     }
@@ -227,11 +212,13 @@ mod tests {
     #[test]
     fn sweep_covers_all_allocators() {
         let m = machines::machine_b();
-        let rows = sweep(
-            &m,
-            &[1, 2],
-            &MicrobenchConfig { ops_per_thread: 500, live_target: 50, seed: 1 },
-        );
+        let cfg = MicrobenchConfig { ops_per_thread: 500, live_target: 50, seed: 1 };
+        let mut rows = Vec::new();
+        for kind in AllocatorKind::ALL {
+            for t in [1, 2] {
+                rows.push(run_microbench(kind, &m, t, &cfg).unwrap());
+            }
+        }
         assert_eq!(rows.len(), 14);
     }
 }

@@ -204,7 +204,7 @@ mod tests {
             .with_threads(ThreadPlacement::Sparse)
             .with_autonuma(false)
             .with_thp(false);
-        NumaSim::new(cfg).serial(&mut (), f);
+        NumaSim::new(cfg).try_serial(&mut (), f).unwrap();
     }
 
     #[test]

@@ -184,12 +184,12 @@ mod tests {
         let waits = |threads: usize| {
             let mut sim = sim();
             let mut pt = PtMalloc::new(&mut sim);
-            let stats = sim.parallel(threads, &mut pt, |w, pt| {
+            let stats = sim.try_parallel(threads, &mut pt, |w, pt| {
                 // Allocation-only burst: tcache never helps.
                 for _ in 0..300 {
                     let _ = pt.alloc(w, 16);
                 }
-            });
+            }).unwrap();
             stats.counters.lock_wait_cycles
         };
         assert_eq!(waits(1), 0);
@@ -201,14 +201,14 @@ mod tests {
         let mut sim = sim();
         let mut pt = PtMalloc::new(&mut sim);
         let mut stats = Vec::new();
-        sim.serial(&mut (&mut pt, &mut stats), |w, (pt, stats)| {
+        sim.try_serial(&mut (&mut pt, &mut stats), |w, (pt, stats)| {
             let p = pt.alloc(w, 64);
             pt.free(w, p, 64);
             let before = w.clock();
             let q = pt.alloc(w, 64);
             stats.push((p == q, w.clock() - before));
             pt.free(w, q, 64);
-        });
+        }).unwrap();
         let (reused, cycles) = stats[0];
         assert!(reused, "tcache must hand back the same block");
         assert!(cycles < 200, "tcache path too expensive: {cycles}");
@@ -219,9 +219,9 @@ mod tests {
         let mut sim = sim();
         let mut pt = PtMalloc::new(&mut sim);
         let mut addr = 0;
-        sim.serial(&mut (&mut pt, &mut addr), |w, (pt, addr)| {
+        sim.try_serial(&mut (&mut pt, &mut addr), |w, (pt, addr)| {
             **addr = pt.alloc(w, 100);
-        });
+        }).unwrap();
         assert!(addr >= HEADER);
     }
 
@@ -229,7 +229,7 @@ mod tests {
     fn overhead_stays_modest() {
         let mut sim = sim();
         let mut pt = PtMalloc::new(&mut sim);
-        sim.parallel(4, &mut pt, |w, pt| {
+        sim.try_parallel(4, &mut pt, |w, pt| {
             let mut live = Vec::new();
             for i in 0..500u64 {
                 let size = 16 << (i % 6);
@@ -237,7 +237,7 @@ mod tests {
             }
             // Hold the live set so peak-requested reflects all threads.
             std::mem::forget(live);
-        });
+        }).unwrap();
         assert!(pt.overhead() < 4.0, "overhead {}", pt.overhead());
     }
 }

@@ -15,7 +15,7 @@ use crate::chunks::{ChunkSource, RequestedBytes};
 use crate::pool::{ClassPool, ThreadCache};
 use crate::size_class::{class_of, MAX_SMALL};
 use crate::{Allocator, AllocatorKind};
-use nqp_sim::{LockId, NumaSim, VAddr, Worker};
+use nqp_sim::{LockId, NumaSim, SimResult, VAddr, Worker};
 
 /// Base cost of every operation (chunk-table arithmetic included).
 const OP_CYCLES: u64 = 40;
@@ -37,21 +37,22 @@ pub struct SuperMalloc {
 
 impl SuperMalloc {
     /// Build the model; the lookup table is mapped eagerly (sparsely
-    /// committed in the real allocator).
-    pub fn new(sim: &mut NumaSim) -> Self {
+    /// committed in the real allocator) in a serial region, which can
+    /// fault like any other.
+    pub fn new(sim: &mut NumaSim) -> SimResult<Self> {
         let global_lock = sim.new_lock();
         let mut table = 0;
-        sim.serial(&mut table, |w, table| {
+        sim.try_serial(&mut table, |w, table| {
             *table = w.map_pages(1 << 20);
-        });
-        SuperMalloc {
+        })?;
+        Ok(SuperMalloc {
             src: ChunkSource::new(2 << 20),
             requested: RequestedBytes::default(),
             pools: ClassPool::new(8 << 10, 0),
             global_lock,
             caches: Vec::new(),
             table,
-        }
+        })
     }
 
     fn cache_of(&mut self, tid: usize) -> &mut ThreadCache {
@@ -144,8 +145,8 @@ mod tests {
 
     fn churn(threads: usize) -> u64 {
         let mut sim = sim();
-        let mut sm = SuperMalloc::new(&mut sim);
-        let stats = sim.parallel(threads, &mut sm, |w, sm| {
+        let mut sm = SuperMalloc::new(&mut sim).unwrap();
+        let stats = sim.try_parallel(threads, &mut sm, |w, sm| {
             let mut live = Vec::new();
             for i in 0..300u64 {
                 let size = 32 << (i % 4);
@@ -158,7 +159,7 @@ mod tests {
             for (p, s) in live {
                 sm.free(w, p, s);
             }
-        });
+        }).unwrap();
         stats.counters.lock_wait_cycles
     }
 
@@ -173,13 +174,13 @@ mod tests {
     #[test]
     fn lookup_table_stays_within_its_mapping() {
         let mut sim = sim();
-        let mut sm = SuperMalloc::new(&mut sim);
+        let mut sm = SuperMalloc::new(&mut sim).unwrap();
         // Any address must map to a slot inside the 1MB table.
-        sim.serial(&mut sm, |w, sm| {
+        sim.try_serial(&mut sm, |w, sm| {
             for shift in 0..40u64 {
                 sm.touch_table(w, 1u64 << shift);
             }
-        });
+        }).unwrap();
         // Reaching here without the sim panicking on an unmapped touch
         // is the assertion.
     }
@@ -187,13 +188,13 @@ mod tests {
     #[test]
     fn low_memory_overhead() {
         let mut sim = sim();
-        let mut sm = SuperMalloc::new(&mut sim);
-        sim.parallel(8, &mut sm, |w, sm| {
+        let mut sm = SuperMalloc::new(&mut sim).unwrap();
+        sim.try_parallel(8, &mut sm, |w, sm| {
             let live: Vec<(VAddr, u64)> = (0..500u64)
                 .map(|i| (sm.alloc(w, 64 + (i % 512)), 64 + (i % 512)))
                 .collect();
             std::mem::forget(live);
-        });
+        }).unwrap();
         assert!(sm.overhead() < 3.0, "overhead {}", sm.overhead());
     }
 }

@@ -132,7 +132,7 @@ mod tests {
     fn churn(threads: usize) -> u64 {
         let mut sim = sim();
         let mut tbb = TbbMalloc::new(&mut sim);
-        let stats = sim.parallel(threads, &mut tbb, |w, tbb| {
+        let stats = sim.try_parallel(threads, &mut tbb, |w, tbb| {
             let mut live = Vec::new();
             for _ in 0..400 {
                 live.push(tbb.alloc(w, 64));
@@ -144,7 +144,7 @@ mod tests {
             for p in live {
                 tbb.free(w, p, 64);
             }
-        });
+        }).unwrap();
         stats.counters.lock_wait_cycles
     }
 
@@ -161,13 +161,13 @@ mod tests {
         let peak = |threads: usize| {
             let mut sim = sim();
             let mut tbb = TbbMalloc::new(&mut sim);
-            sim.parallel(threads, &mut tbb, |w, tbb| {
+            sim.try_parallel(threads, &mut tbb, |w, tbb| {
                 // Each thread touches several classes, pinning regions.
                 for &size in &[16u64, 64, 256, 1024, 4096] {
                     let p = tbb.alloc(w, size);
                     tbb.free(w, p, size);
                 }
-            });
+            }).unwrap();
             tbb.peak_resident()
         };
         assert!(peak(16) > peak(1), "resident must grow with thread count");
@@ -178,11 +178,11 @@ mod tests {
         let mut sim = sim();
         let tbb = TbbMalloc::new(&mut sim);
         let mut shared = (tbb, 0u64, 0u64);
-        sim.serial(&mut shared, |w, (tbb, a, b)| {
+        sim.try_serial(&mut shared, |w, (tbb, a, b)| {
             *a = tbb.alloc(w, 128);
             tbb.free(w, *a, 128);
             *b = tbb.alloc(w, 128);
-        });
+        }).unwrap();
         assert_eq!(shared.1, shared.2);
     }
 }

@@ -182,7 +182,7 @@ mod tests {
     fn churn(threads: usize) -> (u64, u64) {
         let mut sim = sim();
         let mut tc = TcMalloc::new(&mut sim);
-        let stats = sim.parallel(threads, &mut tc, |w, tc| {
+        let stats = sim.try_parallel(threads, &mut tc, |w, tc| {
             let mut live = Vec::new();
             for i in 0..400u64 {
                 let size = 32 << (i % 3);
@@ -195,7 +195,7 @@ mod tests {
             for (p, s) in live {
                 tc.free(w, p, s);
             }
-        });
+        }).unwrap();
         (stats.elapsed_cycles, stats.counters.lock_wait_cycles)
     }
 
@@ -212,7 +212,7 @@ mod tests {
         let mut sim = sim();
         let mut tc = TcMalloc::new(&mut sim);
         let mut cycles = 0;
-        sim.serial(&mut (&mut tc, &mut cycles), |w, (tc, cycles)| {
+        sim.try_serial(&mut (&mut tc, &mut cycles), |w, (tc, cycles)| {
             // Prime the thread cache.
             let p = tc.alloc(w, 64);
             tc.free(w, p, 64);
@@ -220,7 +220,7 @@ mod tests {
             let q = tc.alloc(w, 64);
             **cycles = w.clock() - before;
             tc.free(w, q, 64);
-        });
+        }).unwrap();
         assert!(cycles <= OP_CYCLES + 5, "fast path cost {cycles}");
     }
 
@@ -231,11 +231,11 @@ mod tests {
         let mut sim = sim();
         let mut tc = TcMalloc::new(&mut sim);
         let mut cached = 0usize;
-        sim.serial(&mut (&mut tc, &mut cached), |w, (tc, cached)| {
+        sim.try_serial(&mut (&mut tc, &mut cached), |w, (tc, cached)| {
             let p = tc.alloc(w, 32768);
             **cached = tc.tcaches[w.tid()].total_cached();
             tc.free(w, p, 32768);
-        });
+        }).unwrap();
         assert!(cached <= 2, "cached {cached} blocks of the 32KB class");
     }
 }

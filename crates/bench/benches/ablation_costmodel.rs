@@ -13,7 +13,7 @@
 use nqp_bench::{banner, Tbl, SEED};
 use nqp_core::TuningConfig;
 use nqp_datagen::{generate, Dataset, Record};
-use nqp_query::{run_aggregation_on, AggConfig};
+use nqp_query::{try_run_aggregation_on, AggConfig};
 use nqp_sim::{MemPolicy, ThreadPlacement};
 use nqp_topology::machines;
 
@@ -35,7 +35,7 @@ fn check(mutate: impl Fn(&mut TuningConfig), records: &[Record]) -> Verdicts {
             .with_autonuma(autonuma)
             .with_thp(false);
         mutate(&mut c);
-        run_aggregation_on(&c.env(threads), &cfg, records).exec_cycles
+        try_run_aggregation_on(&c.env(threads), &cfg, records).expect("fault-free run").exec_cycles
     };
     Verdicts {
         interleave_beats_ft: run(ThreadPlacement::Sparse, MemPolicy::Interleave, false, 16)

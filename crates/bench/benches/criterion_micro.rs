@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use nqp_alloc::AllocatorKind;
 use nqp_datagen::{generate, Dataset, JoinDataset, Zipf};
 use nqp_indexes::{build_index, IndexKind};
-use nqp_query::{run_aggregation_on, run_hash_join_on, AggConfig, WorkloadEnv};
+use nqp_query::{try_run_aggregation_on, try_run_hash_join_on, AggConfig, WorkloadEnv};
 use nqp_sim::{NumaSim, SimConfig};
 use nqp_storage::SimHeap;
 use nqp_topology::machines;
@@ -21,16 +21,16 @@ fn bench_indexes(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     let mut sim = NumaSim::new(SimConfig::tuned(machines::machine_b()));
-                    let heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim);
+                    let heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim).expect("heap");
                     (sim, heap)
                 },
                 |(mut sim, mut heap)| {
                     let mut index = build_index(kind);
-                    sim.serial(&mut heap, |w, heap| {
+                    sim.try_serial(&mut heap, |w, heap| {
                         for k in 0..1_000u64 {
                             index.insert(w, heap, k.wrapping_mul(0x9e37_79b9), k);
                         }
-                    });
+                    }).expect("fault-free region");
                     index.len()
                 },
                 BatchSize::SmallInput,
@@ -47,11 +47,11 @@ fn bench_workloads(c: &mut Criterion) {
     let records = generate(Dataset::MovingCluster, 20_000, 2_000, 1);
     let cfg = AggConfig::w1(20_000, 2_000, 1);
     group.bench_function("w1_aggregation_20k", |b| {
-        b.iter(|| run_aggregation_on(&env, &cfg, &records).exec_cycles)
+        b.iter(|| try_run_aggregation_on(&env, &cfg, &records).expect("fault-free run").exec_cycles)
     });
     let data = JoinDataset::generate(2_000, 1);
     group.bench_function("w3_hash_join_2k_x16", |b| {
-        b.iter(|| run_hash_join_on(&env, &data).matches)
+        b.iter(|| try_run_hash_join_on(&env, &data).expect("fault-free run").matches)
     });
     group.finish();
 }

@@ -6,7 +6,7 @@ use nqp_advisor::{advise, WorkloadProfile};
 use nqp_bench::{agg_cardinality, agg_n, banner, gcyc, Tbl, SEED};
 use nqp_core::TuningConfig;
 use nqp_datagen::{generate, Dataset};
-use nqp_query::{run_aggregation_on, AggConfig, WorkloadEnv};
+use nqp_query::{try_run_aggregation_on, AggConfig, WorkloadEnv};
 use nqp_topology::machines;
 
 fn main() {
@@ -54,8 +54,9 @@ fn main() {
         threads: 16,
         engine: nqp_query::EngineKind::Tuple,
     };
-    let d = run_aggregation_on(&default.env(16), &cfg, &records).exec_cycles;
-    let a = run_aggregation_on(&advised, &cfg, &records).exec_cycles;
+    let d = try_run_aggregation_on(&default.env(16), &cfg, &records)
+        .expect("fault-free run").exec_cycles;
+    let a = try_run_aggregation_on(&advised, &cfg, &records).expect("fault-free run").exec_cycles;
     let mut v = Tbl::new(["configuration", "W1 runtime (Gcyc)"]);
     v.row(["OS default".to_string(), gcyc(d)]);
     v.row(["flowchart advice".to_string(), gcyc(a)]);

@@ -28,7 +28,7 @@ fn main() {
         let mut trow = vec![kind.label().to_string()];
         let mut orow = vec![kind.label().to_string()];
         for &t in &threads {
-            let r = run_microbench(kind, &machine, t, &cfg);
+            let r = run_microbench(kind, &machine, t, &cfg).expect("fault-free run");
             trow.push(format!("{:.2}", r.elapsed_cycles as f64 / 1e6));
             orow.push(format!("{:.3}", r.overhead));
         }

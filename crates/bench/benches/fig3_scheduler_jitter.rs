@@ -4,7 +4,7 @@
 use nqp_bench::{agg_cardinality, agg_n, banner, Tbl, SEED};
 use nqp_core::TuningConfig;
 use nqp_datagen::{generate, Dataset};
-use nqp_query::{run_aggregation_on, AggConfig};
+use nqp_query::{try_run_aggregation_on, AggConfig};
 use nqp_sim::ThreadPlacement;
 use nqp_topology::machines;
 
@@ -17,7 +17,7 @@ fn main() {
     // so affinity is the only variable (as in the paper's Figure 3).
     let base = TuningConfig::os_default(machines::machine_a())
         .with_threads(ThreadPlacement::Sparse);
-    let baseline = run_aggregation_on(&base.env(16), &cfg, &records);
+    let baseline = try_run_aggregation_on(&base.env(16), &cfg, &records).expect("fault-free run");
 
     let mut t = Tbl::new(["run", "relative runtime (x)", "thread migrations"]);
     for run in 0..10u64 {
@@ -25,7 +25,7 @@ fn main() {
             .with_threads(ThreadPlacement::None);
         let mut env = unbound.env(16);
         env.sim = env.sim.with_seed(1_000 + run);
-        let out = run_aggregation_on(&env, &cfg, &records);
+        let out = try_run_aggregation_on(&env, &cfg, &records).expect("fault-free run");
         t.row([
             format!("{}", run + 1),
             format!("{:.2}", out.exec_cycles as f64 / baseline.exec_cycles as f64),

@@ -4,7 +4,7 @@
 use nqp_bench::{agg_cardinality, agg_n, banner, gcyc, Tbl, SEED};
 use nqp_core::TuningConfig;
 use nqp_datagen::{generate, Dataset};
-use nqp_query::{run_aggregation_on, AggConfig};
+use nqp_query::{try_run_aggregation_on, AggConfig};
 use nqp_sim::ThreadPlacement;
 use nqp_topology::machines;
 
@@ -21,7 +21,8 @@ fn main() {
                     .with_threads(placement)
                     .with_autonuma(false)
                     .with_thp(false);
-                run_aggregation_on(&c.env(threads), &cfg, &records).exec_cycles
+                try_run_aggregation_on(&c.env(threads), &cfg, &records)
+                    .expect("fault-free run").exec_cycles
             };
             let dense = run(ThreadPlacement::Dense);
             let sparse = run(ThreadPlacement::Sparse);

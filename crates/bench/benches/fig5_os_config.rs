@@ -6,7 +6,7 @@ use nqp_alloc::AllocatorKind;
 use nqp_bench::{agg_cardinality, agg_n, banner, gcyc, Tbl, SEED};
 use nqp_core::TuningConfig;
 use nqp_datagen::{generate, Dataset};
-use nqp_query::{run_aggregation_on, AggConfig, AggOutcome};
+use nqp_query::{try_run_aggregation_on, AggConfig, AggOutcome};
 use nqp_sim::{MemPolicy, ThreadPlacement};
 use nqp_topology::machines;
 
@@ -28,7 +28,7 @@ fn run(
         .with_autonuma(autonuma)
         .with_thp(thp)
         .with_allocator(allocator);
-    run_aggregation_on(&c.env(threads), &cfg, &records)
+    try_run_aggregation_on(&c.env(threads), &cfg, &records).expect("fault-free run")
 }
 
 fn main() {

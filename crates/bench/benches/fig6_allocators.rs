@@ -6,7 +6,7 @@ use nqp_alloc::AllocatorKind;
 use nqp_bench::{agg_cardinality, agg_n, banner, gcyc, join_r_size, Tbl, SEED};
 use nqp_core::TuningConfig;
 use nqp_datagen::{generate, Dataset, JoinDataset};
-use nqp_query::{run_aggregation_on, run_hash_join_on, AggConfig, AggKind};
+use nqp_query::{try_run_aggregation_on, try_run_hash_join_on, AggConfig, AggKind};
 use nqp_sim::{MemPolicy, ThreadPlacement};
 use nqp_topology::MachineSpec;
 
@@ -37,7 +37,8 @@ fn agg_panel(machine: &MachineSpec, kind: AggKind, title: &str) {
         let mut row = vec![alloc.label().to_string()];
         for policy in POLICIES {
             let c = config(machine.clone(), alloc, policy);
-            row.push(gcyc(run_aggregation_on(&c.env(threads), &cfg, &records).exec_cycles));
+            let out = try_run_aggregation_on(&c.env(threads), &cfg, &records);
+            row.push(gcyc(out.expect("fault-free run").exec_cycles));
         }
         t.row(row);
     }
@@ -52,7 +53,7 @@ fn join_panel(machine: &MachineSpec, title: &str) {
         let mut row = vec![alloc.label().to_string()];
         for policy in POLICIES {
             let c = config(machine.clone(), alloc, policy);
-            let out = run_hash_join_on(&c.env(threads), &data);
+            let out = try_run_hash_join_on(&c.env(threads), &data).expect("fault-free run");
             row.push(gcyc(out.build_cycles + out.probe_cycles));
         }
         t.row(row);
@@ -89,7 +90,8 @@ fn main() {
             let mut cfg = AggConfig::w1(agg_n(), agg_cardinality(), SEED);
             cfg.dataset = dataset;
             let c = config(machine.clone(), alloc, MemPolicy::Interleave);
-            row.push(gcyc(run_aggregation_on(&c.env(16), &cfg, &records).exec_cycles));
+            let out = try_run_aggregation_on(&c.env(16), &cfg, &records);
+            row.push(gcyc(out.expect("fault-free run").exec_cycles));
         }
         t.row(row);
     }

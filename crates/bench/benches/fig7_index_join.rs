@@ -7,7 +7,7 @@ use nqp_bench::{banner, gcyc, join_r_size, scale, Scale, Tbl, SEED};
 use nqp_core::TuningConfig;
 use nqp_datagen::JoinDataset;
 use nqp_indexes::IndexKind;
-use nqp_query::run_inl_join_on;
+use nqp_query::try_run_inl_join_on;
 use nqp_sim::{MemPolicy, ThreadPlacement};
 use nqp_topology::machines;
 
@@ -33,7 +33,7 @@ fn main() {
                     .with_autonuma(false)
                     .with_thp(false)
                     .with_allocator(alloc);
-                let out = run_inl_join_on(&c.env(16), index, &data);
+                let out = try_run_inl_join_on(&c.env(16), index, &data).expect("fault-free run");
                 row.push(gcyc(out.join_cycles));
                 let label = format!("{}+{}", alloc.label(), policy.label());
                 if best_for_index

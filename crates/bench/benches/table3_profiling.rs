@@ -4,7 +4,7 @@
 use nqp_bench::{agg_cardinality, agg_n, banner, Tbl, SEED};
 use nqp_core::TuningConfig;
 use nqp_datagen::{generate, Dataset};
-use nqp_query::{run_aggregation_on, AggConfig};
+use nqp_query::{try_run_aggregation_on, AggConfig};
 use nqp_sim::ThreadPlacement;
 use nqp_topology::machines;
 
@@ -15,7 +15,7 @@ fn main() {
 
     let run = |placement: ThreadPlacement| {
         let c = TuningConfig::os_default(machines::machine_a()).with_threads(placement);
-        run_aggregation_on(&c.env(16), &cfg, &records)
+        try_run_aggregation_on(&c.env(16), &cfg, &records).expect("fault-free run")
     };
     let default = run(ThreadPlacement::None);
     let modified = run(ThreadPlacement::Sparse);

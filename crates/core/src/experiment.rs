@@ -180,15 +180,6 @@ impl TuningConfig {
     }
 }
 
-/// One measured configuration.
-#[derive(Debug, Clone)]
-pub struct ExperimentResult {
-    /// The configuration's display name.
-    pub name: String,
-    /// Simulated execution cycles.
-    pub cycles: u64,
-}
-
 /// Speedup of `b` relative to `a` (how many times faster `b` is).
 pub fn speedup(a_cycles: u64, b_cycles: u64) -> f64 {
     a_cycles as f64 / b_cycles.max(1) as f64

@@ -16,12 +16,12 @@ pub mod journal;
 pub mod runner;
 
 pub use executor::{run_pool, sweep_parallel};
-pub use experiment::{speedup, AdvisorMode, ExperimentResult, TuningConfig};
+pub use experiment::{speedup, AdvisorMode, TuningConfig};
 pub use journal::{
     grid_fingerprint, read_journal, JournalContents, JournalRecord, JournalWriter,
     JOURNAL_VERSION,
 };
 pub use runner::{
-    run_trial, run_trial_measured, sweep, sweep_supervised, Outcome, RetryPolicy,
-    SupervisorPolicy, SweepReport, TrialMeasurement, TrialRecord,
+    run_trial_measured, sweep_supervised, Outcome, RetryPolicy, SupervisorPolicy, SweepReport,
+    TrialMeasurement, TrialRecord,
 };

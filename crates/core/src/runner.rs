@@ -371,28 +371,12 @@ impl SweepReport {
 /// The workload closure receives the environment (with
 /// `SimConfig::fault_attempt` set to the current attempt number, which
 /// is how a deterministic [`nqp_sim::FaultPlan`] distinguishes a retry
-/// from the original run) and the trial index, and returns the
-/// workload's execution cycles. Backoff cycles for retried attempts are
-/// added to the recorded total, the way wall-clock timers in real
-/// harnesses keep counting across `numactl` re-invocations.
-pub fn run_trial<F>(
-    cfg: &TuningConfig,
-    threads: usize,
-    trial: usize,
-    policy: &RetryPolicy,
-    workload: &mut F,
-) -> TrialRecord
-where
-    F: FnMut(&WorkloadEnv, usize) -> SimResult<u64>,
-{
-    run_trial_measured(cfg, threads, trial, policy, None, &mut |env, t| {
-        workload(env, t).map(TrialMeasurement::from)
-    })
-}
-
-/// [`run_trial`] for workloads that report a full [`TrialMeasurement`]
-/// (degradation flags and evacuation metrics), with an optional watchdog
-/// budget applied when the configuration has none of its own.
+/// from the original run) and the trial index, and returns a
+/// [`TrialMeasurement`] (cycles, degradation flag, evacuation metrics).
+/// Backoff cycles for retried attempts are added to the recorded total,
+/// the way wall-clock timers in real harnesses keep counting across
+/// `numactl` re-invocations. `watchdog_budget_cycles` applies when the
+/// configuration sets no trial budget of its own.
 pub fn run_trial_measured<F>(
     cfg: &TuningConfig,
     threads: usize,
@@ -449,24 +433,8 @@ where
 /// outcome. The sweep itself never fails: a configuration whose trials
 /// all fault is reported by [`SweepReport::failed_configs`], and
 /// degradation is graceful — later configurations still run.
-pub fn sweep<F>(
-    configs: &[TuningConfig],
-    threads: usize,
-    trials: usize,
-    policy: &RetryPolicy,
-    mut workload: F,
-) -> SweepReport
-where
-    F: FnMut(&WorkloadEnv, usize) -> SimResult<u64>,
-{
-    let supervisor = SupervisorPolicy { retry: policy.clone(), ..Default::default() };
-    sweep_supervised(configs, threads, trials, &supervisor, &[], &mut |_| {}, |env, t| {
-        workload(env, t).map(TrialMeasurement::from)
-    })
-}
-
-/// The supervised sweep: grid order is `configs × trials`, and for each
-/// cell, in order —
+///
+/// Grid order is `configs × trials`, and for each cell, in order —
 ///
 /// 1. a matching record in `resume` (same config name and trial index)
 ///    is adopted verbatim without re-running the workload; its retries
@@ -562,12 +530,12 @@ mod tests {
     fn transient_faults_retry_and_charge_backoff() {
         let policy = RetryPolicy { max_retries: 2, backoff_base_cycles: 100 };
         let mut calls = 0u32;
-        let rec = run_trial(&cfg(), 4, 0, &policy, &mut |env, _| {
+        let rec = run_trial_measured(&cfg(), 4, 0, &policy, None, &mut |env, _| {
             calls += 1;
             if env.sim.fault_attempt < 2 {
                 Err(SimError::InjectedAllocFault { region: 1, attempt: env.sim.fault_attempt })
             } else {
-                Ok(5_000)
+                Ok(5_000.into())
             }
         });
         assert_eq!(calls, 3, "two transient faults then success");
@@ -587,7 +555,7 @@ mod tests {
             (SimError::NodeOffline { node: 2 }, Outcome::Faulted),
         ] {
             let mut calls = 0u32;
-            let rec = run_trial(&cfg(), 4, 0, &policy, &mut |_, _| {
+            let rec = run_trial_measured(&cfg(), 4, 0, &policy, None, &mut |_, _| {
                 calls += 1;
                 Err(err.clone())
             });
@@ -601,7 +569,7 @@ mod tests {
     fn retries_are_bounded() {
         let policy = RetryPolicy { max_retries: 2, backoff_base_cycles: 1 };
         let mut calls = 0u32;
-        let rec = run_trial(&cfg(), 4, 0, &policy, &mut |_, _| {
+        let rec = run_trial_measured(&cfg(), 4, 0, &policy, None, &mut |_, _| {
             calls += 1;
             Err(SimError::InjectedAllocFault { region: 0, attempt: 0 })
         });
@@ -616,7 +584,7 @@ mod tests {
         // `base << attempt` shifts by >= 64 and panics in debug builds.
         let policy = RetryPolicy { max_retries: 80, backoff_base_cycles: 10_000 };
         let mut calls = 0u32;
-        let rec = run_trial(&cfg(), 4, 0, &policy, &mut |_, _| {
+        let rec = run_trial_measured(&cfg(), 4, 0, &policy, None, &mut |_, _| {
             calls += 1;
             Err(SimError::InjectedAllocFault { region: 0, attempt: 0 })
         });
@@ -626,11 +594,11 @@ mod tests {
 
         // When the fault eventually clears, the charged backoff is
         // saturated, not wrapped back down to a tiny number.
-        let rec = run_trial(&cfg(), 4, 0, &policy, &mut |env, _| {
+        let rec = run_trial_measured(&cfg(), 4, 0, &policy, None, &mut |env, _| {
             if env.sim.fault_attempt < 70 {
                 Err(SimError::InjectedAllocFault { region: 0, attempt: env.sim.fault_attempt })
             } else {
-                Ok(1_000)
+                Ok(1_000.into())
             }
         });
         assert_eq!(rec.outcome, Outcome::Ok);
@@ -690,12 +658,13 @@ mod tests {
     #[test]
     fn sweep_degrades_gracefully_and_flags_dead_configs() {
         let configs = vec![cfg().named("healthy"), cfg().named("doomed")];
-        let report = sweep(&configs, 4, 3, &RetryPolicy::none(), |env, trial| {
+        let policy = SupervisorPolicy { retry: RetryPolicy::none(), ..Default::default() };
+        let report = sweep_supervised(&configs, 4, 3, &policy, &[], &mut |_| {}, |env, trial| {
             if env.sim.fault_plan.is_none() && trial == 1 {
                 // One flaky trial in the healthy config.
                 return Err(SimError::Timeout { budget_cycles: 1, elapsed_cycles: 2 });
             }
-            Ok(1_000)
+            Ok(1_000.into())
         });
         // "doomed" would need a fault plan to fail here; with this
         // workload only trial 1 of each config times out.
@@ -705,7 +674,7 @@ mod tests {
         assert!(report.failed_configs().is_empty());
         assert_eq!(report.mean_cycles("healthy"), Some(1_000));
 
-        let report = sweep(&configs[1..], 4, 2, &RetryPolicy::none(), |_, _| {
+        let report = sweep_supervised(&configs[1..], 4, 2, &policy, &[], &mut |_| {}, |_, _| {
             Err(SimError::OutOfMemory { node: 0, requested_pages: 1 })
         });
         assert_eq!(report.failed_configs(), vec!["doomed"]);

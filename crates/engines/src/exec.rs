@@ -4,7 +4,7 @@
 use crate::profiles::EngineProfile;
 use crate::storage::TpchDb;
 use nqp_query::EngineKind;
-use nqp_sim::{Access, NumaSim, VAddr, Worker};
+use nqp_sim::{Access, NumaSim, SimError, SimResult, VAddr, Worker};
 use nqp_storage::{SimHeap, COLUMN_RUN_WORDS};
 
 /// Cycles to hash a join/group key.
@@ -114,6 +114,9 @@ pub fn maybe_materialize(
 /// construction, sub-plans), then every worker scans its partition of
 /// `table`, and `merge` combines the per-thread locals. The simulator
 /// executes workers in order, so worker 0's build is visible to all.
+///
+/// Fails with the simulator's fault, or with [`SimError::Harness`] if
+/// the build or merge step did not run.
 pub fn scan_phase<B, L, FB, FR, FM, R>(
     sim: &mut NumaSim,
     heap: &mut SimHeap,
@@ -123,7 +126,7 @@ pub fn scan_phase<B, L, FB, FR, FM, R>(
     build: FB,
     per_row: FR,
     merge: FM,
-) -> R
+) -> SimResult<R>
 where
     L: Default,
     FB: FnOnce(&mut Worker<'_>, &mut SimHeap, &TpchDb) -> B,
@@ -135,20 +138,22 @@ where
         build: Option<B>,
         locals: Vec<L>,
     }
+    let missing = |what: &str| SimError::Harness { what: format!("scan:{table}: {what}") };
     let mut shared = Shared { heap, build: None, locals: Vec::new() };
     let mut build = Some(build);
     let overhead = ctx.profile.row_overhead_cycles;
     let startup = ctx.profile.phase_startup_cycles;
     let engine = ctx.engine;
     sim.phase_begin(&format!("scan:{table}"));
-    let stats = sim.parallel(ctx.threads, &mut shared, |w, sh| {
+    sim.try_parallel(ctx.threads, &mut shared, |w, sh| {
         if w.tid() == 0 {
             // Per-phase coordination cost (process pools pay dearly here).
             w.compute(startup);
-            let f = build.take().expect("build runs exactly once");
-            sh.build = Some(f(w, sh.heap, db));
+            if let Some(f) = build.take() {
+                sh.build = Some(f(w, sh.heap, db));
+            }
         }
-        let b = sh.build.as_ref().expect("worker 0 built");
+        let Some(b) = sh.build.as_ref() else { return };
         let mut local = L::default();
         let shadow = db.table(table);
         let range = shadow.partition(w.tid(), ctx.threads);
@@ -169,32 +174,35 @@ where
             per_row(w, sh.heap, db, b, row, &mut local);
         }
         sh.locals.push(local);
-    });
-    if std::env::var("NQP_DEBUG_REGIONS").is_ok() {
-        eprintln!(
-            "[scan {table}] elapsed={} max_thread={} bneck={:?} ctrl={:.2} waits={}",
-            stats.elapsed_cycles,
-            stats.max_thread_cycles,
-            stats.bottleneck,
-            stats.peak_controller_utilisation(),
-            stats.counters.lock_wait_cycles
-        );
-    }
+    })?;
+    let built = shared.build.ok_or_else(|| missing("the build step did not run"))?;
     // Merge on a single worker (the coordinator).
     let mut out: Option<R> = None;
-    let mut merge = Some(merge);
-    let mut m_shared = (shared.heap, shared.build, shared.locals, &mut out);
-    sim.serial(&mut m_shared, |w, (heap, b, locals, out)| {
-        let f = merge.take().expect("merge runs exactly once");
-        **out = Some(f(
-            w,
-            heap,
-            b.take().expect("build present"),
-            std::mem::take(locals),
-        ));
-    });
+    let mut merge = Some((merge, built));
+    let mut m_shared = (shared.heap, shared.locals, &mut out);
+    sim.try_serial(&mut m_shared, |w, (heap, locals, out)| {
+        if let Some((f, b)) = merge.take() {
+            **out = Some(f(w, heap, b, std::mem::take(locals)));
+        }
+    })?;
     sim.phase_end();
-    out.expect("merge produced a result")
+    out.ok_or_else(|| missing("the merge step did not run"))
+}
+
+/// Run a final coordinator step (sorting, result materialisation) in a
+/// serial region.
+pub fn finish(
+    sim: &mut NumaSim,
+    heap: &mut SimHeap,
+    f: impl FnOnce(&mut Worker<'_>, &mut SimHeap),
+) -> SimResult<()> {
+    let mut f = Some(f);
+    sim.try_serial(heap, |w, heap| {
+        if let Some(f) = f.take() {
+            f(w, heap);
+        }
+    })?;
+    Ok(())
 }
 
 /// FNV-1a hasher with a fixed seed: map iteration order — and therefore
@@ -235,9 +243,9 @@ mod tests {
 
     fn setup() -> (NumaSim, SimHeap, TpchDb) {
         let mut sim = NumaSim::new(SimConfig::tuned(machines::machine_b()));
-        let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim);
+        let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim).unwrap();
         let data = TpchData::generate(0.001, 5);
-        let db = TpchDb::load(&mut sim, &mut heap, &data, Layout::Column, 2);
+        let db = TpchDb::load(&mut sim, &mut heap, &data, Layout::Column, 2).unwrap();
         (sim, heap, db)
     }
 
@@ -258,7 +266,8 @@ mod tests {
             |_, _, _| (),
             |_, _, _, _, _row, local: &mut usize| *local += 1,
             |_, _, _, locals| locals.iter().sum::<usize>(),
-        );
+        )
+        .unwrap();
         assert_eq!(total, db.table("orders").nrows());
     }
 
@@ -282,7 +291,8 @@ mod tests {
                 assert_eq!(b, 42);
                 locals.into_iter().flatten().collect::<Vec<_>>()
             },
-        );
+        )
+        .unwrap();
         assert!(seen.iter().all(|&v| v == 42));
         assert_eq!(seen.len(), 25);
     }
@@ -291,7 +301,7 @@ mod tests {
     fn shadow_hash_charges_cycles() {
         let (mut sim, mut heap, _db) = setup();
         let before = sim.now_cycles();
-        sim.serial(&mut heap, |w, heap| {
+        sim.try_serial(&mut heap, |w, heap| {
             let h = ShadowHash::new(w, 100);
             for k in 0..100 {
                 h.insert(w, heap, k);
@@ -300,7 +310,7 @@ mod tests {
                 h.probe(w, k);
                 h.update(w, k);
             }
-        });
+        }).unwrap();
         assert!(sim.now_cycles() > before);
         assert!(heap.live_requested() >= 100 * ENTRY_BYTES);
     }
@@ -313,9 +323,9 @@ mod tests {
         let mut costs = Vec::new();
         for p in [quick, monet] {
             let before = sim.now_cycles();
-            sim.serial(&mut heap, |w, heap| {
+            sim.try_serial(&mut heap, |w, heap| {
                 maybe_materialize(w, heap, &p, 1_000, 32);
-            });
+            }).unwrap();
             costs.push(sim.now_cycles() - before);
         }
         assert!(costs[1] > costs[0] * 5, "monet={} quick={}", costs[1], costs[0]);
@@ -326,7 +336,7 @@ mod tests {
         let (mut sim, _, _) = setup();
         let mut cost = |n: usize| {
             let before = sim.counters().compute_cycles;
-            sim.serial(&mut (), |w, _| charge_sort(w, n));
+            sim.try_serial(&mut (), |w, _| charge_sort(w, n)).unwrap();
             sim.counters().compute_cycles - before
         };
         let c1k = cost(1_000);

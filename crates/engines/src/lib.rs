@@ -32,12 +32,12 @@ mod value;
 pub use error::EngineError;
 pub use exec::{QueryCtx, ShadowHash};
 pub use profiles::{EngineProfile, Layout, SystemKind};
-pub use queries::{query_name, run_query, try_run_query, QUERY_COUNT};
+pub use queries::{query_name, try_run_query, QUERY_COUNT};
 pub use storage::TpchDb;
 pub use value::{Row, Value};
 
 use nqp_query::WorkloadEnv;
-use nqp_sim::NumaSim;
+use nqp_sim::{NumaSim, SimResult};
 use nqp_storage::SimHeap;
 
 /// Outcome of one query execution.
@@ -53,8 +53,10 @@ pub struct QueryOutcome {
 /// machine environment, with TPC-H data loaded.
 pub struct DbSystem {
     sim: NumaSim,
-    heap: SimHeap,
-    db: TpchDb,
+    /// The heap and the loaded tables, or the fault that stopped the
+    /// boot: a failed boot poisons the system, and every query returns
+    /// that fault.
+    loaded: SimResult<(SimHeap, TpchDb)>,
     profile: EngineProfile,
     threads: usize,
     engine: nqp_query::EngineKind,
@@ -64,36 +66,37 @@ impl DbSystem {
     /// Boot `system` under `env` and load the given TPC-H data into
     /// simulated storage (charged, but not part of query latencies —
     /// the paper measures warm runs).
+    ///
+    /// A fault during the load (capacity, an injected fault, the trial
+    /// budget, a deadline) does not fail the boot: it poisons the system,
+    /// and every later [`DbSystem::try_run`] returns it as
+    /// [`EngineError::Sim`].
     pub fn boot(system: SystemKind, env: &WorkloadEnv, data: &nqp_datagen::tpch::TpchData) -> Self {
         let profile = system.profile();
         // A database server is long-running: its scheduler placement has
         // settled by the time queries are measured.
         let mut sim = NumaSim::new(env.sim.clone().with_settled_scheduler(true));
-        let mut heap = SimHeap::new(env.allocator, &mut sim);
         let threads = profile.worker_threads(env.threads);
-        let db = TpchDb::load(&mut sim, &mut heap, data, profile.layout, threads);
-        DbSystem { sim, heap, db, profile, threads, engine: env.engine }
+        let loaded = SimHeap::new(env.allocator, &mut sim).and_then(|mut heap| {
+            let db = TpchDb::load(&mut sim, &mut heap, data, profile.layout, threads)?;
+            Ok((heap, db))
+        });
+        DbSystem { sim, loaded, profile, threads, engine: env.engine }
     }
 
     /// Run TPC-H query `qnum` (1–22): one untimed cold run has already
     /// happened implicitly via the load; this measures a warm run.
-    ///
-    /// # Panics
-    /// Panics on any [`EngineError`]; use [`DbSystem::try_run`] to
-    /// handle unknown query numbers or simulation faults.
-    pub fn run(&mut self, qnum: usize) -> QueryOutcome {
-        self.try_run(qnum).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`DbSystem::run`].
+    /// Fails on an unknown query number, a simulation fault during the
+    /// query, or the fault that poisoned the boot.
     pub fn try_run(&mut self, qnum: usize) -> Result<QueryOutcome, EngineError> {
+        let (heap, db) = self.loaded.as_mut().map_err(|e| EngineError::Sim(e.clone()))?;
         let before = self.sim.now_cycles();
         let workers = self.profile.worker_threads_for(qnum, self.threads);
         let rows = try_run_query(
             qnum,
             &mut self.sim,
-            &mut self.heap,
-            &self.db,
+            heap,
+            db,
             &self.profile,
             workers,
             self.engine,
@@ -131,7 +134,7 @@ mod tests {
         for (si, system) in SystemKind::ALL.into_iter().enumerate() {
             let mut db = DbSystem::boot(system, &env, &data);
             for q in 1..=QUERY_COUNT {
-                let out = db.run(q);
+                let out = db.try_run(q).unwrap();
                 if si == 0 {
                     reference.push(out.rows);
                 } else {
@@ -153,7 +156,7 @@ mod tests {
         let env = WorkloadEnv::tuned(machines::machine_b()).with_threads(2);
         let run = || {
             let mut db = DbSystem::boot(SystemKind::MonetDbLike, &env, &data);
-            (1..=QUERY_COUNT).map(|q| db.run(q).latency_cycles).collect::<Vec<_>>()
+            (1..=QUERY_COUNT).map(|q| db.try_run(q).unwrap().latency_cycles).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
@@ -171,8 +174,8 @@ mod tests {
         let mut tuple_total = 0u64;
         let mut vec_total = 0u64;
         for q in 1..=QUERY_COUNT {
-            let a = t.run(q);
-            let b = v.run(q);
+            let a = t.try_run(q).unwrap();
+            let b = v.try_run(q).unwrap();
             assert_eq!(a.rows, b.rows, "engines diverged on Q{q}");
             tuple_total += a.latency_cycles;
             vec_total += b.latency_cycles;
@@ -197,7 +200,7 @@ mod tests {
             let mut db = DbSystem::boot(SystemKind::QuickstepLike, &env, &data);
             (1..=QUERY_COUNT)
                 .map(|q| {
-                    let out = db.run(q);
+                    let out = db.try_run(q).unwrap();
                     (out.latency_cycles, out.rows)
                 })
                 .collect::<Vec<_>>()

@@ -54,24 +54,6 @@ pub fn query_name(qnum: usize) -> &'static str {
     NAMES[qnum - 1]
 }
 
-/// Execute query `qnum` (1–22) and return its rows.
-///
-/// # Panics
-/// Panics on an unknown query number or any [`EngineError`]; use
-/// [`try_run_query`] to handle failures.
-pub fn run_query(
-    qnum: usize,
-    sim: &mut NumaSim,
-    heap: &mut SimHeap,
-    db: &TpchDb,
-    profile: &EngineProfile,
-    threads: usize,
-    engine: nqp_query::EngineKind,
-) -> Vec<Row> {
-    try_run_query(qnum, sim, heap, db, profile, threads, engine)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Execute query `qnum` (1–22), surfacing plan and simulation failures
 /// as a typed [`EngineError`] instead of panicking.
 pub fn try_run_query(
@@ -129,7 +111,7 @@ mod tests {
     #[test]
     fn q2_outputs_only_min_cost_suppliers() {
         let (mut db, data) = boot();
-        let rows = db.run(2).rows;
+        let rows = db.try_run(2).unwrap().rows;
         // Each output part's cost must be the minimum over its EUROPE
         // suppliers; re-derive the minima independently.
         for row in &rows {
@@ -146,7 +128,7 @@ mod tests {
     #[test]
     fn q4_counts_are_bounded_by_quarter_orders() {
         let (mut db, data) = boot();
-        let rows = db.run(4).rows;
+        let rows = db.try_run(4).unwrap().rows;
         let lo = nqp_datagen::tpch::dates::parse("1993-07-01").expect("static literal");
         let hi = nqp_datagen::tpch::dates::add_months(lo, 3);
         let in_window = data
@@ -163,7 +145,7 @@ mod tests {
     #[test]
     fn q11_respects_its_value_threshold() {
         let (mut db, _) = boot();
-        let rows = db.run(11).rows;
+        let rows = db.try_run(11).unwrap().rows;
         if rows.len() >= 2 {
             for w in rows.windows(2) {
                 assert!(w[0][1].as_i() >= w[1][1].as_i(), "Q11 not sorted by value");
@@ -174,7 +156,7 @@ mod tests {
     #[test]
     fn q13_histogram_covers_every_customer() {
         let (mut db, data) = boot();
-        let rows = db.run(13).rows;
+        let rows = db.try_run(13).unwrap().rows;
         let total: i64 = rows.iter().map(|r| r[1].as_i()).sum();
         assert_eq!(total, data.customer.c_custkey.len() as i64);
     }
@@ -182,7 +164,7 @@ mod tests {
     #[test]
     fn q16_counts_distinct_suppliers() {
         let (mut db, data) = boot();
-        let rows = db.run(16).rows;
+        let rows = db.try_run(16).unwrap().rows;
         let nsupp = data.supplier.s_suppkey.len() as i64;
         for row in &rows {
             let count = row[3].as_i();
@@ -194,7 +176,7 @@ mod tests {
     #[test]
     fn q18_only_returns_orders_over_the_quantity_threshold() {
         let (mut db, _) = boot();
-        for row in db.run(18).rows {
+        for row in db.try_run(18).unwrap().rows {
             assert!(row[5].as_i() > 300, "Q18 returned a small order");
         }
     }
@@ -202,7 +184,7 @@ mod tests {
     #[test]
     fn q22_customers_have_no_orders() {
         let (mut db, data) = boot();
-        let rows = db.run(22).rows;
+        let rows = db.try_run(22).unwrap().rows;
         let customers_with_orders: HashSet<i64> =
             data.orders.o_custkey.iter().copied().collect();
         // Output is grouped by country code; re-derive the candidate set
@@ -220,7 +202,7 @@ mod tests {
     #[test]
     fn q21_culprits_are_saudi_suppliers() {
         let (mut db, data) = boot();
-        let rows = db.run(21).rows;
+        let rows = db.try_run(21).unwrap().rows;
         let saudi: HashSet<&String> = data
             .supplier
             .s_nationkey
@@ -252,8 +234,6 @@ mod tests {
     #[should_panic(expected = "22 queries")]
     fn query_23_panics() {
         query_name(23);
-        // (run_query would panic identically; name lookup panics first
-        // via the array index.)
     }
 
     #[test]

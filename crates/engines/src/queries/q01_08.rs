@@ -1,13 +1,14 @@
 //! TPC-H Q1–Q8.
 
-use crate::exec::{charge_sort, maybe_materialize, scan_phase, Map, QueryCtx, Set, ShadowHash, LIKE_CYCLES};
+use crate::exec::{
+    charge_sort, finish, maybe_materialize, scan_phase, Map, QueryCtx, Set, ShadowHash, LIKE_CYCLES,
+};
 use crate::error::EngineError;
 use crate::storage::TpchDb;
 use crate::value::{d, i, s, Row};
 use nqp_datagen::tpch::dates;
 use nqp_sim::NumaSim;
 use nqp_storage::SimHeap;
-
 
 /// Revenue of one lineitem in cents: `ext * (1 - discount)`.
 fn rev(ext: i64, disc: i64) -> i64 {
@@ -68,7 +69,7 @@ pub(super) fn q01(
             a[5] += 1;
         },
         |_, _, _, locals| locals,
-    );
+    )?;
     let mut merged: Map<(u8, u8), [i64; 6]> = Map::default();
     for l in locals {
         for (k, v) in l {
@@ -80,10 +81,10 @@ pub(super) fn q01(
     }
     let mut keys: Vec<(u8, u8)> = merged.keys().copied().collect();
     keys.sort_unstable();
-    finish(sim, heap, ctx, keys.len(), |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, merged.len(), 80);
         charge_sort(w, merged.len());
-    });
+    })?;
     Ok(keys.into_iter()
         .map(|k| {
             let a = merged[&k];
@@ -101,22 +102,6 @@ pub(super) fn q01(
             ]
         })
         .collect())
-}
-
-/// Run a final coordinator step (sorting, result materialisation).
-fn finish(
-    sim: &mut NumaSim,
-    heap: &mut SimHeap,
-    _ctx: &QueryCtx,
-    _rows: usize,
-    f: impl FnOnce(&mut nqp_sim::Worker<'_>, &mut SimHeap),
-) {
-    let mut f = Some(f);
-    sim.serial(heap, |w, heap| {
-        if let Some(f) = f.take() {
-            f(w, heap);
-        }
-    });
 }
 
 /// Q2: minimum-cost supplier in EUROPE for size-15 `%BRASS` parts.
@@ -197,7 +182,7 @@ pub(super) fn q02(
             local.push((pk, sk, ps.ps_supplycost[row]));
         },
         |_, _, b, locals| (b, locals.into_iter().flatten().collect::<Vec<_>>()),
-    );
+    )?;
     // Min cost per part, then emit the suppliers achieving it.
     let mut min_cost: Map<i64, i64> = Map::default();
     for &(pk, _, cost) in &cands {
@@ -232,10 +217,10 @@ pub(super) fn q02(
     });
     rows.truncate(100);
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, cands.len(), 24);
         charge_sort(w, n.max(cands.len()));
-    });
+    })?;
     Ok(rows)
 }
 
@@ -284,7 +269,7 @@ pub(super) fn q03(
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: revenue per order from late-shipped lineitems.
     type RMap = Map<i64, i64>;
     let revenue: RMap = scan_phase(
@@ -329,7 +314,7 @@ pub(super) fn q03(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = revenue
         .into_iter()
         .map(|(ok, r)| {
@@ -340,10 +325,10 @@ pub(super) fn q03(
     rows.sort_by(|a, b| b[1].as_i().cmp(&a[1].as_i()).then_with(|| a[2].cmp(&b[2])));
     let n = rows.len();
     rows.truncate(10);
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 32);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -378,7 +363,7 @@ pub(super) fn q04(
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: orders in range, existing in the semi-join set.
     type Counts = Map<String, i64>;
     let counts: Counts = scan_phase(
@@ -411,14 +396,14 @@ pub(super) fn q04(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = counts.into_iter().map(|(p, c)| vec![s(p), i(c)]).collect();
     rows.sort();
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 24);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -488,7 +473,7 @@ pub(super) fn q05(
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: lineitems whose supplier nation matches the customer's.
     type RMap = Map<i64, i64>; // nationkey -> revenue
     let by_nation: RMap = scan_phase(
@@ -535,17 +520,17 @@ pub(super) fn q05(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = by_nation
         .into_iter()
         .map(|(nk, r)| vec![s(db.data.nation.n_name[nk as usize].clone()), i(r)])
         .collect();
     rows.sort_by(|a, b| b[1].as_i().cmp(&a[1].as_i()));
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 24);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -582,10 +567,10 @@ pub(super) fn q06(
             *local += li.l_extendedprice[row] * disc; // 1e-4 dollars
         },
         |_, _, _, locals| locals.into_iter().sum(),
-    );
-    finish(sim, heap, ctx, 1, |w, heap| {
+    )?;
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, 1, 8);
-    });
+    })?;
     Ok(vec![vec![i(total)]])
 }
 
@@ -638,7 +623,7 @@ pub(super) fn q07(
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: cross-nation lineitems shipped 1995-1996.
     type VMap = Map<(i64, i64, i32), i64>; // (supp_nation, cust_nation, year) -> volume
     let volumes: VMap = scan_phase(
@@ -692,7 +677,7 @@ pub(super) fn q07(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = volumes
         .into_iter()
         .map(|((snk, cnk, year), vol)| {
@@ -706,10 +691,10 @@ pub(super) fn q07(
         .collect();
     rows.sort();
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 40);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -781,7 +766,7 @@ pub(super) fn q08(
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: target-part lineitems, split by supplier nation.
     type VMap = Map<i32, (i64, i64)>; // year -> (brazil volume, total volume)
     let volumes: VMap = scan_phase(
@@ -844,7 +829,7 @@ pub(super) fn q08(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = volumes
         .into_iter()
         .map(|(year, (bz, total))| {
@@ -854,9 +839,9 @@ pub(super) fn q08(
         .collect();
     rows.sort();
     let n = rows.len();
-    finish(sim, heap, ctx, n, |w, heap| {
+    finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 16);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }

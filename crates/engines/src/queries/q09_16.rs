@@ -1,6 +1,8 @@
 //! TPC-H Q9–Q16.
 
-use crate::exec::{charge_sort, maybe_materialize, scan_phase, Map, QueryCtx, Set, ShadowHash, LIKE_CYCLES};
+use crate::exec::{
+    charge_sort, finish, maybe_materialize, scan_phase, Map, QueryCtx, Set, ShadowHash, LIKE_CYCLES,
+};
 use crate::error::EngineError;
 use crate::storage::TpchDb;
 use crate::value::{i, s, Row};
@@ -8,22 +10,8 @@ use nqp_datagen::tpch::dates;
 use nqp_sim::NumaSim;
 use nqp_storage::SimHeap;
 
-
 fn rev(ext: i64, disc: i64) -> i64 {
     ext * (100 - disc) / 100
-}
-
-fn finish(
-    sim: &mut NumaSim,
-    heap: &mut SimHeap,
-    f: impl FnOnce(&mut nqp_sim::Worker<'_>, &mut SimHeap),
-) {
-    let mut f = Some(f);
-    sim.serial(heap, |w, heap| {
-        if let Some(f) = f.take() {
-            f(w, heap);
-        }
-    });
 }
 
 /// Q9: product-type profit — profit on `%green%` parts by nation and
@@ -51,7 +39,7 @@ pub(super) fn q09(
             local.insert(o.o_orderkey[row], dates::year(o.o_orderdate[row]));
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: green-part lineitems -> profit by (nation, year).
     type PMap = Map<(i64, i32), i64>;
     let profits: PMap = scan_phase(
@@ -123,7 +111,7 @@ pub(super) fn q09(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = profits
         .into_iter()
         .map(|((nk, year), p)| {
@@ -139,7 +127,7 @@ pub(super) fn q09(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 32);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -173,7 +161,7 @@ pub(super) fn q10(
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: returned lineitems of those orders -> revenue by customer.
     type RMap = Map<i64, i64>;
     let by_cust: RMap = scan_phase(
@@ -215,7 +203,7 @@ pub(super) fn q10(
             }
             m
         },
-    );
+    )?;
     let mut entries: Vec<(i64, i64)> = by_cust.into_iter().collect();
     entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     entries.truncate(20);
@@ -254,7 +242,7 @@ pub(super) fn q10(
         }
         maybe_materialize(w, heap, &ctx.profile, n, 96);
         charge_sort(w, n.max(20));
-    });
+    })?;
     Ok(rows)
 }
 
@@ -315,7 +303,7 @@ pub(super) fn q11(
             let total: i64 = m.values().sum();
             (m, total)
         },
-    );
+    )?;
     let mut rows: Vec<Row> = values
         .into_iter()
         .filter(|&(_, v)| v as i128 * 10_000 > total as i128)
@@ -326,7 +314,7 @@ pub(super) fn q11(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 16);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -359,7 +347,7 @@ pub(super) fn q12(
             local.insert(o.o_orderkey[row], high);
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: qualifying lineitems.
     type CMap = Map<String, (i64, i64)>; // shipmode -> (high, low)
     let counts: CMap = scan_phase(
@@ -413,7 +401,7 @@ pub(super) fn q12(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = counts
         .into_iter()
         .map(|(mode, (h, l))| vec![s(mode), i(h), i(l)])
@@ -423,7 +411,7 @@ pub(super) fn q12(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 32);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -470,7 +458,7 @@ pub(super) fn q13(
             }
             m
         },
-    );
+    )?;
     // Phase 2: left join customers against the counts, then histogram.
     type HMap = Map<i64, i64>; // c_count -> customer count
     let hist: HMap = scan_phase(
@@ -503,14 +491,14 @@ pub(super) fn q13(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = hist.into_iter().map(|(c, n)| vec![i(c), i(n)]).collect();
     rows.sort_by(|a, b| b[1].as_i().cmp(&a[1].as_i()).then_with(|| b[0].as_i().cmp(&a[0].as_i())));
     let n = rows.len();
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 16);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -563,10 +551,10 @@ pub(super) fn q14(
                 .into_iter()
                 .fold((0, 0), |acc, l| (acc.0 + l.0, acc.1 + l.1))
         },
-    );
+    )?;
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, 1, 8);
-    });
+    })?;
     let share = if total == 0 { 0 } else { (promo as i128 * 10_000 / total as i128) as i64 };
     Ok(vec![vec![i(share)]])
 }
@@ -616,7 +604,7 @@ pub(super) fn q15(
             }
             m
         },
-    );
+    )?;
     let max_rev = by_supp.values().copied().max().unwrap_or(0);
     let mut rows: Vec<Row> = Vec::new();
     let skey_to_row: Map<i64, usize> = db
@@ -650,7 +638,7 @@ pub(super) fn q15(
         }
         maybe_materialize(w, heap, &ctx.profile, by_supp.len(), 16);
         charge_sort(w, by_supp.len());
-    });
+    })?;
     Ok(rows)
 }
 
@@ -723,7 +711,7 @@ pub(super) fn q16(
             }
             m
         },
-    );
+    )?;
     let mut rows: Vec<Row> = groups
         .into_iter()
         .map(|((brand, ptype, size), supps)| {
@@ -741,6 +729,6 @@ pub(super) fn q16(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 48);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }

@@ -1,26 +1,14 @@
 //! TPC-H Q17–Q22.
 
-use crate::exec::{charge_sort, maybe_materialize, scan_phase, Map, QueryCtx, Set, ShadowHash, LIKE_CYCLES};
+use crate::exec::{
+    charge_sort, finish, maybe_materialize, scan_phase, Map, QueryCtx, Set, ShadowHash, LIKE_CYCLES,
+};
 use crate::error::EngineError;
 use crate::storage::TpchDb;
 use crate::value::{d, i, s, Row};
 use nqp_datagen::tpch::dates;
 use nqp_sim::NumaSim;
 use nqp_storage::SimHeap;
-
-
-fn finish(
-    sim: &mut NumaSim,
-    heap: &mut SimHeap,
-    f: impl FnOnce(&mut nqp_sim::Worker<'_>, &mut SimHeap),
-) {
-    let mut f = Some(f);
-    sim.serial(heap, |w, heap| {
-        if let Some(f) = f.take() {
-            f(w, heap);
-        }
-    });
-}
 
 /// Q17: small-quantity-order revenue — Brand#23 MED BOX lineitems below
 /// 20% of the part's average quantity; average yearly loss.
@@ -77,7 +65,7 @@ pub(super) fn q17(
             }
             m
         },
-    );
+    )?;
     // Items with quantity < 0.2 * avg(quantity) for their part.
     let mut total: i64 = 0;
     for (_, (sum_qty, count, items)) in &stats {
@@ -90,7 +78,7 @@ pub(super) fn q17(
     }
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, stats.len(), 24);
-    });
+    })?;
     // avg_yearly = total / 7.0, in cents.
     Ok(vec![vec![i(total / 7)]])
 }
@@ -133,7 +121,7 @@ pub(super) fn q18(
             }
             m
         },
-    );
+    )?;
     let big: Map<i64, i64> =
         qty.into_iter().filter(|&(_, q)| q > 300).collect();
     // Phase 2: the qualifying orders, joined with customers.
@@ -180,7 +168,7 @@ pub(super) fn q18(
             ]);
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     let mut rows = rows;
     rows.sort_by(|a, b| {
         b[4].as_i()
@@ -193,7 +181,7 @@ pub(super) fn q18(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 64);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -274,10 +262,10 @@ pub(super) fn q19(
             }
         },
         |_, _, _, locals| locals.into_iter().sum(),
-    );
+    )?;
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, 1, 8);
-    });
+    })?;
     Ok(vec![vec![i(total)]])
 }
 
@@ -338,7 +326,7 @@ pub(super) fn q20(
             }
             m
         },
-    );
+    )?;
     // Phase 2: partsupp rows with availqty > half the shipped quantity.
     type Supps = Set<i64>;
     let qualifying: Supps = scan_phase(
@@ -388,7 +376,7 @@ pub(super) fn q20(
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     let skey_to_row: Map<i64, usize> = db
         .data
         .supplier
@@ -412,7 +400,7 @@ pub(super) fn q20(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 32);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -478,7 +466,7 @@ pub(super) fn q21(
             }
             m
         },
-    );
+    )?;
     // Phase 2: 'F' orders where exactly one supplier is late, that
     // supplier is Saudi, and the order has other suppliers.
     type WMap = Map<i64, i64>; // suppkey -> numwait
@@ -538,7 +526,7 @@ pub(super) fn q21(
             }
             m
         },
-    );
+    )?;
     let skey_to_row: Map<i64, usize> = db
         .data
         .supplier
@@ -557,7 +545,7 @@ pub(super) fn q21(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 24);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }
 
@@ -587,7 +575,7 @@ pub(super) fn q22(
             }
         },
         |_, _, _, locals| locals.into_iter().flatten().collect(),
-    );
+    )?;
     // Phase 2: candidate customers and the average positive balance.
     type Cands = Vec<(String, i64, i64)>; // (code, custkey, acctbal)
     type Loc = (Cands, i64, i64); // candidates, sum(+bal), count(+bal)
@@ -629,7 +617,7 @@ pub(super) fn q22(
             }
             (cands, s, c)
         },
-    );
+    )?;
     let avg = if cnt_bal == 0 { 0 } else { sum_bal / cnt_bal };
     type GMap = Map<String, (i64, i64)>;
     let mut groups: GMap = GMap::default();
@@ -649,6 +637,6 @@ pub(super) fn q22(
     finish(sim, heap, |w, heap| {
         maybe_materialize(w, heap, &ctx.profile, n, 24);
         charge_sort(w, n);
-    });
+    })?;
     Ok(rows)
 }

@@ -9,7 +9,7 @@
 
 use crate::profiles::Layout;
 use nqp_datagen::tpch::TpchData;
-use nqp_sim::{Access, NumaSim, VAddr, Worker};
+use nqp_sim::{Access, NumaSim, SimResult, VAddr, Worker};
 use nqp_storage::SimHeap;
 use std::collections::HashMap;
 
@@ -160,14 +160,15 @@ pub struct TpchDb {
 impl TpchDb {
     /// Map the storage shadows and fault them in with a partitioned
     /// parallel load (first touch spreads each table across the loading
-    /// workers, as a parallel COPY would).
+    /// workers, as a parallel COPY would). Fails with the simulator's
+    /// fault (capacity, an injected fault, the trial budget, a deadline).
     pub fn load(
         sim: &mut NumaSim,
         _heap: &mut SimHeap,
         data: &TpchData,
         layout: Layout,
         threads: usize,
-    ) -> Self {
+    ) -> SimResult<Self> {
         let row_count = |name: &str| -> usize {
             match name {
                 "region" => data.region.r_regionkey.len(),
@@ -193,9 +194,9 @@ impl TpchDb {
                     // column files).
                     let row_bytes: u64 = schema.iter().map(|&(_, wd)| wd).sum();
                     let mut base = 0;
-                    sim.serial(&mut base, |w, base| {
+                    sim.try_serial(&mut base, |w, base| {
                         *base = w.map_pages_shared((nrows as u64 * row_bytes).max(1));
-                    });
+                    })?;
                     let mut off = 0;
                     let cols = schema
                         .iter()
@@ -211,9 +212,9 @@ impl TpchDb {
                     let mut cols = HashMap::new();
                     for &(cname, wd) in schema {
                         let mut base = 0;
-                        sim.serial(&mut base, |w, base| {
+                        sim.try_serial(&mut base, |w, base| {
                             *base = w.map_pages((nrows as u64 * wd).max(1));
-                        });
+                        })?;
                         cols.insert(cname, (base, wd));
                     }
                     TableShadow { layout, nrows, row_bytes: 0, row_base: 0, cols }
@@ -229,7 +230,7 @@ impl TpchDb {
         // count, same as the W1–W4 relation loaders.
         for &(name, schema) in SCHEMAS {
             let shadow = &db.tables[name];
-            sim.parallel_sharded(threads, shadow, |w, shadow| {
+            sim.try_parallel_sharded(threads, shadow, |w, shadow| {
                 for row in shadow.partition(w.tid(), threads) {
                     match layout {
                         Layout::Row => {
@@ -244,9 +245,9 @@ impl TpchDb {
                         }
                     }
                 }
-            });
+            })?;
         }
-        db
+        Ok(db)
     }
 
     /// The shadow of `name`.
@@ -268,9 +269,9 @@ mod tests {
         let mut sim = NumaSim::new(
             SimConfig::tuned(machines::machine_b()),
         );
-        let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim);
+        let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim).unwrap();
         let data = TpchData::generate(0.001, 3);
-        let db = TpchDb::load(&mut sim, &mut heap, &data, layout, 4);
+        let db = TpchDb::load(&mut sim, &mut heap, &data, layout, 4).unwrap();
         (sim, db)
     }
 
@@ -289,12 +290,12 @@ mod tests {
         let cost = |layout| {
             let (mut sim, db) = setup(layout);
             let before = sim.now_cycles();
-            sim.serial(&mut (), |w, _| {
+            sim.try_serial(&mut (), |w, _| {
                 let li = db.table("lineitem");
                 for row in 0..li.nrows() {
                     li.charge(w, "l_shipdate", row);
                 }
-            });
+            }).unwrap();
             sim.now_cycles() - before
         };
         let row = cost(Layout::Row);
@@ -309,7 +310,7 @@ mod tests {
     #[should_panic(expected = "unknown column")]
     fn unknown_column_panics() {
         let (mut sim, db) = setup(Layout::Column);
-        sim.serial(&mut (), |w, _| db.table("orders").charge(w, "nope", 0));
+        sim.try_serial(&mut (), |w, _| db.table("orders").charge(w, "nope", 0)).unwrap();
     }
 
     #[test]

@@ -106,8 +106,8 @@ pub(crate) mod test_support {
                 .with_autonuma(false)
                 .with_thp(false),
         );
-        let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim);
-        sim.serial(&mut heap, f);
+        let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim).unwrap();
+        sim.try_serial(&mut heap, f).unwrap();
     }
 }
 

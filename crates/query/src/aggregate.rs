@@ -10,7 +10,7 @@
 
 use crate::hash_table::HashTable;
 use crate::runner::{try_load_tuples, WorkloadEnv};
-use nqp_datagen::{generate, Dataset, Record};
+use nqp_datagen::{Dataset, Record};
 use nqp_sim::{Counters, NumaSim, SimResult};
 use nqp_storage::{Chain, SimHeap};
 
@@ -94,31 +94,9 @@ pub struct AggOutcome {
 /// Cost charged per comparison while sorting a group's values (median).
 const SORT_CMP_CYCLES: u64 = 3;
 
-/// Run W1/W2 under `env`.
-pub fn run_aggregation(env: &WorkloadEnv, cfg: &AggConfig) -> AggOutcome {
-    let records = generate(cfg.dataset, cfg.n, cfg.cardinality, cfg.seed);
-    run_aggregation_on(env, cfg, &records)
-}
-
-/// Like [`run_aggregation`] but over caller-supplied records (used by
-/// benches that pre-generate inputs once).
-pub fn run_aggregation_on(
-    env: &WorkloadEnv,
-    cfg: &AggConfig,
-    records: &[Record],
-) -> AggOutcome {
-    try_run_aggregation_on(env, cfg, records)
-        .unwrap_or_else(|e| panic!("aggregation hit a simulation fault: {e}"))
-}
-
-/// Fallible W1/W2: returns the fault (OOM under a strict `Bind`, an
-/// injected allocation failure, a budget timeout) instead of panicking.
-pub fn try_run_aggregation(env: &WorkloadEnv, cfg: &AggConfig) -> SimResult<AggOutcome> {
-    let records = generate(cfg.dataset, cfg.n, cfg.cardinality, cfg.seed);
-    try_run_aggregation_on(env, cfg, &records)
-}
-
-/// Fallible form of [`run_aggregation_on`].
+/// Run W1/W2 under `env` over caller-supplied records: returns the
+/// fault (OOM under a strict `Bind`, an injected allocation failure, a
+/// budget timeout, a passed deadline) as a typed error.
 pub fn try_run_aggregation_on(
     env: &WorkloadEnv,
     cfg: &AggConfig,
@@ -128,7 +106,7 @@ pub fn try_run_aggregation_on(
         return crate::vector::try_run_aggregation_vec(env, cfg, records);
     }
     let mut sim = NumaSim::new(env.sim.clone());
-    let heap = SimHeap::new(env.allocator, &mut sim);
+    let heap = SimHeap::new(env.allocator, &mut sim)?;
     let table = HashTable::new(&mut sim, cfg.cardinality * 2);
 
     sim.phase_begin("load");
@@ -262,6 +240,7 @@ pub fn reference_checksum(records: &[Record], kind: AggKind) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nqp_datagen::generate;
     use nqp_topology::machines;
 
     fn env() -> WorkloadEnv {
@@ -273,7 +252,7 @@ mod tests {
         let cfg = AggConfig::w2(5_000, 100, 3);
         let records = generate(cfg.dataset, cfg.n, cfg.cardinality, cfg.seed);
         let (expect, expect_groups) = reference_checksum(&records, cfg.kind);
-        let out = run_aggregation(&env(), &cfg);
+        let out = try_run_aggregation_on(&env(), &cfg, &records).unwrap();
         assert_eq!(out.groups, expect_groups);
         assert_eq!(out.checksum, expect);
         assert!(out.exec_cycles > 0);
@@ -284,7 +263,7 @@ mod tests {
         let cfg = AggConfig::w1(3_000, 50, 4);
         let records = generate(cfg.dataset, cfg.n, cfg.cardinality, cfg.seed);
         let (expect, expect_groups) = reference_checksum(&records, cfg.kind);
-        let out = run_aggregation(&env(), &cfg);
+        let out = try_run_aggregation_on(&env(), &cfg, &records).unwrap();
         assert_eq!(out.groups, expect_groups);
         assert_eq!(out.checksum, expect);
     }
@@ -294,24 +273,27 @@ mod tests {
         // The defining difference the paper leans on: W1 is
         // allocation-heavy (chains), W2 is not.
         let records = generate(Dataset::Uniform, 4_000, 64, 5);
-        let w1 = run_aggregation_on(
+        let w1 = try_run_aggregation_on(
             &env(),
             &AggConfig { kind: AggKind::HolisticMedian, ..AggConfig::w1(4_000, 64, 5) },
             &records,
-        );
-        let w2 = run_aggregation_on(
+        )
+        .unwrap();
+        let w2 = try_run_aggregation_on(
             &env(),
             &AggConfig { kind: AggKind::DistributiveCount, ..AggConfig::w2(4_000, 64, 5) },
             &records,
-        );
+        )
+        .unwrap();
         assert!(w1.exec_cycles > w2.exec_cycles);
     }
 
     #[test]
     fn deterministic_across_runs() {
         let cfg = AggConfig::w2(2_000, 32, 9);
-        let a = run_aggregation(&env(), &cfg);
-        let b = run_aggregation(&env(), &cfg);
+        let records = generate(cfg.dataset, cfg.n, cfg.cardinality, cfg.seed);
+        let a = try_run_aggregation_on(&env(), &cfg, &records).unwrap();
+        let b = try_run_aggregation_on(&env(), &cfg, &records).unwrap();
         assert_eq!(a.exec_cycles, b.exec_cycles);
         assert_eq!(a.checksum, b.checksum);
     }

@@ -12,24 +12,6 @@ use nqp_datagen::JoinDataset;
 use nqp_sim::{Counters, NumaSim, SimError, SimResult};
 use nqp_storage::{SimHeap, TupleArray};
 
-/// Parameters of one hash-join run.
-#[derive(Debug, Clone)]
-pub struct JoinConfig {
-    /// Build-relation size; probe side is `ratio` times larger.
-    pub r_size: usize,
-    /// `|S| / |R|`; the paper uses 16.
-    pub ratio: usize,
-    /// Data seed.
-    pub seed: u64,
-}
-
-impl JoinConfig {
-    /// The paper's shape at a chosen scale.
-    pub fn scaled(r_size: usize, seed: u64) -> Self {
-        JoinConfig { r_size, ratio: JoinDataset::RATIO, seed }
-    }
-}
-
 /// Result of one hash-join run.
 #[derive(Debug, Clone)]
 pub struct JoinOutcome {
@@ -49,32 +31,15 @@ pub struct JoinOutcome {
     pub trace: Option<nqp_sim::TraceLog>,
 }
 
-/// Run W3 under `env`.
-pub fn run_hash_join(env: &WorkloadEnv, cfg: &JoinConfig) -> JoinOutcome {
-    let data = JoinDataset::generate_with_ratio(cfg.r_size, cfg.ratio, cfg.seed);
-    run_hash_join_on(env, &data)
-}
-
-/// Like [`run_hash_join`] but over a pre-generated dataset.
-pub fn run_hash_join_on(env: &WorkloadEnv, data: &JoinDataset) -> JoinOutcome {
-    try_run_hash_join_on(env, data)
-        .unwrap_or_else(|e| panic!("hash join hit a simulation fault: {e}"))
-}
-
-/// Fallible W3: returns the fault (OOM under a strict `Bind`, an
-/// injected allocation failure, a budget timeout) instead of panicking.
-pub fn try_run_hash_join(env: &WorkloadEnv, cfg: &JoinConfig) -> SimResult<JoinOutcome> {
-    let data = JoinDataset::generate_with_ratio(cfg.r_size, cfg.ratio, cfg.seed);
-    try_run_hash_join_on(env, &data)
-}
-
-/// Fallible form of [`run_hash_join_on`].
+/// Run W3 under `env` over a pre-generated dataset: returns the fault (OOM
+/// under a strict `Bind`, an injected allocation failure, a budget
+/// timeout, a passed deadline) as a typed error.
 pub fn try_run_hash_join_on(env: &WorkloadEnv, data: &JoinDataset) -> SimResult<JoinOutcome> {
     if env.engine == crate::runner::EngineKind::Vectorized {
         return crate::vector::try_run_hash_join_vec(env, data);
     }
     let mut sim = NumaSim::new(env.sim.clone());
-    let heap = SimHeap::new(env.allocator, &mut sim);
+    let heap = SimHeap::new(env.allocator, &mut sim)?;
     let table = HashTable::new(&mut sim, (data.r.len() as u64) * 2);
     let threads = env.threads;
 
@@ -195,7 +160,7 @@ mod tests {
     fn join_matches_reference() {
         let data = JoinDataset::generate(500, 7);
         let (expect_matches, expect_checksum) = reference_join(&data);
-        let out = run_hash_join_on(&env(), &data);
+        let out = try_run_hash_join_on(&env(), &data).unwrap();
         assert_eq!(out.matches, expect_matches);
         assert_eq!(out.matches, 500 * 16);
         assert_eq!(out.checksum, expect_checksum);
@@ -203,7 +168,8 @@ mod tests {
 
     #[test]
     fn probe_dominates_build_at_ratio_16() {
-        let out = run_hash_join(&env(), &JoinConfig::scaled(400, 1));
+        let data = JoinDataset::generate(400, 1);
+        let out = try_run_hash_join_on(&env(), &data).unwrap();
         assert!(
             out.probe_cycles > out.build_cycles,
             "probe={} build={}",
@@ -214,9 +180,9 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let cfg = JoinConfig::scaled(200, 3);
-        let a = run_hash_join(&env(), &cfg);
-        let b = run_hash_join(&env(), &cfg);
+        let data = JoinDataset::generate(200, 3);
+        let a = try_run_hash_join_on(&env(), &data).unwrap();
+        let b = try_run_hash_join_on(&env(), &data).unwrap();
         assert_eq!(a.build_cycles, b.build_cycles);
         assert_eq!(a.probe_cycles, b.probe_cycles);
         assert_eq!(a.checksum, b.checksum);

@@ -190,7 +190,7 @@ mod tests {
                 .with_autonuma(false)
                 .with_thp(false),
         );
-        let heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim);
+        let heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim).unwrap();
         (sim, heap)
     }
 
@@ -199,7 +199,7 @@ mod tests {
         let (mut sim, heap) = setup();
         let table = HashTable::new(&mut sim, 64);
         let mut state = (table, heap);
-        sim.serial(&mut state, |w, (table, heap)| {
+        sim.try_serial(&mut state, |w, (table, heap)| {
             table.init(w);
             for k in 0..200u64 {
                 table.upsert(w, heap, k, k * 10, |_, _| panic!("fresh key"));
@@ -208,7 +208,7 @@ mod tests {
                 assert_eq!(table.get(w, k), Some(k * 10));
             }
             assert_eq!(table.get(w, 999), None);
-        });
+        }).unwrap();
     }
 
     #[test]
@@ -216,7 +216,7 @@ mod tests {
         let (mut sim, heap) = setup();
         let table = HashTable::new(&mut sim, 64);
         let mut state = (table, heap);
-        sim.serial(&mut state, |w, (table, heap)| {
+        sim.try_serial(&mut state, |w, (table, heap)| {
             table.init(w);
             table.upsert(w, heap, 5, 1, |_, _| unreachable!());
             table.upsert(w, heap, 5, 0, |w, e| {
@@ -224,7 +224,7 @@ mod tests {
                 w.write_u64(e + 8, v + 1);
             });
             assert_eq!(table.get(w, 5), Some(2));
-        });
+        }).unwrap();
     }
 
     #[test]
@@ -233,7 +233,7 @@ mod tests {
         // 16 buckets, 500 keys: heavy chaining.
         let table = HashTable::new(&mut sim, 16);
         let mut state = (table, heap);
-        sim.serial(&mut state, |w, (table, heap)| {
+        sim.try_serial(&mut state, |w, (table, heap)| {
             table.init(w);
             for k in 0..500u64 {
                 table.upsert(w, heap, k, !k, |_, _| unreachable!());
@@ -241,7 +241,7 @@ mod tests {
             for k in 0..500u64 {
                 assert_eq!(table.get(w, k), Some(!k), "key {k}");
             }
-        });
+        }).unwrap();
     }
 
     #[test]
@@ -249,13 +249,13 @@ mod tests {
         let (mut sim, heap) = setup();
         let table = HashTable::new(&mut sim, 64);
         let mut state = (table, heap, Vec::new());
-        sim.serial(&mut state, |w, (table, heap, seen)| {
+        sim.try_serial(&mut state, |w, (table, heap, seen)| {
             table.init(w);
             for k in 0..300u64 {
                 table.upsert(w, heap, k, 0, |_, _| unreachable!());
             }
             table.for_each_in_buckets(w, 0..table.nbuckets(), |_, key, _| seen.push(key));
-        });
+        }).unwrap();
         let mut seen = state.2;
         seen.sort_unstable();
         assert_eq!(seen, (0..300u64).collect::<Vec<_>>());
@@ -282,19 +282,19 @@ mod tests {
         let (mut sim, heap) = setup();
         let table = HashTable::new(&mut sim, 256);
         let mut state = (table, heap);
-        sim.serial(&mut state, |w, (table, _)| table.init(w));
-        sim.parallel(8, &mut state, |w, (table, heap)| {
+        sim.try_serial(&mut state, |w, (table, _)| table.init(w)).unwrap();
+        sim.try_parallel(8, &mut state, |w, (table, heap)| {
             let tid = w.tid() as u64;
             for i in 0..50u64 {
                 table.upsert(w, heap, tid * 1000 + i, tid, |_, _| unreachable!());
             }
-        });
-        sim.serial(&mut state, |w, (table, _)| {
+        }).unwrap();
+        sim.try_serial(&mut state, |w, (table, _)| {
             for tid in 0..8u64 {
                 for i in 0..50u64 {
                     assert_eq!(table.get(w, tid * 1000 + i), Some(tid));
                 }
             }
-        });
+        }).unwrap();
     }
 }

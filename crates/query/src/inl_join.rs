@@ -13,19 +13,6 @@ use nqp_indexes::{build_index, IndexKind};
 use nqp_sim::{Counters, NumaSim, SimError, SimResult};
 use nqp_storage::{SimHeap, TupleArray};
 
-/// Parameters of one index-nested-loop-join run.
-#[derive(Debug, Clone)]
-pub struct InlConfig {
-    /// Which index accelerates the lookups.
-    pub index: IndexKind,
-    /// Build-relation size; probe side is `ratio` times larger.
-    pub r_size: usize,
-    /// `|S| / |R|`; the paper uses 16.
-    pub ratio: usize,
-    /// Data seed.
-    pub seed: u64,
-}
-
 /// Result of one W4 run.
 #[derive(Debug, Clone)]
 pub struct InlOutcome {
@@ -43,26 +30,9 @@ pub struct InlOutcome {
     pub trace: Option<nqp_sim::TraceLog>,
 }
 
-/// Run W4 under `env`.
-pub fn run_inl_join(env: &WorkloadEnv, cfg: &InlConfig) -> InlOutcome {
-    let data = JoinDataset::generate_with_ratio(cfg.r_size, cfg.ratio, cfg.seed);
-    run_inl_join_on(env, cfg.index, &data)
-}
-
-/// Like [`run_inl_join`] but over a pre-generated dataset.
-pub fn run_inl_join_on(env: &WorkloadEnv, kind: IndexKind, data: &JoinDataset) -> InlOutcome {
-    try_run_inl_join_on(env, kind, data)
-        .unwrap_or_else(|e| panic!("index join hit a simulation fault: {e}"))
-}
-
-/// Fallible W4: returns the fault (OOM under a strict `Bind`, an
-/// injected allocation failure, a budget timeout) instead of panicking.
-pub fn try_run_inl_join(env: &WorkloadEnv, cfg: &InlConfig) -> SimResult<InlOutcome> {
-    let data = JoinDataset::generate_with_ratio(cfg.r_size, cfg.ratio, cfg.seed);
-    try_run_inl_join_on(env, cfg.index, &data)
-}
-
-/// Fallible form of [`run_inl_join_on`].
+/// Run W4 under `env` over a pre-generated dataset with index `kind`:
+/// returns the fault (OOM under a strict `Bind`, an injected allocation
+/// failure, a budget timeout, a passed deadline) as a typed error.
 pub fn try_run_inl_join_on(
     env: &WorkloadEnv,
     kind: IndexKind,
@@ -72,7 +42,7 @@ pub fn try_run_inl_join_on(
         return crate::vector::try_run_inl_join_vec(env, kind, data);
     }
     let mut sim = NumaSim::new(env.sim.clone());
-    let heap = SimHeap::new(env.allocator, &mut sim);
+    let heap = SimHeap::new(env.allocator, &mut sim)?;
     let threads = env.threads;
 
     // Load the probe relation partition-parallel (build side feeds the
@@ -162,7 +132,7 @@ mod tests {
         let data = JoinDataset::generate(300, 11);
         let (expect_matches, expect_checksum) = reference_join(&data);
         for kind in IndexKind::ALL {
-            let out = run_inl_join_on(&env(), kind, &data);
+            let out = try_run_inl_join_on(&env(), kind, &data).unwrap();
             assert_eq!(out.matches, expect_matches, "{kind:?}");
             assert_eq!(out.checksum, expect_checksum, "{kind:?}");
             assert!(out.build_cycles > 0 && out.join_cycles > 0, "{kind:?}");
@@ -174,7 +144,7 @@ mod tests {
         // Figure 7e: ART and B+tree are the two fastest indexes; the
         // skip list's long pointer chains make it the slowest prober.
         let data = JoinDataset::generate(2_000, 13);
-        let run = |k| run_inl_join_on(&env(), k, &data).join_cycles;
+        let run = |k| try_run_inl_join_on(&env(), k, &data).unwrap().join_cycles;
         let (art, btree, skip) = (
             run(IndexKind::Art),
             run(IndexKind::BPlusTree),
@@ -186,9 +156,9 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let cfg = InlConfig { index: IndexKind::BPlusTree, r_size: 150, ratio: 8, seed: 5 };
-        let a = run_inl_join(&env(), &cfg);
-        let b = run_inl_join(&env(), &cfg);
+        let data = JoinDataset::generate_with_ratio(150, 8, 5);
+        let a = try_run_inl_join_on(&env(), IndexKind::BPlusTree, &data).unwrap();
+        let b = try_run_inl_join_on(&env(), IndexKind::BPlusTree, &data).unwrap();
         assert_eq!(a.join_cycles, b.join_cycles);
         assert_eq!(a.checksum, b.checksum);
     }

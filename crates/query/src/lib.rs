@@ -11,13 +11,23 @@
 //!   pre-built in-memory index (ART / Masstree / B+tree / Skip List).
 //!
 //! Plus one workload the paper does not have: the **phase-shift** run
-//! ([`run_phase_shift`]), a build-heavy→probe-heavy sequence designed
+//! ([`try_run_phase_shift`]), a build-heavy→probe-heavy sequence designed
 //! so that no single static placement wins — the benchmark for the
 //! online advisor in `nqp-advisor`.
 //!
 //! Each workload is a function of a [`WorkloadEnv`] (machine + OS knobs +
-//! allocator + thread count) and returns cycle counts plus a checksum
-//! that tests verify against a host-side reference.
+//! allocator + thread count + engine) over pre-generated inputs and
+//! returns cycle counts plus a checksum that tests verify against a
+//! host-side reference.
+//!
+//! Every workload has exactly one entry point, and it is fallible:
+//! [`try_run_aggregation_on`], [`try_run_hash_join_on`],
+//! [`try_run_inl_join_on`] and [`try_run_phase_shift`] return the
+//! simulator's [`nqp_sim::SimError`] (OOM under a strict `Bind`, an
+//! injected fault, a blown trial budget, a passed deadline) instead of
+//! panicking, so a sweep records a failed configuration as a trial
+//! outcome. [`WorkloadEnv::engine`] picks the tuple-at-a-time or the
+//! vectorized operators behind the same entry point.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -30,20 +40,11 @@ mod runner;
 mod vector;
 
 pub use aggregate::{
-    reference_checksum, run_aggregation, run_aggregation_on, try_run_aggregation,
-    try_run_aggregation_on, AggConfig, AggKind, AggOutcome,
+    reference_checksum, try_run_aggregation_on, AggConfig, AggKind, AggOutcome,
 };
-pub use hash_join::{
-    reference_join, run_hash_join, run_hash_join_on, try_run_hash_join, try_run_hash_join_on,
-    JoinConfig, JoinOutcome,
-};
+pub use hash_join::{reference_join, try_run_hash_join_on, JoinOutcome};
 pub use hash_table::HashTable;
-pub use phase_shift::{
-    run_phase_shift, try_run_phase_shift, PhaseShiftConfig, PhaseShiftOutcome,
-};
-pub use inl_join::{run_inl_join, run_inl_join_on, try_run_inl_join, try_run_inl_join_on, InlConfig, InlOutcome};
-pub use runner::{load_tuples, try_load_tuples, EngineKind, WorkloadEnv};
-pub use vector::{
-    try_load_columns, try_run_aggregation_vec, try_run_hash_join_vec,
-    try_run_inl_join_vec, Batch,
-};
+pub use inl_join::{try_run_inl_join_on, InlOutcome};
+pub use phase_shift::{try_run_phase_shift, PhaseShiftConfig, PhaseShiftOutcome};
+pub use runner::{try_load_tuples, EngineKind, WorkloadEnv};
+pub use vector::Batch;

@@ -97,14 +97,8 @@ fn mix(acc: u64, key: u64, val: u64) -> u64 {
     acc ^ key.wrapping_mul(0x100_0001b3).wrapping_add(val)
 }
 
-/// Run the phase-shift workload under `env`, panicking on faults.
-pub fn run_phase_shift(env: &WorkloadEnv, cfg: &PhaseShiftConfig) -> PhaseShiftOutcome {
-    try_run_phase_shift(env, cfg)
-        .unwrap_or_else(|e| panic!("phase-shift hit a simulation fault: {e}"))
-}
-
-/// Fallible phase-shift run: surfaces OOM, injected faults, and budget
-/// timeouts so the experiment harness can retry or record the failure.
+/// Run the phase-shift workload under `env`: surfaces OOM, injected
+/// faults, and budget timeouts so the experiment harness can retry or record the failure.
 pub fn try_run_phase_shift(
     env: &WorkloadEnv,
     cfg: &PhaseShiftConfig,
@@ -248,10 +242,10 @@ mod tests {
     #[test]
     fn checksum_is_placement_independent_and_deterministic() {
         let cfg = PhaseShiftConfig { probe_rounds: 2, build_rounds: 2, ..PhaseShiftConfig::small(7) };
-        let a = run_phase_shift(&env(MemPolicy::FirstTouch), &cfg);
-        let b = run_phase_shift(&env(MemPolicy::Interleave), &cfg);
+        let a = try_run_phase_shift(&env(MemPolicy::FirstTouch), &cfg).unwrap();
+        let b = try_run_phase_shift(&env(MemPolicy::Interleave), &cfg).unwrap();
         assert_eq!(a.checksum, b.checksum, "answers must not depend on placement");
-        let c = run_phase_shift(&env(MemPolicy::FirstTouch), &cfg);
+        let c = try_run_phase_shift(&env(MemPolicy::FirstTouch), &cfg).unwrap();
         assert_eq!(a.exec_cycles, c.exec_cycles, "cycle counts are deterministic");
         assert_eq!(a.regions.len(), cfg.build_rounds + cfg.probe_rounds);
     }
@@ -268,7 +262,7 @@ mod tests {
         let run = |shards: usize| {
             let mut e = env(MemPolicy::FirstTouch);
             e.sim = e.sim.with_shards(shards);
-            run_phase_shift(&e, &cfg)
+            try_run_phase_shift(&e, &cfg).unwrap()
         };
         let serial = run(1);
         for shards in [2, 4] {
@@ -284,8 +278,8 @@ mod tests {
         // The defining property: build rounds like FirstTouch, probe
         // rounds like Interleave — so no static choice wins both.
         let cfg = PhaseShiftConfig { build_rounds: 3, probe_rounds: 3, ..PhaseShiftConfig::small(3) };
-        let ft = run_phase_shift(&env(MemPolicy::FirstTouch), &cfg);
-        let il = run_phase_shift(&env(MemPolicy::Interleave), &cfg);
+        let ft = try_run_phase_shift(&env(MemPolicy::FirstTouch), &cfg).unwrap();
+        let il = try_run_phase_shift(&env(MemPolicy::Interleave), &cfg).unwrap();
         let build = |o: &PhaseShiftOutcome| -> u64 {
             o.regions[..cfg.build_rounds].iter().map(|r| r.elapsed_cycles).sum()
         };

@@ -109,16 +109,10 @@ impl WorkloadEnv {
 /// partition-per-thread pass, the way a parallel loader would — each
 /// thread first-touches its own partition.
 ///
-/// Returns the array; the load happens in its own region so callers can
-/// separate load time from query time.
-pub fn load_tuples(sim: &mut NumaSim, records: &[Record], threads: usize) -> TupleArray {
-    try_load_tuples(sim, records, threads)
-        .unwrap_or_else(|e| panic!("tuple load hit a simulation fault: {e}"))
-}
-
-/// Fallible form of [`load_tuples`]: surfaces capacity exhaustion,
-/// injected faults, and budget timeouts instead of panicking, so the
-/// experiment harness can retry or record the trial as failed.
+/// The load happens in its own regions so callers can separate load time
+/// from query time. Capacity exhaustion, injected faults, and budget
+/// timeouts come back typed, so the experiment harness can retry or
+/// record the trial as failed.
 pub fn try_load_tuples(
     sim: &mut NumaSim,
     records: &[Record],
@@ -161,12 +155,12 @@ mod tests {
         let env = WorkloadEnv::tuned(machines::machine_b()).with_threads(4);
         let mut sim = NumaSim::new(env.sim.clone());
         let records = nqp_datagen::generate(Dataset::Uniform, 1_000, 64, 3);
-        let arr = load_tuples(&mut sim, &records, env.threads);
+        let arr = try_load_tuples(&mut sim, &records, env.threads).unwrap();
         let mut state = (arr, records);
-        sim.serial(&mut state, |w, (arr, records)| {
+        sim.try_serial(&mut state, |w, (arr, records)| {
             for (i, r) in records.iter().enumerate() {
                 assert_eq!(arr.read(w, i), (r.key, r.val));
             }
-        });
+        }).unwrap();
     }
 }

@@ -77,7 +77,7 @@ impl Batch {
 /// Load records into a [`ColumnTable`] with the same partition-parallel,
 /// shardable first-touch pass as the tuple loader — each thread bulk-
 /// writes its own contiguous slice of both columns.
-pub fn try_load_columns(
+fn try_load_columns(
     sim: &mut NumaSim,
     records: &[Record],
     threads: usize,
@@ -133,13 +133,13 @@ fn try_load_join_columns(
 /// never touch its pages. W1 (MEDIAN) anchors the same per-group value
 /// [`Chain`]s as the tuple path at `slot[key]`, so it keeps the
 /// one-allocation-per-record property the paper's Figure 6 leans on.
-pub fn try_run_aggregation_vec(
+pub(crate) fn try_run_aggregation_vec(
     env: &WorkloadEnv,
     cfg: &AggConfig,
     records: &[Record],
 ) -> SimResult<AggOutcome> {
     let mut sim = NumaSim::new(env.sim.clone());
-    let mut heap = SimHeap::new(env.allocator, &mut sim);
+    let mut heap = SimHeap::new(env.allocator, &mut sim)?;
     let threads = env.threads;
     let nslots = cfg.cardinality.max(1) as usize;
 
@@ -275,7 +275,10 @@ pub fn try_run_aggregation_vec(
 /// tag and the payload — and the probe becomes gather + selection-vector
 /// filter + late payload gather (the probe-side payload column is only
 /// read for batches that have at least one match).
-pub fn try_run_hash_join_vec(env: &WorkloadEnv, data: &JoinDataset) -> SimResult<JoinOutcome> {
+pub(crate) fn try_run_hash_join_vec(
+    env: &WorkloadEnv,
+    data: &JoinDataset,
+) -> SimResult<JoinOutcome> {
     let mut sim = NumaSim::new(env.sim.clone());
     let threads = env.threads;
     // Perfect-hash domain: dense build keys make max+1 slots exact.
@@ -382,13 +385,13 @@ pub fn try_run_hash_join_vec(env: &WorkloadEnv, data: &JoinDataset) -> SimResult
 /// (the index *is* the workload axis, so both engines share it); the
 /// lookup outcome is the filter, and the probe-side payload column is
 /// gathered late, only for batches with at least one hit.
-pub fn try_run_inl_join_vec(
+pub(crate) fn try_run_inl_join_vec(
     env: &WorkloadEnv,
     kind: IndexKind,
     data: &JoinDataset,
 ) -> SimResult<InlOutcome> {
     let mut sim = NumaSim::new(env.sim.clone());
-    let heap = SimHeap::new(env.allocator, &mut sim);
+    let heap = SimHeap::new(env.allocator, &mut sim)?;
     let threads = env.threads;
 
     sim.phase_begin("load");
@@ -479,7 +482,7 @@ mod tests {
         let cfg = AggConfig::w2(5_000, 100, 3);
         let records = generate(cfg.dataset, cfg.n, cfg.cardinality, cfg.seed);
         let (expect, expect_groups) = reference_checksum(&records, cfg.kind);
-        let out = crate::run_aggregation(&env(), &cfg);
+        let out = crate::try_run_aggregation_on(&env(), &cfg, &records).unwrap();
         assert_eq!(out.groups, expect_groups);
         assert_eq!(out.checksum, expect);
         assert!(out.exec_cycles > 0);
@@ -490,7 +493,7 @@ mod tests {
         let cfg = AggConfig::w1(3_000, 50, 4);
         let records = generate(cfg.dataset, cfg.n, cfg.cardinality, cfg.seed);
         let (expect, expect_groups) = reference_checksum(&records, cfg.kind);
-        let out = crate::run_aggregation(&env(), &cfg);
+        let out = crate::try_run_aggregation_on(&env(), &cfg, &records).unwrap();
         assert_eq!(out.groups, expect_groups);
         assert_eq!(out.checksum, expect);
     }
@@ -499,7 +502,7 @@ mod tests {
     fn vec_w3_matches_reference() {
         let data = JoinDataset::generate(500, 7);
         let (expect_matches, expect_checksum) = reference_join(&data);
-        let out = crate::run_hash_join_on(&env(), &data);
+        let out = crate::try_run_hash_join_on(&env(), &data).unwrap();
         assert_eq!(out.matches, expect_matches);
         assert_eq!(out.checksum, expect_checksum);
     }
@@ -509,7 +512,7 @@ mod tests {
         let data = JoinDataset::generate(300, 11);
         let (expect_matches, expect_checksum) = reference_join(&data);
         for kind in IndexKind::ALL {
-            let out = crate::run_inl_join_on(&env(), kind, &data);
+            let out = crate::try_run_inl_join_on(&env(), kind, &data).unwrap();
             assert_eq!(out.matches, expect_matches, "{kind:?}");
             assert_eq!(out.checksum, expect_checksum, "{kind:?}");
         }

@@ -268,26 +268,14 @@ impl NumaSim {
     /// mutable state (a global hash table, an allocator) that real threads
     /// would synchronise on.
     ///
-    /// Infallible wrapper for workloads that run on a healthy machine:
-    /// panics if the region faults (OOM under `Bind`, an injected fault,
-    /// a blown cycle budget, or an invalid mapping). Fault-aware callers
-    /// use [`NumaSim::try_parallel`].
-    pub fn parallel<S, F>(&mut self, threads: usize, shared: &mut S, f: F) -> RegionStats
-    where
-        F: FnMut(&mut Worker<'_>, &mut S),
-    {
-        self.try_parallel(threads, shared, f)
-            .unwrap_or_else(|e| panic!("simulation fault in infallible region: {e}"))
-    }
-
-    /// Fallible variant of [`NumaSim::parallel`].
-    ///
     /// Workers do not unwind on failure: the first fault *poisons* the
     /// worker — every subsequent operation on it becomes a cheap no-op, so
     /// the workload closure runs to completion structurally (fast-forward)
     /// — and the region reports the lowest-tid fault here instead of
     /// resolving stats. A failed region charges no elapsed time and no
-    /// counters; the experiment runner decides whether to retry.
+    /// counters; the experiment runner decides whether to retry. Faults
+    /// are an OOM under `Bind`, an injected fault, a blown cycle budget,
+    /// a passed deadline, or an invalid mapping.
     pub fn try_parallel<S, F>(
         &mut self,
         threads: usize,
@@ -542,23 +530,6 @@ impl NumaSim {
         Ok((stats, returns))
     }
 
-    /// Infallible wrapper over [`NumaSim::try_parallel_sharded`]; panics
-    /// if the region faults.
-    pub fn parallel_sharded<S, R, F>(
-        &mut self,
-        threads: usize,
-        shared: &S,
-        f: F,
-    ) -> (RegionStats, Vec<R>)
-    where
-        S: Sync + ?Sized,
-        R: Send,
-        F: Fn(&mut Worker<'_>, &S) -> R + Sync,
-    {
-        self.try_parallel_sharded(threads, shared, f)
-            .unwrap_or_else(|e| panic!("simulation fault in infallible region: {e}"))
-    }
-
     /// Region fault precedence, shared by the serial and sharded paths.
     ///
     /// A blown trial budget dominates every other fault. A poisoned
@@ -729,16 +700,8 @@ impl NumaSim {
         })
     }
 
-    /// Run a single logical thread (setup phases, coordinators).
-    /// Infallible wrapper over [`NumaSim::try_serial`]; panics on fault.
-    pub fn serial<S, F>(&mut self, shared: &mut S, f: F) -> RegionStats
-    where
-        F: FnMut(&mut Worker<'_>, &mut S),
-    {
-        self.parallel(1, shared, f)
-    }
-
-    /// Fallible variant of [`NumaSim::serial`].
+    /// Run a single logical thread (setup phases, coordinators): a
+    /// one-thread [`NumaSim::try_parallel`] region.
     pub fn try_serial<S, F>(&mut self, shared: &mut S, f: F) -> SimResult<RegionStats>
     where
         F: FnMut(&mut Worker<'_>, &mut S),
@@ -2712,13 +2675,13 @@ mod tests {
     fn deterministic_across_identical_runs() {
         let run = || {
             let mut sim = NumaSim::new(SimConfig::os_default(machines::machine_a()));
-            let stats = sim.parallel(4, &mut (), |w, _| {
+            let stats = sim.try_parallel(4, &mut (), |w, _| {
                 let a = w.map_pages(1 << 16);
                 for i in 0..256 {
                     w.write_u64(a + i * 64, i);
                 }
                 w.compute(1000);
-            });
+            }).unwrap();
             (stats.elapsed_cycles, sim.counters())
         };
         assert_eq!(run(), run());
@@ -2728,11 +2691,11 @@ mod tests {
     fn first_touch_places_pages_on_toucher() {
         let mut sim = NumaSim::new(quiet_cfg(machines::machine_b()));
         let mut addrs = Vec::new();
-        sim.parallel(4, &mut addrs, |w, addrs| {
+        sim.try_parallel(4, &mut addrs, |w, addrs| {
             let a = w.map_pages(SMALL_PAGE);
             w.write_u64(a, w.tid() as u64);
             addrs.push((w.tid(), a, w.node()));
-        });
+        }).unwrap();
         for (_, addr, node) in addrs {
             assert_eq!(sim.node_of(addr), Some(node));
         }
@@ -2743,12 +2706,12 @@ mod tests {
         let cfg = quiet_cfg(machines::machine_b()).with_policy(MemPolicy::Interleave);
         let mut sim = NumaSim::new(cfg);
         let mut addr = 0;
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             *addr = w.map_pages(SMALL_PAGE * 8);
             for p in 0..8 {
                 w.write_u64(*addr + p * SMALL_PAGE, p);
             }
-        });
+        }).unwrap();
         let nodes: Vec<_> = (0..8)
             .map(|p| sim.node_of(addr + p * SMALL_PAGE).unwrap())
             .collect();
@@ -2762,16 +2725,16 @@ mod tests {
     fn repeated_access_hits_cache() {
         let mut sim = NumaSim::new(quiet_cfg(machines::machine_b()));
         let mut addr = 0;
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             *addr = w.map_pages(SMALL_PAGE);
             w.write_u64(*addr, 1);
-        });
+        }).unwrap();
         let before = sim.counters();
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             for _ in 0..100 {
                 w.read_u64(*addr);
             }
-        });
+        }).unwrap();
         let delta = sim.counters() - before;
         // Repeats are served by the L1 (or the LLC after a migration);
         // DRAM is never touched again.
@@ -2783,15 +2746,15 @@ mod tests {
     fn flush_caches_forces_misses() {
         let mut sim = NumaSim::new(quiet_cfg(machines::machine_b()));
         let mut addr = 0;
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             *addr = w.map_pages(SMALL_PAGE);
             w.write_u64(*addr, 1);
-        });
+        }).unwrap();
         sim.flush_caches();
         let before = sim.counters().cache_misses;
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             w.read_u64(*addr);
-        });
+        }).unwrap();
         assert_eq!(sim.counters().cache_misses - before, 1);
     }
 
@@ -2799,18 +2762,18 @@ mod tests {
     fn byte_data_round_trips_through_workers() {
         let mut sim = NumaSim::new(quiet_cfg(machines::machine_b()));
         let mut addr = 0;
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             *addr = w.map_pages(SMALL_PAGE);
             w.write_u64(*addr + 16, 0xdead_beef);
             w.write_u32(*addr + 24, 7);
             w.write_u8(*addr + 28, 9);
-        });
-        sim.serial(&mut addr, |w, addr| {
+        }).unwrap();
+        sim.try_serial(&mut addr, |w, addr| {
             assert_eq!(w.read_u64(*addr + 16), 0xdead_beef);
             assert_eq!(w.read_u32(*addr + 24), 7);
             assert_eq!(w.read_u8(*addr + 28), 9);
             assert_eq!(w.read_u64(*addr), 0, "untouched memory reads zero");
-        });
+        }).unwrap();
     }
 
     #[test]
@@ -2821,14 +2784,14 @@ mod tests {
                 .with_autonuma(false)
                 .with_thp(false);
             let mut sim = NumaSim::new(cfg);
-            sim.parallel(8, &mut (), |w, _| {
+            sim.try_parallel(8, &mut (), |w, _| {
                 let a = w.map_pages(1 << 20);
                 for rep in 0..4u64 {
                     for i in 0..(1 << 14) {
                         w.write_u64(a + (i * 64) % (1 << 20), rep + i);
                     }
                 }
-            });
+            }).unwrap();
             sim.counters().thread_migrations
         };
         assert_eq!(long_run(ThreadPlacement::Sparse), 0);
@@ -2841,14 +2804,14 @@ mod tests {
         let mut sim = NumaSim::new(cfg);
         let mut addr = 0;
         // Thread on node 0 faults the pages...
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             *addr = w.map_pages(SMALL_PAGE * 16);
             for p in 0..16 {
                 w.write_u64(*addr + p * SMALL_PAGE, p);
             }
-        });
+        }).unwrap();
         // ...then threads on other nodes hammer them.
-        sim.parallel(4, &mut addr, |w, addr| {
+        sim.try_parallel(4, &mut addr, |w, addr| {
             if w.tid() == 1 {
                 for rep in 0..200u64 {
                     for p in 0..16 {
@@ -2856,7 +2819,7 @@ mod tests {
                     }
                 }
             }
-        });
+        }).unwrap();
         assert!(
             sim.counters().page_migrations > 0,
             "AutoNUMA never migrated a page"
@@ -2868,13 +2831,13 @@ mod tests {
         let run = |policy| {
             let cfg = quiet_cfg(machines::machine_a()).with_policy(policy);
             let mut sim = NumaSim::new(cfg);
-            let stats = sim.parallel(16, &mut (), |w, _| {
+            let stats = sim.try_parallel(16, &mut (), |w, _| {
                 let a = w.map_pages(1 << 22);
                 // Stream far beyond LLC to force DRAM traffic.
                 for i in 0..(1 << 16) {
                     w.write_u64(a + i * 64, i);
                 }
-            });
+            }).unwrap();
             stats
         };
         let pref = run(MemPolicy::Preferred(0));
@@ -2900,9 +2863,9 @@ mod tests {
         // per-thread time.
         let cfg = quiet_cfg(machines::machine_a());
         let mut sim = NumaSim::new(cfg);
-        let stats = sim.parallel(32, &mut (), |w, _| {
+        let stats = sim.try_parallel(32, &mut (), |w, _| {
             w.compute(100_000);
-        });
+        }).unwrap();
         assert!(stats.elapsed_cycles >= 200_000);
         assert_eq!(stats.max_thread_cycles, 100_000);
     }
@@ -2912,12 +2875,12 @@ mod tests {
         let cfg = quiet_cfg(machines::machine_b());
         let mut sim = NumaSim::new(cfg);
         let lock = sim.new_lock();
-        let stats = sim.parallel(8, &mut (), |w, _| {
+        let stats = sim.try_parallel(8, &mut (), |w, _| {
             for _ in 0..100 {
                 w.lock(lock, 500);
                 w.compute(100);
             }
-        });
+        }).unwrap();
         assert!(stats.counters.lock_wait_cycles > 0);
         assert!(stats.elapsed_cycles > stats.counters.lock_wait_cycles / 8);
     }
@@ -2927,7 +2890,7 @@ mod tests {
         let run = |thp: bool| {
             let cfg = quiet_cfg(machines::machine_a()).with_thp(thp);
             let mut sim = NumaSim::new(cfg);
-            sim.serial(&mut (), |w, _| {
+            sim.try_serial(&mut (), |w, _| {
                 let a = w.map_pages(64 << 20);
                 // Touch one line per page over 16k pages, twice: the second
                 // pass exceeds the 4k TLB (544 entries) but fits the 2M
@@ -2938,7 +2901,7 @@ mod tests {
                         w.read_u64(a + p * SMALL_PAGE);
                     }
                 }
-            });
+            }).unwrap();
             let c = sim.counters();
             (c.tlb_misses_4k, c.tlb_misses_2m)
         };
@@ -2963,16 +2926,16 @@ mod tests {
             .with_settled_scheduler(true);
         let mut sim = NumaSim::new(cfg);
         let mut addrs = vec![0u64; 4];
-        sim.parallel(4, &mut addrs, |w, addrs| {
+        sim.try_parallel(4, &mut addrs, |w, addrs| {
             let a = w.map_pages(SMALL_PAGE);
             w.write_u64(a, 1);
             addrs[w.tid()] = a;
-        });
+        }).unwrap();
         sim.flush_caches();
         let before = sim.counters();
-        sim.parallel(4, &mut addrs, |w, addrs| {
+        sim.try_parallel(4, &mut addrs, |w, addrs| {
             w.read_u64(addrs[w.tid()]);
-        });
+        }).unwrap();
         let delta = sim.counters() - before;
         assert_eq!(delta.remote_accesses, 0, "threads moved between regions");
         assert_eq!(delta.local_accesses, 4);
@@ -2982,14 +2945,14 @@ mod tests {
     fn dma_lines_add_demand_without_lar_noise() {
         let mut sim = NumaSim::new(quiet_cfg(machines::machine_b()));
         let mut addr = 0;
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             *addr = w.map_pages(SMALL_PAGE);
             w.write_u64(*addr, 1);
-        });
+        }).unwrap();
         let before = sim.counters();
-        let stats = sim.serial(&mut addr, |w, addr| {
+        let stats = sim.try_serial(&mut addr, |w, addr| {
             w.dma_lines(*addr, 16);
-        });
+        }).unwrap();
         let delta = sim.counters() - before;
         // Demand shows on the controller; LAR counters stay untouched.
         assert!(stats.controller_utilisation.iter().any(|&u| u > 0.0));
@@ -3002,9 +2965,9 @@ mod tests {
         let cfg = quiet_cfg(machines::machine_b());
         let mut sim = NumaSim::new(cfg);
         let mut addr = 0;
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             *addr = w.map_pages_shared(SMALL_PAGE * 4);
-        });
+        }).unwrap();
         let nodes: Vec<_> = (0..4)
             .map(|p| sim.node_of(addr + p * SMALL_PAGE).unwrap())
             .collect();
@@ -3014,7 +2977,7 @@ mod tests {
     #[test]
     fn region_stats_report_threads_and_bottleneck() {
         let mut sim = NumaSim::new(quiet_cfg(machines::machine_b()));
-        let stats = sim.parallel(3, &mut (), |w, _| w.compute(10));
+        let stats = sim.try_parallel(3, &mut (), |w, _| w.compute(10)).unwrap();
         assert_eq!(stats.threads, 3);
         assert_eq!(stats.bottleneck, Bottleneck::ThreadLatency);
         assert_eq!(stats.elapsed_cycles, 10);
@@ -3241,18 +3204,18 @@ mod tests {
         // (the guard was only a debug_assert) and walk ~2^58 lines.
         let mut sim = NumaSim::new(quiet_cfg(machines::machine_b()));
         let mut addr = 0;
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             *addr = w.map_pages(SMALL_PAGE);
             w.write_u64(*addr, 1);
-        });
+        }).unwrap();
         let before = sim.counters();
-        let empty = sim.serial(&mut (), |_, _| {}).elapsed_cycles;
+        let empty = sim.try_serial(&mut (), |_, _| {}).unwrap().elapsed_cycles;
         let elapsed = sim
-            .serial(&mut addr, |w, addr| {
+            .try_serial(&mut addr, |w, addr| {
                 w.touch(*addr, 0, Access::Read);
                 w.read_bytes(*addr, &mut []);
                 w.write_bytes(*addr, &[]);
-            })
+            }).unwrap()
             .elapsed_cycles;
         assert_eq!(elapsed, empty, "an empty touch must charge nothing");
         assert_eq!(sim.counters(), before);
@@ -3267,7 +3230,7 @@ mod tests {
             let mut sim = NumaSim::new(cfg.clone().with_reference_model(reference));
             let mut stats = Vec::new();
             for round in 0..3u64 {
-                let s = sim.parallel(threads, &mut (), |w, _| {
+                let s = sim.try_parallel(threads, &mut (), |w, _| {
                     let a = w.map_pages(SMALL_PAGE * 32);
                     for i in 0..(SMALL_PAGE * 32 / 64) {
                         w.touch(a + i * 64, 64, Access::Write);
@@ -3283,7 +3246,7 @@ mod tests {
                     let b = w.map_pages(SMALL_PAGE * 4);
                     w.read_u64_run(b, &mut [0u64; 8]);
                     w.rmw_u64(b + 64, |v| v + 1);
-                });
+                }).unwrap();
                 stats.push((s.elapsed_cycles, s.counters));
             }
             (sim.now_cycles(), sim.counters(), stats)

@@ -17,7 +17,7 @@
 //!   affinity) and the **AutoNUMA** balancing daemon,
 //! * an analytic **lock contention** model used by the allocator models.
 //!
-//! Workloads run as logical threads inside [`NumaSim::parallel`]; all
+//! Workloads run as logical threads inside [`NumaSim::try_parallel`]; all
 //! randomness is seeded, so identical configurations produce identical
 //! cycle counts and hardware-counter values. A region can also shard
 //! its simulated workers across host threads with
@@ -33,15 +33,18 @@
 //! use nqp_sim::{NumaSim, SimConfig};
 //! use nqp_topology::machines;
 //!
+//! # fn main() -> nqp_sim::SimResult<()> {
 //! let mut sim = NumaSim::new(SimConfig::tuned(machines::machine_a()));
-//! let stats = sim.parallel(16, &mut (), |w, _| {
+//! let stats = sim.try_parallel(16, &mut (), |w, _| {
 //!     let buf = w.map_pages(1 << 16);
 //!     for i in 0..1024u64 {
 //!         w.write_u64(buf + i * 8, i);
 //!     }
-//! });
+//! })?;
 //! assert!(stats.elapsed_cycles > 0);
 //! assert_eq!(stats.counters.thread_migrations, 0); // affinitized
+//! # Ok(())
+//! # }
 //! ```
 
 mod cache;

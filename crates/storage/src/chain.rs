@@ -97,8 +97,8 @@ mod tests {
                 .with_autonuma(false)
                 .with_thp(false),
         );
-        let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim);
-        sim.serial(&mut heap, f);
+        let mut heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim).unwrap();
+        sim.try_serial(&mut heap, f).unwrap();
     }
 
     #[test]

@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn words_round_trip_through_runs() {
         let mut sim = sim();
-        sim.serial(&mut (), |w, _| {
+        sim.try_serial(&mut (), |w, _| {
             let col = ColumnArray::new(w, 100);
             let vals: Vec<u64> = (0..100).map(|i| i * 3 + 7).collect();
             col.write_run(w, 0, &vals);
@@ -178,7 +178,7 @@ mod tests {
             col.read_run(w, 0, &mut back);
             assert_eq!(back, vals);
             assert_eq!(col.read(w, 41), 41 * 3 + 7);
-        });
+        }).unwrap();
     }
 
     #[test]
@@ -188,18 +188,18 @@ mod tests {
         // the property `--batch-size` invariance rests on.
         let cost = |split: usize| {
             let mut sim = sim();
-            sim.serial(&mut (), |w, _| {
+            sim.try_serial(&mut (), |w, _| {
                 let col = ColumnArray::new(w, 256);
                 col.write_run(w, 0, &vec![9u64; 256]);
-            });
+            }).unwrap();
             let before = sim.now_cycles();
-            sim.serial(&mut (), |w, _| {
+            sim.try_serial(&mut (), |w, _| {
                 let col = ColumnArray::new(w, 256);
                 col.write_run(w, 0, &vec![9u64; 256]);
                 let mut buf = vec![0u64; 256];
                 col.read_run(w, 0, &mut buf[..split]);
                 col.read_run(w, split, &mut buf[split..]);
-            });
+            }).unwrap();
             sim.now_cycles() - before
         };
         // Splits at run-aligned boundaries charge identically.
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn table_columns_have_disjoint_pages() {
         let mut sim = sim();
-        sim.serial(&mut (), |w, _| {
+        sim.try_serial(&mut (), |w, _| {
             let t = ColumnTable::new(w, 1024);
             assert_ne!(t.keys.base(), t.vals.base());
             let keys: Vec<u64> = (0..1024).collect();
@@ -219,13 +219,13 @@ mod tests {
             let mut back = vec![0u64; 8];
             t.keys.read_run(w, 500, &mut back);
             assert_eq!(back, (500..508).collect::<Vec<u64>>());
-        });
+        }).unwrap();
     }
 
     #[test]
     fn partitions_cover_without_overlap() {
         let mut sim = sim();
-        sim.serial(&mut (), |w, _| {
+        sim.try_serial(&mut (), |w, _| {
             let col = ColumnArray::new(w, 103);
             let mut seen = vec![false; 103];
             for tid in 0..8 {
@@ -235,6 +235,6 @@ mod tests {
                 }
             }
             assert!(seen.iter().all(|&s| s), "some index unassigned");
-        });
+        }).unwrap();
     }
 }

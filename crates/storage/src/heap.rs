@@ -1,7 +1,7 @@
 //! A dynamic heap over one of the allocator models.
 
 use nqp_alloc::{build, Allocator, AllocatorKind};
-use nqp_sim::{NumaSim, VAddr, Worker};
+use nqp_sim::{NumaSim, SimResult, VAddr, Worker};
 
 /// The heap every simulated data structure allocates from.
 ///
@@ -13,9 +13,10 @@ pub struct SimHeap {
 }
 
 impl SimHeap {
-    /// Build a heap backed by `kind`, registering locks on `sim`.
-    pub fn new(kind: AllocatorKind, sim: &mut NumaSim) -> Self {
-        SimHeap { alloc: build(kind, sim) }
+    /// Build a heap backed by `kind`, registering locks on `sim`; fails
+    /// when the allocator model faults mapping its up-front state.
+    pub fn new(kind: AllocatorKind, sim: &mut NumaSim) -> SimResult<Self> {
+        Ok(SimHeap { alloc: build(kind, sim)? })
     }
 
     /// Which allocator model backs this heap.
@@ -66,15 +67,15 @@ mod tests {
                 .with_autonuma(false)
                 .with_thp(false),
         );
-        let heap = SimHeap::new(AllocatorKind::Jemalloc, &mut sim);
+        let heap = SimHeap::new(AllocatorKind::Jemalloc, &mut sim).unwrap();
         assert_eq!(heap.kind(), AllocatorKind::Jemalloc);
         let mut heap = heap;
-        sim.parallel(2, &mut heap, |w, heap| {
+        sim.try_parallel(2, &mut heap, |w, heap| {
             let p = heap.alloc(w, 256);
             w.write_u64(p, 77);
             assert_eq!(w.read_u64(p), 77);
             heap.free(w, p, 256);
-        });
+        }).unwrap();
         assert_eq!(heap.live_requested(), 0);
         assert!(heap.peak_resident() > 0);
     }

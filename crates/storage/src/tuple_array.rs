@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn tuples_round_trip() {
         let mut sim = sim();
-        sim.serial(&mut (), |w, _| {
+        sim.try_serial(&mut (), |w, _| {
             let arr = TupleArray::new(w, 100);
             for i in 0..100 {
                 arr.write(w, i, i as u64 * 3, i as u64 + 7);
@@ -120,13 +120,13 @@ mod tests {
             for i in 0..100 {
                 assert_eq!(arr.read(w, i), (i as u64 * 3, i as u64 + 7));
             }
-        });
+        }).unwrap();
     }
 
     #[test]
     fn partitions_cover_without_overlap() {
         let mut sim = sim();
-        sim.serial(&mut (), |w, _| {
+        sim.try_serial(&mut (), |w, _| {
             let arr = TupleArray::new(w, 103);
             let mut seen = vec![false; 103];
             for tid in 0..8 {
@@ -136,22 +136,22 @@ mod tests {
                 }
             }
             assert!(seen.iter().all(|&s| s), "some index unassigned");
-        });
+        }).unwrap();
     }
 
     #[test]
     fn parallel_writes_first_touch_their_partitions() {
         let mut sim = sim();
         let mut arr = None;
-        sim.serial(&mut arr, |w, arr| {
+        sim.try_serial(&mut arr, |w, arr| {
             *arr = Some(TupleArray::new(w, 4096));
-        });
+        }).unwrap();
         let arr = arr.expect("created");
-        sim.parallel(4, &mut (), |w, _| {
+        sim.try_parallel(4, &mut (), |w, _| {
             for i in arr.partition(w.tid(), 4) {
                 arr.write(w, i, i as u64, 0);
             }
-        });
+        }).unwrap();
         // Each quarter of the array should live on the toucher's node.
         let first = sim.node_of(arr.addr_of(0)).expect("touched");
         let last = sim.node_of(arr.addr_of(4095)).expect("touched");

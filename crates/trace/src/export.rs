@@ -199,7 +199,8 @@ fn percent(r: f64) -> String {
     format!("{:.2} %", r * 100.0)
 }
 
-fn esc_json(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal.
+pub(crate) fn esc_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

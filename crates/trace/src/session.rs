@@ -8,6 +8,8 @@
 //! the same determinism discipline as [`crate::artifact::Trace`]:
 //! integer model-cycle timestamps, fixed field order, stable sort keys.
 
+use crate::export::esc_json;
+
 /// One rendered session: a span on a lane track.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionSpan {
@@ -47,7 +49,7 @@ pub fn sessions_to_chrome_json(
     ev.push(format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
          \"args\":{{\"name\":\"{}\"}}}}",
-        esc(title)
+        esc_json(title)
     ));
     ev.push(
         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
@@ -68,7 +70,7 @@ pub fn sessions_to_chrome_json(
         let args = format!(
             "\"tenant\":{},\"outcome\":\"{}\",\"queued_cycles\":{},\"burned\":{}",
             s.tenant,
-            esc(&s.outcome),
+            esc_json(&s.outcome),
             s.start.saturating_sub(s.arrival),
             s.burned
         );
@@ -76,14 +78,14 @@ pub fn sessions_to_chrome_json(
             ev.push(format!(
                 "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":0,\
                  \"s\":\"t\",\"args\":{{{args}}}}}",
-                esc(&name),
+                esc_json(&name),
                 s.end
             ));
         } else {
             ev.push(format!(
                 "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\
                  \"tid\":{},\"args\":{{{args}}}}}",
-                esc(&name),
+                esc_json(&name),
                 s.start,
                 s.end.saturating_sub(s.start).max(1),
                 s.lane + 1
@@ -97,19 +99,6 @@ pub fn sessions_to_chrome_json(
         ));
     }
     format!("{{\"traceEvents\":[\n{}\n]}}\n", ev.join(",\n"))
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

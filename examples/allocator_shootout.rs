@@ -9,7 +9,7 @@ use nqp::alloc::microbench::{run_microbench, MicrobenchConfig};
 use nqp::alloc::AllocatorKind;
 use nqp::core::TuningConfig;
 use nqp::datagen::JoinDataset;
-use nqp::query::run_hash_join_on;
+use nqp::query::try_run_hash_join_on;
 use nqp::sim::ThreadPlacement;
 use nqp::topology::machines;
 
@@ -20,7 +20,7 @@ fn main() {
     println!("== microbenchmark: 16 allocation-heavy threads on Machine A ==");
     println!("{:<12} {:>12} {:>10}", "allocator", "cycles", "overhead");
     for kind in AllocatorKind::ALL {
-        let r = run_microbench(kind, &machine, 16, &cfg);
+        let r = run_microbench(kind, &machine, 16, &cfg).expect("the microbenchmark completes");
         println!("{:<12} {:>12} {:>9.2}x", kind.label(), r.elapsed_cycles, r.overhead);
     }
 
@@ -32,7 +32,7 @@ fn main() {
         let c = TuningConfig::tuned(machine.clone())
             .with_threads(ThreadPlacement::Sparse)
             .with_allocator(kind);
-        let out = run_hash_join_on(&c.env(16), &data);
+        let out = try_run_hash_join_on(&c.env(16), &data).expect("the join completes");
         let total = out.build_cycles + out.probe_cycles;
         println!("{:<12} {:>12} {:>12}", kind.label(), out.build_cycles, out.probe_cycles);
         if best.as_ref().is_none_or(|&(_, b)| total < b) {

@@ -8,7 +8,7 @@
 use nqp::core::TuningConfig;
 use nqp::datagen::JoinDataset;
 use nqp::indexes::IndexKind;
-use nqp::query::run_inl_join_on;
+use nqp::query::try_run_inl_join_on;
 use nqp::topology::machines;
 
 fn main() {
@@ -25,8 +25,8 @@ fn main() {
     for kind in IndexKind::ALL {
         let default = TuningConfig::os_default(machines::machine_a());
         let tuned = TuningConfig::tuned(machines::machine_a());
-        let d = run_inl_join_on(&default.env(16), kind, &data);
-        let t = run_inl_join_on(&tuned.env(16), kind, &data);
+        let d = try_run_inl_join_on(&default.env(16), kind, &data).expect("the join completes");
+        let t = try_run_inl_join_on(&tuned.env(16), kind, &data).expect("the join completes");
         assert_eq!(d.checksum, t.checksum, "tuning must not change results");
         println!(
             "{:<10} {:>14} {:>14} {:>14} {:>8.2}x",

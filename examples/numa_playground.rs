@@ -44,14 +44,17 @@ fn main() {
         let mut sim = NumaSim::new(cfg);
         // 24 threads each stream through a shared buffer.
         let mut buf = 0;
-        sim.serial(&mut buf, |w, buf| {
+        sim.try_serial(&mut buf, |w, buf| {
             *buf = w.map_pages(8 << 20);
-        });
-        let stats = sim.parallel(24, &mut buf, |w, buf| {
-            for i in 0..(1 << 13) {
-                w.write_u64(*buf + (i * 997 * 64) % (8 << 20), i);
-            }
-        });
+        })
+        .expect("the buffer maps");
+        let stats = sim
+            .try_parallel(24, &mut buf, |w, buf| {
+                for i in 0..(1 << 13) {
+                    w.write_u64(*buf + (i * 997 * 64) % (8 << 20), i);
+                }
+            })
+            .expect("the streaming region completes");
         let c = stats.counters;
         println!(
             "{:<12} elapsed={:>9}  LAR={:>4.0}%  peak-controller={:>4.0}%  bottleneck={:?}",

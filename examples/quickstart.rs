@@ -8,7 +8,7 @@
 use nqp::advisor::{advise, WorkloadProfile};
 use nqp::core::TuningConfig;
 use nqp::datagen::{generate, Dataset};
-use nqp::query::{run_aggregation_on, AggConfig, WorkloadEnv};
+use nqp::query::{try_run_aggregation_on, AggConfig, WorkloadEnv};
 use nqp::topology::machines;
 
 fn main() {
@@ -24,7 +24,8 @@ fn main() {
 
     // 1. Out of the box: no affinity, First Touch, AutoNUMA+THP on, ptmalloc.
     let default = TuningConfig::os_default(machine.clone());
-    let before = run_aggregation_on(&default.env(16), &cfg, &records);
+    let before =
+        try_run_aggregation_on(&default.env(16), &cfg, &records).expect("the query completes");
     println!("\nOS default:        {:>12} cycles", before.exec_cycles);
 
     // 2. Ask the flowchart what to change.
@@ -38,7 +39,7 @@ fn main() {
         threads: 16,
         engine: nqp::query::EngineKind::Tuple,
     };
-    let after = run_aggregation_on(&advised, &cfg, &records);
+    let after = try_run_aggregation_on(&advised, &cfg, &records).expect("the query completes");
     println!("\ntuned:             {:>12} cycles", after.exec_cycles);
     println!(
         "speedup: {:.2}x   (results identical: {})",

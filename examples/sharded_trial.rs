@@ -25,11 +25,12 @@ fn trial(shards: usize) -> (u64, u64, Counters) {
     // Structural work (map/unmap) happens outside sharded regions —
     // inside one it would be a typed `SimError::Harness` fault.
     let mut bases: Vec<VAddr> = Vec::new();
-    sim.parallel(1, &mut bases, |w, bases| {
+    sim.try_serial(&mut bases, |w, bases| {
         for _ in 0..WORKERS {
             bases.push(w.map_pages(ARENA));
         }
-    });
+    })
+    .expect("the arenas map");
 
     let (stats, partials) = sim
         .try_parallel_sharded(WORKERS, &bases[..], |w, bases| {

@@ -36,7 +36,7 @@ fn main() {
         let mut reference: Option<Vec<nqp::engines::Row>> = None;
         for system in SystemKind::ALL {
             let mut db = DbSystem::boot(system, &env, &data);
-            let out = db.run(q);
+            let out = db.try_run(q).expect("the query completes");
             match &reference {
                 None => reference = Some(out.rows.clone()),
                 Some(r) => assert_eq!(r, &out.rows, "engines disagree!"),

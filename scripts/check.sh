@@ -5,6 +5,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline
 cargo build --release --examples --offline
+# The figure benches and the repository benchmark (perfbench/, its own
+# workspace) build against the library APIs but are outside tier-1:
+# compile both so an API change cannot silently break them.
+cargo build --release --offline -p nqp-bench --benches
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline
 
 # The simulator, the experiment runner, and the trace subsystem are the

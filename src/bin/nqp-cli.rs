@@ -1658,8 +1658,8 @@ fn cmd_tpch(args: &[String]) -> Result<(), String> {
     };
     let data = TpchData::generate(sf, 42);
     let mut db = DbSystem::boot(system, &env, &data);
-    let _cold = db.run(qnum);
-    let out = db.run(qnum);
+    db.try_run(qnum).map_err(|e| e.to_string())?;
+    let out = db.try_run(qnum).map_err(|e| e.to_string())?;
     println!(
         "Q{qnum} ({}) on {}: {} cycles, {} rows",
         query_name(qnum),

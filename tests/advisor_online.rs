@@ -238,7 +238,7 @@ fn controller_unit_state_machine_is_reachable_from_the_integration_crate() {
     let ctl = OnlineController::new(ControllerConfig::default());
     assert!(!ctl.is_quarantined(Knob::Placement));
     sim.install_hook(Box::new(ctl) as Box<dyn RegionHook + Send>);
-    sim.parallel(2, &mut (), |w, _| {
+    sim.try_parallel(2, &mut (), |w, _| {
         w.compute(10);
-    });
+    }).expect("fault-free region");
 }

@@ -6,7 +6,7 @@ use nqp::datagen::JoinDataset;
 use nqp::engines::{DbSystem, SystemKind, Value};
 use nqp::indexes::IndexKind;
 use nqp::query::{
-    reference_join, run_hash_join_on, run_inl_join_on, WorkloadEnv,
+    reference_join, try_run_hash_join_on, try_run_inl_join_on, WorkloadEnv,
 };
 use nqp::topology::machines;
 
@@ -35,7 +35,7 @@ fn q6_matches_an_independent_oracle() {
         .map(|i| data.lineitem.l_extendedprice[i] * data.lineitem.l_discount[i])
         .sum();
     let mut db = DbSystem::boot(SystemKind::QuickstepLike, &env(), &data);
-    let rows = db.run(6).rows;
+    let rows = db.try_run(6).expect("fault-free query").rows;
     assert_eq!(rows, vec![vec![Value::I(expect)]]);
 }
 
@@ -52,7 +52,7 @@ fn q1_groups_cover_the_qualifying_lineitems() {
         .filter(|&&d| d <= cutoff)
         .count() as i64;
     let mut db = DbSystem::boot(SystemKind::MonetDbLike, &env(), &data);
-    let rows = db.run(1).rows;
+    let rows = db.try_run(1).expect("fault-free query").rows;
     let total: i64 = rows.iter().map(|r| r.last().expect("count column").as_i()).sum();
     assert_eq!(total, qualifying);
     let mut keys: Vec<(String, String)> = rows
@@ -90,7 +90,7 @@ fn q14_matches_an_independent_oracle() {
     }
     let expect = if total == 0 { 0 } else { (promo as i128 * 10_000 / total as i128) as i64 };
     let mut db = DbSystem::boot(SystemKind::DbmsX, &env(), &data);
-    assert_eq!(db.run(14).rows, vec![vec![Value::I(expect)]]);
+    assert_eq!(db.try_run(14).expect("fault-free query").rows, vec![vec![Value::I(expect)]]);
 }
 
 /// W3 and W4 must join identically (same checksum) across every index,
@@ -101,10 +101,10 @@ fn joins_agree_across_implementations_and_machines() {
     let (matches, checksum) = reference_join(&data);
     for machine in machines::paper_machines() {
         let env = WorkloadEnv::tuned(machine).with_threads(8);
-        let w3 = run_hash_join_on(&env, &data);
+        let w3 = try_run_hash_join_on(&env, &data).expect("fault-free run");
         assert_eq!((w3.matches, w3.checksum), (matches, checksum));
         for kind in IndexKind::ALL {
-            let w4 = run_inl_join_on(&env, kind, &data);
+            let w4 = try_run_inl_join_on(&env, kind, &data).expect("fault-free run");
             assert_eq!((w4.matches, w4.checksum), (matches, checksum), "{kind:?}");
         }
     }
@@ -117,7 +117,7 @@ fn whole_stack_is_deterministic() {
     let data = tpch();
     let run = || {
         let mut db = DbSystem::boot(SystemKind::PostgresLike, &env(), &data);
-        [3usize, 13, 22].map(|q| db.run(q).latency_cycles)
+        [3usize, 13, 22].map(|q| db.try_run(q).expect("fault-free query").latency_cycles)
     };
     assert_eq!(run(), run());
 }
@@ -131,6 +131,10 @@ fn tuning_never_changes_w5_results() {
     let mut a = DbSystem::boot(SystemKind::MonetDbLike, &default, &data);
     let mut b = DbSystem::boot(SystemKind::MonetDbLike, &tuned, &data);
     for q in [2usize, 4, 11, 19, 21] {
-        assert_eq!(a.run(q).rows, b.run(q).rows, "Q{q} rows changed under tuning");
+        assert_eq!(
+            a.try_run(q).expect("fault-free query").rows,
+            b.try_run(q).expect("fault-free query").rows,
+            "Q{q} rows changed under tuning"
+        );
     }
 }

@@ -2,9 +2,11 @@
 //! fault injection, leak-free page accounting, the finite-capacity
 //! policy story, and the fallible retrying sweep harness end-to-end.
 
-use nqp::core::{sweep, Outcome, RetryPolicy, TuningConfig};
+use nqp::core::{sweep_supervised, Outcome, SupervisorPolicy, TuningConfig};
 use nqp::datagen::generate;
-use nqp::query::{try_run_aggregation_on, AggConfig};
+use nqp::datagen::tpch::TpchData;
+use nqp::engines::{DbSystem, EngineError, SystemKind, QUERY_COUNT};
+use nqp::query::{try_run_aggregation_on, AggConfig, WorkloadEnv};
 use nqp::sim::{
     Access, FaultPlan, MemPolicy, NumaSim, SimConfig, SimError, ThreadPlacement, VAddr,
     SMALL_PAGE,
@@ -71,9 +73,10 @@ fn sweeps_replay_outcome_for_outcome() {
     ];
     let acfg = AggConfig::w2(20_000, 2_000, 9);
     let records = generate(acfg.dataset, 20_000, 2_000, 9);
+    let policy = SupervisorPolicy::default();
     let run = || {
-        let report = sweep(&configs, 4, 2, &RetryPolicy::default(), |env, _| {
-            try_run_aggregation_on(env, &acfg, &records).map(|o| o.exec_cycles)
+        let report = sweep_supervised(&configs, 4, 2, &policy, &[], &mut |_| {}, |env, _| {
+            try_run_aggregation_on(env, &acfg, &records).map(|o| o.exec_cycles.into())
         });
         report
             .trials
@@ -114,7 +117,7 @@ proptest! {
                 .with_thp(thp),
         );
         let mut state: (Vec<(VAddr, u64)>, Vec<(u64, bool)>) = (Vec::new(), mappings);
-        sim.serial(&mut state, |w, (maps, mappings)| {
+        sim.try_serial(&mut state, |w, (maps, mappings)| {
             for (pages, touch) in mappings.iter() {
                 let bytes = pages * SMALL_PAGE;
                 let addr = w.map_pages(bytes);
@@ -123,13 +126,13 @@ proptest! {
                 }
                 maps.push((addr, bytes));
             }
-        });
+        }).expect("fault-free region");
         let mut maps = state.0;
-        sim.serial(&mut maps, |w, maps| {
+        sim.try_serial(&mut maps, |w, maps| {
             for (addr, bytes) in maps.iter() {
                 w.unmap_pages(*addr, *bytes);
             }
-        });
+        }).expect("fault-free region");
         prop_assert!(
             sim.node_used_pages().iter().all(|&used| used == 0),
             "page leak: {:?}", sim.node_used_pages()
@@ -166,17 +169,17 @@ fn capped_first_touch_spills_and_goes_remote() {
         );
         let mut addr: VAddr = 0;
         // Allocation pass: fault in the whole footprint from node 0.
-        sim.serial(&mut addr, |w, addr| {
+        sim.try_serial(&mut addr, |w, addr| {
             *addr = w.map_pages(FOOTPRINT_PAGES * SMALL_PAGE);
             w.touch(*addr, FOOTPRINT_PAGES * SMALL_PAGE, Access::Write);
-        });
+        }).expect("fault-free region");
         // Hot phase: rescan the most recently allocated tail.
         let tail = addr + (FOOTPRINT_PAGES - TAIL_PAGES) * SMALL_PAGE;
         for _ in 0..8 {
             sim.flush_caches();
-            sim.serial(&mut (), |w, _| {
+            sim.try_serial(&mut (), |w, _| {
                 w.touch(tail, TAIL_PAGES * SMALL_PAGE, Access::Read);
-            });
+            }).expect("fault-free region");
         }
         let used = sim.node_used_pages().to_vec();
         (sim.counters(), used)
@@ -254,8 +257,9 @@ fn sweep_survives_transient_faults_and_timeouts() {
     ];
     let acfg = AggConfig::w2(20_000, 2_000, 9);
     let records = generate(acfg.dataset, 20_000, 2_000, 9);
-    let report = sweep(&configs, 4, 2, &RetryPolicy::default(), |env, _| {
-        try_run_aggregation_on(env, &acfg, &records).map(|o| o.exec_cycles)
+    let policy = SupervisorPolicy::default();
+    let report = sweep_supervised(&configs, 4, 2, &policy, &[], &mut |_| {}, |env, _| {
+        try_run_aggregation_on(env, &acfg, &records).map(|o| o.exec_cycles.into())
     });
 
     assert_eq!(report.trials.len(), 6, "every (config, trial) cell is recorded");
@@ -282,4 +286,74 @@ fn sweep_survives_transient_faults_and_timeouts() {
 
     let table = report.table();
     assert!(table.contains("ok") && table.contains("timeout"), "table:\n{table}");
+}
+
+// ---------------------------------------------------------------------
+// TPC-H engines: faults come back as typed errors, never panics.
+// ---------------------------------------------------------------------
+
+/// Boot a TPC-H system under `sim` and run queries until one fails,
+/// returning how many succeeded first, the error, and the system.
+fn first_tpch_error(sim: impl Fn(SimConfig) -> SimConfig) -> (usize, EngineError, DbSystem) {
+    let data = TpchData::generate(0.002, 11);
+    let mut env = WorkloadEnv::tuned(machines::machine_b()).with_threads(4);
+    env.sim = sim(env.sim);
+    let mut db = DbSystem::boot(SystemKind::MonetDbLike, &env, &data);
+    for q in 1..=QUERY_COUNT {
+        if let Err(e) = db.try_run(q) {
+            return (q - 1, e, db);
+        }
+    }
+    panic!("every query completed under a plan that must fail");
+}
+
+/// A trial budget, an injected allocation fault and a deadline each stop
+/// a TPC-H system with the simulator's typed error. A budget or deadline
+/// that trips during the load poisons the booted system — every query
+/// returns that same fault — and a fault in a later region fails the
+/// query it lands in.
+#[test]
+fn tpch_faults_surface_as_typed_engine_errors() {
+    let (ran, e, mut db) = first_tpch_error(|s| s.with_trial_budget(50_000));
+    assert_eq!(ran, 0, "the budget trips during the load");
+    assert!(matches!(e, EngineError::Sim(SimError::Timeout { .. })), "{e:?}");
+    assert_eq!(db.try_run(QUERY_COUNT).expect_err("poisoned"), e, "the boot fault sticks");
+
+    let plan = FaultPlan::parse("alloc@80:attempts=9", 1).expect("well-formed spec");
+    let (ran, e, _) = first_tpch_error(|s| s.with_faults(plan.clone()));
+    assert!(ran > 0, "region 80 lies past the load");
+    assert!(
+        matches!(e, EngineError::Sim(SimError::InjectedAllocFault { region: 80, .. })),
+        "{e:?}"
+    );
+
+    let (ran, e, mut db) = first_tpch_error(|s| s.with_deadline(1));
+    assert_eq!(ran, 0, "the deadline passes during the load");
+    assert!(matches!(e, EngineError::Sim(SimError::DeadlineExceeded { .. })), "{e:?}");
+    assert_eq!(db.try_run(QUERY_COUNT).expect_err("poisoned"), e, "the boot fault sticks");
+}
+
+/// The CLI sweep records an allocator-construction fault as a retried
+/// trial outcome: SuperMalloc maps its lookup table in the very first
+/// region, so `alloc@0` hits it, and the retry clears it — exactly like
+/// any other allocator.
+#[test]
+fn cli_sweep_retries_a_fault_in_allocator_setup() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nqp-cli"))
+        .args([
+            "sweep", "w1", "--machine", "B", "--threads", "4", "--n", "4000", "--card", "400",
+            "--trials", "2", "--alloc", "supermalloc", "--faults", "alloc@0:attempts=1",
+        ])
+        .output()
+        .expect("the CLI runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.contains(" ok ")).collect();
+    assert_eq!(rows.len(), 4, "both configs, both trials ok:\n{stdout}");
+    for row in rows {
+        let attempts: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(attempts[attempts.len() - 2], "2", "one failed attempt, one retry: {row}");
+    }
 }

@@ -113,7 +113,8 @@ fn observe(
     let mut stats = Vec::new();
     let mut shared = ops.to_vec();
     for _ in 0..2 {
-        let s = sim.parallel(threads, &mut shared, |w, ops| run_ops(w, ops));
+        let s = sim.try_parallel(threads, &mut shared, |w, ops| run_ops(w, ops))
+            .expect("fault-free region");
         stats.push((s.elapsed_cycles, s.counters));
     }
     (sim.now_cycles(), sim.counters(), stats, sim.take_trace())

@@ -6,7 +6,7 @@ use nqp::alloc::AllocatorKind;
 use nqp::advisor::{advise, WorkloadProfile};
 use nqp::core::TuningConfig;
 use nqp::datagen::{generate, Dataset, JoinDataset};
-use nqp::query::{run_aggregation_on, run_hash_join_on, AggConfig, WorkloadEnv};
+use nqp::query::{try_run_aggregation_on, try_run_hash_join_on, AggConfig, WorkloadEnv};
 use nqp::sim::{MemPolicy, ThreadPlacement};
 use nqp::topology::machines;
 
@@ -20,7 +20,8 @@ fn w1_records() -> Vec<nqp::datagen::Record> {
 
 fn w1_cycles(cfg: TuningConfig) -> u64 {
     let records = w1_records();
-    run_aggregation_on(&cfg.env(16), &AggConfig::w1(N, CARD, SEED), &records).exec_cycles
+    try_run_aggregation_on(&cfg.env(16), &AggConfig::w1(N, CARD, SEED), &records)
+        .expect("fault-free run").exec_cycles
 }
 
 #[test]
@@ -43,7 +44,8 @@ fn autonuma_slows_w1_while_raising_lar() {
             .with_threads(ThreadPlacement::Sparse)
             .with_autonuma(autonuma)
             .with_thp(false);
-        run_aggregation_on(&c.env(16), &AggConfig::w1(N, CARD, SEED), &records)
+        try_run_aggregation_on(&c.env(16), &AggConfig::w1(N, CARD, SEED), &records)
+            .expect("fault-free run")
     };
     let on = run(true);
     let off = run(false);
@@ -64,7 +66,8 @@ fn interleave_with_switches_off_is_the_best_policy_on_machine_a() {
             .with_policy(policy)
             .with_autonuma(false)
             .with_thp(false);
-        run_aggregation_on(&c.env(16), &AggConfig::w1(N, CARD, SEED), &records).exec_cycles
+        try_run_aggregation_on(&c.env(16), &AggConfig::w1(N, CARD, SEED), &records)
+            .expect("fault-free run").exec_cycles
     };
     let interleave = run(MemPolicy::Interleave);
     for policy in [MemPolicy::FirstTouch, MemPolicy::Localalloc, MemPolicy::Preferred(0)] {
@@ -84,7 +87,8 @@ fn sparse_beats_dense_below_full_occupancy() {
             .with_threads(placement)
             .with_autonuma(false)
             .with_thp(false);
-        run_aggregation_on(&c.env(4), &AggConfig::w1(N, CARD, SEED), &records).exec_cycles
+        try_run_aggregation_on(&c.env(4), &AggConfig::w1(N, CARD, SEED), &records)
+            .expect("fault-free run").exec_cycles
     };
     assert!(run(ThreadPlacement::Sparse) < run(ThreadPlacement::Dense));
 }
@@ -100,7 +104,8 @@ fn thp_taxes_the_page_granular_allocators_most() {
                 .with_autonuma(false)
                 .with_thp(thp)
                 .with_allocator(alloc);
-            run_aggregation_on(&c.env(16), &AggConfig::w1(N, CARD, SEED), &records).exec_cycles
+            try_run_aggregation_on(&c.env(16), &AggConfig::w1(N, CARD, SEED), &records)
+                .expect("fault-free run").exec_cycles
         };
         run(true) as f64 / run(false) as f64
     };
@@ -128,14 +133,15 @@ fn unbound_scheduling_is_slower_and_jittery() {
     let cfg = AggConfig::w1(N, CARD, SEED);
     let base = TuningConfig::os_default(machines::machine_a())
         .with_threads(ThreadPlacement::Sparse);
-    let baseline = run_aggregation_on(&base.env(16), &cfg, &records).exec_cycles;
+    let baseline = try_run_aggregation_on(&base.env(16), &cfg, &records)
+        .expect("fault-free run").exec_cycles;
     let mut rels = Vec::new();
     for run in 0..5u64 {
         let unbound = TuningConfig::os_default(machines::machine_a())
             .with_threads(ThreadPlacement::None);
         let mut env = unbound.env(16);
         env.sim = env.sim.with_seed(77 + run);
-        let out = run_aggregation_on(&env, &cfg, &records);
+        let out = try_run_aggregation_on(&env, &cfg, &records).expect("fault-free run");
         rels.push(out.exec_cycles as f64 / baseline as f64);
         assert!(
             out.counters.thread_migrations > 0,
@@ -156,12 +162,13 @@ fn w3_gains_exceed_w4_style_prebuilt_workloads() {
     let data = JoinDataset::generate(20_000, SEED);
     let run_w3 = |alloc| {
         let c = TuningConfig::tuned(machines::machine_a()).with_allocator(alloc);
-        let o = run_hash_join_on(&c.env(16), &data);
+        let o = try_run_hash_join_on(&c.env(16), &data).expect("fault-free run");
         o.build_cycles + o.probe_cycles
     };
     let run_w4 = |alloc| {
         let c = TuningConfig::tuned(machines::machine_a()).with_allocator(alloc);
-        nqp::query::run_inl_join_on(&c.env(16), nqp::indexes::IndexKind::BPlusTree, &data)
+        nqp::query::try_run_inl_join_on(&c.env(16), nqp::indexes::IndexKind::BPlusTree, &data)
+            .expect("fault-free run")
             .join_cycles
     };
     let w3_gain = run_w3(AllocatorKind::Ptmalloc) as f64 / run_w3(AllocatorKind::Tbbmalloc) as f64;
@@ -179,7 +186,7 @@ fn advisor_plan_delivers_a_large_speedup() {
     let records = w1_records();
     let cfg = AggConfig::w1(N, CARD, SEED);
     let default = TuningConfig::os_default(machines::machine_a());
-    let d = run_aggregation_on(&default.env(16), &cfg, &records);
+    let d = try_run_aggregation_on(&default.env(16), &cfg, &records).expect("fault-free run");
     let plan = advise(&WorkloadProfile::analytics_default());
     let advised = WorkloadEnv {
         sim: plan.apply(default.sim.clone()),
@@ -187,7 +194,7 @@ fn advisor_plan_delivers_a_large_speedup() {
         threads: 16,
         engine: nqp::query::EngineKind::Tuple,
     };
-    let a = run_aggregation_on(&advised, &cfg, &records);
+    let a = try_run_aggregation_on(&advised, &cfg, &records).expect("fault-free run");
     assert_eq!(d.checksum, a.checksum, "tuning must not change results");
     assert!(
         d.exec_cycles > 3 * a.exec_cycles,
@@ -206,15 +213,17 @@ fn machine_b_gains_least_from_tuning() {
         let threads = machine.total_hw_threads();
         let records = w1_records();
         let cfg = AggConfig::w1(N, CARD, SEED);
-        let d = run_aggregation_on(
+        let d = try_run_aggregation_on(
             &TuningConfig::os_default(machine.clone())
                 .with_threads(ThreadPlacement::Sparse)
                 .env(threads),
             &cfg,
             &records,
         )
+        .expect("fault-free run")
         .exec_cycles;
-        let t = run_aggregation_on(&TuningConfig::tuned(machine).env(threads), &cfg, &records)
+        let t = try_run_aggregation_on(&TuningConfig::tuned(machine).env(threads), &cfg, &records)
+            .expect("fault-free run")
             .exec_cycles;
         d as f64 / t as f64
     };
@@ -235,7 +244,7 @@ fn numa_effects_vanish_on_a_uniform_machine() {
             .with_policy(policy)
             .with_autonuma(false)
             .with_thp(false);
-        run_aggregation_on(&c.env(8), &cfg, &records)
+        try_run_aggregation_on(&c.env(8), &cfg, &records).expect("fault-free run")
     };
     let ft = run(MemPolicy::FirstTouch);
     let il = run(MemPolicy::Interleave);
@@ -258,7 +267,7 @@ fn application_level_table_interleaving_mitigates_first_touch() {
             .with_policy(policy)
             .with_autonuma(false)
             .with_thp(false);
-        run_aggregation_on(&c.env(16), &cfg, &records).exec_cycles
+        try_run_aggregation_on(&c.env(16), &cfg, &records).expect("fault-free run").exec_cycles
     };
     let ft_plain = run(false, MemPolicy::FirstTouch);
     let ft_smart = run(true, MemPolicy::FirstTouch);

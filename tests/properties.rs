@@ -34,9 +34,9 @@ proptest! {
     ) {
         let kind = IndexKind::ALL[kind_idx];
         let mut sim = quiet_sim();
-        let heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim);
+        let heap = SimHeap::new(AllocatorKind::Tbbmalloc, &mut sim).expect("heap");
         let mut shared = (heap, build_index(kind), BTreeMap::new(), ops);
-        sim.serial(&mut shared, |w, (heap, index, model, ops)| {
+        sim.try_serial(&mut shared, |w, (heap, index, model, ops)| {
             for (is_insert, key, value) in ops.iter() {
                 if *is_insert {
                     index.insert(w, heap, *key, *value);
@@ -46,7 +46,7 @@ proptest! {
                 }
             }
             assert_eq!(index.len(), model.len() as u64);
-        });
+        }).expect("fault-free region");
     }
 
     /// Allocators never hand out overlapping live blocks, never lose
@@ -58,9 +58,9 @@ proptest! {
     ) {
         let kind = AllocatorKind::ALL[kind_idx];
         let mut sim = quiet_sim();
-        let alloc = build(kind, &mut sim);
+        let alloc = build(kind, &mut sim).expect("allocator");
         let mut shared = (alloc, sizes);
-        sim.parallel(2, &mut shared, |w, (alloc, sizes)| {
+        sim.try_parallel(2, &mut shared, |w, (alloc, sizes)| {
             let mut live: Vec<(u64, u64)> = Vec::new();
             for &size in sizes.iter() {
                 let p = alloc.alloc(w, size);
@@ -75,7 +75,7 @@ proptest! {
             for (p, s) in live {
                 alloc.free(w, p, s);
             }
-        });
+        }).expect("fault-free region");
         prop_assert_eq!(shared.0.live_requested(), 0, "leak in {:?}", kind);
         prop_assert!(shared.0.peak_resident() >= shared.0.peak_requested());
     }
@@ -172,16 +172,16 @@ proptest! {
             SimConfig::os_default(machines::machine_a()).with_policy(policy),
         );
         let mut shared = (0u64, values);
-        sim.serial(&mut shared, |w, (base, values)| {
+        sim.try_serial(&mut shared, |w, (base, values)| {
             *base = w.map_pages(values.len() as u64 * 8);
             for (i, v) in values.iter().enumerate() {
                 w.write_u64(*base + i as u64 * 8, *v);
             }
-        });
-        sim.parallel(4, &mut shared, |w, (base, values)| {
+        }).expect("fault-free region");
+        sim.try_parallel(4, &mut shared, |w, (base, values)| {
             for (i, v) in values.iter().enumerate() {
                 assert_eq!(w.read_u64(*base + i as u64 * 8), *v);
             }
-        });
+        }).expect("fault-free region");
     }
 }

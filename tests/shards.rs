@@ -129,13 +129,13 @@ fn observe(
     // Settle the address space in a serial region: a private arena per
     // worker plus a pre-filled shared arena.
     let mut arenas = (0u64, 0u64);
-    sim.serial(&mut arenas, |w, arenas| {
+    sim.try_serial(&mut arenas, |w, arenas| {
         arenas.0 = w.map_pages(STRIDE * 8);
         arenas.1 = w.map_pages_shared(SHARED_BYTES);
         let pattern: Vec<u64> =
             (0..512u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
         w.write_u64_run(arenas.1, &pattern);
-    });
+    }).expect("fault-free region");
     let (own_base, shared_base) = arenas;
 
     let mut stats_text = Vec::new();
@@ -155,7 +155,7 @@ fn observe(
     // data bytes *and* placement, since the read-back pays the cost
     // model (page locations feed the final clock and counters).
     let mut merged = 0u64;
-    sim.serial(&mut merged, |w, merged| {
+    sim.try_serial(&mut merged, |w, merged| {
         let mut buf = [0u64; 64];
         for (base, bytes) in [(own_base, STRIDE * 8), (shared_base, SHARED_BYTES)] {
             let mut addr = base;
@@ -167,7 +167,7 @@ fn observe(
                 addr += 64 * 8;
             }
         }
-    });
+    }).expect("fault-free region");
 
     (sim.now_cycles(), sim.counters(), stats_text, region_sums, merged, sim.take_trace())
 }

@@ -17,7 +17,7 @@
 
 use nqp::core::TuningConfig;
 use nqp::datagen::JoinDataset;
-use nqp::query::run_hash_join_on;
+use nqp::query::try_run_hash_join_on;
 use nqp::tier::TierSpec;
 use nqp::topology::machines;
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ const SEED: u64 = 5;
 /// the given tiering policy, returning (exec_cycles, outcome).
 fn w3_on_cxl(tier: TierSpec, data: &JoinDataset) -> (u64, nqp::query::JoinOutcome) {
     let cfg = TuningConfig::tuned(machines::machine_b_cxl()).with_tier(tier);
-    let o = run_hash_join_on(&cfg.env(16), data);
+    let o = try_run_hash_join_on(&cfg.env(16), data).expect("fault-free run");
     (o.build_cycles + o.probe_cycles, o)
 }
 
@@ -78,11 +78,11 @@ fn tier_none_is_identical_to_no_tier_on_all_dram() {
     let data = JoinDataset::generate(8_000, SEED);
     let base = {
         let cfg = TuningConfig::tuned(machines::machine_b());
-        run_hash_join_on(&cfg.env(8), &data)
+        try_run_hash_join_on(&cfg.env(8), &data).expect("fault-free run")
     };
     let with_flag = {
         let cfg = TuningConfig::tuned(machines::machine_b()).with_tier(TierSpec::NONE);
-        run_hash_join_on(&cfg.env(8), &data)
+        try_run_hash_join_on(&cfg.env(8), &data).expect("fault-free run")
     };
     assert_eq!(base.build_cycles, with_flag.build_cycles);
     assert_eq!(base.probe_cycles, with_flag.probe_cycles);
@@ -125,7 +125,7 @@ proptest! {
             let cfg = TuningConfig::tuned(machines::machine_b_cxl()).with_tier(tier);
             let mut env = cfg.env(8);
             env.sim = env.sim.with_shards(shard_count);
-            run_hash_join_on(&env, &data)
+            try_run_hash_join_on(&env, &data).expect("fault-free run")
         };
         let serial = run(1);
         let sharded = run(shards);
