@@ -50,30 +50,122 @@ use crate::spec::{CellInput, ClassProfile, ServeAdvisor, ServeOutcome, ServeSpec
 /// variant order here is never used for tie-breaking.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    Arrival { idx: usize },
+    Arrival { tenant: usize, class: usize },
     PhaseDone { lane: usize },
     EpochTick,
     OutageStart,
     OutageEnd,
 }
 
-/// A query occupying a service lane.
-#[derive(Debug, Clone)]
+/// A query occupying a service lane. Its plan is read from the class
+/// profile phase by phase ([`Serve::phase_cost`]); `impaired` and
+/// `sampled` are captured at start, so an outage mid-query does not
+/// reshape a running plan.
+#[derive(Debug, Clone, Copy)]
 struct Running {
     tenant: usize,
     class: usize,
-    /// Phase costs cached at start (healthy/degraded, possibly
-    /// sampled) — an outage mid-query does not reshape a running plan.
-    phases: Vec<u64>,
+    impaired: bool,
+    sampled: bool,
     phase_idx: usize,
     arrival_cycle: u64,
     start_cycle: u64,
-    sampled: bool,
+}
+
+/// The tenants whose queues are nonempty: one bit per tenant, plus a
+/// summary with one bit per nonzero 64-tenant word.
+///
+/// [`ReadySet::next_from`] returns exactly the tenant a linear scan
+/// from the round-robin cursor would find — the first ready index at
+/// or after the cursor, else the first from 0 — at a cost of one word
+/// probe plus a summary scan of `tenants / 4096` words at worst. A FIFO
+/// of ready tenants could not: it orders tenants by when they became
+/// ready, while the cursor orders them by index.
+#[derive(Debug)]
+struct ReadySet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl ReadySet {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        ReadySet { words: vec![0; words], summary: vec![0; words.div_ceil(64)] }
+    }
+
+    fn insert(&mut self, i: usize) {
+        let w = i / 64;
+        self.words[w] |= 1 << (i % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        let w = i / 64;
+        self.words[w] &= !(1 << (i % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    /// The first member at or after `from`, wrapping around to the
+    /// first member from 0; `None` when the set is empty.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        self.first_at_or_after(from).or_else(|| self.first_at_or_after(0))
+    }
+
+    fn first_at_or_after(&self, from: usize) -> Option<usize> {
+        let w = from / 64;
+        let bits = *self.words.get(w)? & (u64::MAX << (from % 64));
+        let (w, bits) = if bits != 0 {
+            (w, bits)
+        } else {
+            let w = self.first_word_at_or_after(w + 1)?;
+            (w, self.words[w])
+        };
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The first nonzero word at or after word `from`, via the summary.
+    fn first_word_at_or_after(&self, from: usize) -> Option<usize> {
+        let mut s = from / 64;
+        let mut bits = *self.summary.get(s)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            s += 1;
+            bits = *self.summary.get(s)?;
+        }
+        Some(s * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
+/// The seeded arrival stream, drawn one arrival at a time. Gap, tenant
+/// and class come from three independent splitmix streams, so drawing
+/// lazily yields exactly the sequence an upfront draw would — and
+/// arrivals cost no memory.
+struct Arrivals {
+    gen: ArrivalGen,
+    tenant_rng: SplitMix,
+    class_rng: SplitMix,
+    /// Arrivals stop at the spec duration (cycles).
+    end: u64,
+    tenants: u64,
+    classes: u64,
+}
+
+impl Arrivals {
+    /// The next `(cycle, tenant, class)`, or `None` once the stream
+    /// passes the spec duration.
+    fn next(&mut self) -> Option<(u64, usize, usize)> {
+        let at = self.gen.next_arrival().filter(|&at| at < self.end)?;
+        let tenant = (self.tenant_rng.next_u64() % self.tenants) as usize;
+        let class = (self.class_rng.next_u64() % self.classes) as usize;
+        Some((at, tenant, class))
+    }
 }
 
 #[derive(Debug, Default)]
 struct TenantState {
-    queue: VecDeque<usize>,
+    /// Admitted requests, oldest first: `(arrival_cycle, class)`.
+    queue: VecDeque<(u64, usize)>,
     tokens_milli: u64,
     last_refill: u64,
     consec_rejects: u64,
@@ -109,8 +201,10 @@ struct Serve<'a> {
     now: u64,
     seq: u64,
     heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    arrivals: Vec<(u64, usize, usize)>,
     tenants: Vec<TenantState>,
+    /// Tenants with a nonempty queue, kept in step with every push
+    /// and pop.
+    ready: ReadySet,
     lanes: Vec<Option<Running>>,
     rr_cursor: usize,
     depth: u64,
@@ -172,8 +266,18 @@ impl Serve<'_> {
         }
     }
 
-    fn shed(&mut self, idx: usize, outcome: ServeOutcome) {
-        let (at, tenant, class) = self.arrivals[idx];
+    /// Cost of phase `i` of a `class` query planned under `impaired`
+    /// (degraded costs) and `sampled` (an eighth of the cost, at least
+    /// one cycle); `None` past the plan's last phase.
+    fn phase_cost(&self, class: usize, impaired: bool, sampled: bool, i: usize) -> Option<u64> {
+        let profile = self.profiles.get(class)?;
+        let plan = if impaired { &profile.degraded } else { &profile.healthy };
+        plan.get(i).map(|&(_, c)| if sampled { (c / 8).max(1) } else { c })
+    }
+
+    /// Reject the arrival `(tenant, class)` at the current cycle.
+    fn shed(&mut self, tenant: usize, class: usize, outcome: ServeOutcome) {
+        let at = self.now;
         {
             let t = &mut self.tenants[tenant];
             match outcome {
@@ -206,39 +310,38 @@ impl Serve<'_> {
         });
     }
 
-    fn on_arrival(&mut self, idx: usize) {
-        let (_, tenant, _) = self.arrivals[idx];
+    fn on_arrival(&mut self, tenant: usize, class: usize) {
         self.tenants[tenant].stats.arrivals += 1;
         self.epoch.arrivals += 1;
 
         // 1. circuit breaker
         if self.now < self.tenants[tenant].breaker_open_until {
-            self.shed(idx, ServeOutcome::ShedBreaker);
+            self.shed(tenant, class, ServeOutcome::ShedBreaker);
             return;
         }
         // 2. token bucket
         self.refill_tokens(tenant);
         if self.tenants[tenant].tokens_milli < 1000 {
-            self.shed(idx, ServeOutcome::ShedQuota);
+            self.shed(tenant, class, ServeOutcome::ShedQuota);
             return;
         }
         // 3. shedding ladder
         let level = self.ladder_level();
         let qlen = self.tenants[tenant].queue.len();
         if level >= 1 && qlen * 2 >= self.spec.queue_cap {
-            self.shed(idx, ServeOutcome::ShedQueue);
+            self.shed(tenant, class, ServeOutcome::ShedQueue);
             return;
         }
         if level >= 2
             && self.depth > 0
             && (qlen as u64) * (self.spec.tenants as u64) > self.depth
         {
-            self.shed(idx, ServeOutcome::ShedQuota);
+            self.shed(tenant, class, ServeOutcome::ShedQuota);
             return;
         }
         // 4. bounded queue
         if qlen >= self.spec.queue_cap {
-            self.shed(idx, ServeOutcome::ShedQueue);
+            self.shed(tenant, class, ServeOutcome::ShedQueue);
             return;
         }
 
@@ -246,7 +349,10 @@ impl Serve<'_> {
         t.tokens_milli -= 1000;
         t.consec_rejects = 0;
         t.stats.admitted += 1;
-        t.queue.push_back(idx);
+        if t.queue.is_empty() {
+            self.ready.insert(tenant);
+        }
+        t.queue.push_back((self.now, class));
         self.depth += 1;
         self.max_depth = self.max_depth.max(self.depth);
         self.epoch.admitted += 1;
@@ -261,22 +367,18 @@ impl Serve<'_> {
                 continue;
             }
             loop {
-                // Next nonempty tenant queue after the cursor.
-                let mut pick = None;
-                for off in 0..self.spec.tenants {
-                    let tn = (self.rr_cursor + off) % self.spec.tenants;
-                    if !self.tenants[tn].queue.is_empty() {
-                        pick = Some(tn);
-                        break;
-                    }
-                }
-                let Some(tn) = pick else { break 'lanes };
-                self.rr_cursor = (tn + 1) % self.spec.tenants;
-                let Some(idx) = self.tenants[tn].queue.pop_front() else {
+                if self.depth == 0 {
                     break 'lanes;
-                };
+                }
+                // Next nonempty tenant queue at or after the cursor.
+                let Some(tenant) = self.ready.next_from(self.rr_cursor) else { break 'lanes };
+                self.rr_cursor = (tenant + 1) % self.spec.tenants;
+                let queue = &mut self.tenants[tenant].queue;
+                let Some((at, class)) = queue.pop_front() else { break 'lanes };
+                if queue.is_empty() {
+                    self.ready.remove(tenant);
+                }
                 self.depth -= 1;
-                let (at, tenant, class) = self.arrivals[idx];
                 if self.now >= at.saturating_add(deadline) {
                     // Expired while queued: timed out without burning
                     // a single engine cycle.
@@ -295,21 +397,16 @@ impl Serve<'_> {
                     continue;
                 }
                 let sampled = self.ladder_level() >= 3;
-                let profile = &self.profiles[class];
-                let src = if self.impaired { &profile.degraded } else { &profile.healthy };
-                let phases: Vec<u64> = src
-                    .iter()
-                    .map(|(_, c)| if sampled { (c / 8).max(1) } else { *c })
-                    .collect();
-                let first = phases.first().copied().unwrap_or(1);
+                let impaired = self.impaired;
+                let first = self.phase_cost(class, impaired, sampled, 0).unwrap_or(1);
                 self.lanes[lane] = Some(Running {
                     tenant,
                     class,
-                    phases,
+                    impaired,
+                    sampled,
                     phase_idx: 0,
                     arrival_cycle: at,
                     start_cycle: self.now,
-                    sampled,
                 });
                 self.push(self.now.saturating_add(first), Ev::PhaseDone { lane });
                 continue 'lanes;
@@ -322,7 +419,7 @@ impl Serve<'_> {
         r.phase_idx += 1;
         let deadline = self.spec.deadline_mcycles * MCYCLE;
         let burned = self.now - r.start_cycle;
-        if r.phase_idx < r.phases.len() {
+        if let Some(next) = self.phase_cost(r.class, r.impaired, r.sampled, r.phase_idx) {
             if self.now >= r.arrival_cycle.saturating_add(deadline) {
                 // Cooperative abandon at the phase boundary; cycles
                 // burned stay charged.
@@ -342,7 +439,6 @@ impl Serve<'_> {
                 self.dispatch();
                 return;
             }
-            let next = r.phases[r.phase_idx];
             self.lanes[lane] = Some(r);
             self.push(self.now.saturating_add(next), Ev::PhaseDone { lane });
             return;
@@ -415,32 +511,26 @@ fn slo_window_permille(epochs: &[EpochRow], keep: impl Fn(&EpochRow) -> bool) ->
 
 /// Run one serve cell to completion (arrivals stop at the spec
 /// duration; queued and running work drains after). Pure function of
-/// `(spec, profiles)`. Errors only on an invalid arrival spec — the
-/// generator re-validates, so specs that bypassed `parse` cannot reach
-/// the arithmetic that used to panic on them.
+/// `(spec, profiles)`. Memory grows with tenants and in-flight
+/// requests, not with the arrival count. Errors only on an invalid
+/// arrival spec — the generator re-validates, so specs that bypassed
+/// `parse` cannot reach the arithmetic that used to panic on them.
 pub fn run_serve(
     config: &str,
     spec: &ServeSpec,
     profiles: &[ClassProfile],
     record_sessions: bool,
 ) -> SimResult<(CellStats, Vec<Session>)> {
-    let duration = spec.duration_mcycles * MCYCLE;
-    let nclasses = profiles.len().max(1);
-
-    // All arrival times, tenants, and classes are fixed upfront from
-    // the seed — the admission pipeline cannot perturb them.
-    let mut gen = ArrivalGen::new(spec.arrivals.clone(), spec.seed, 0)?;
-    let mut trng = SplitMix::new(spec.seed, 1);
-    let mut crng = SplitMix::new(spec.seed, 2);
-    let mut arrivals = Vec::new();
-    while let Some(at) = gen.next_arrival() {
-        if at >= duration || arrivals.len() >= 4_000_000 {
-            break;
-        }
-        let tenant = (trng.next_u64() % spec.tenants as u64) as usize;
-        let class = (crng.next_u64() % nclasses as u64) as usize;
-        arrivals.push((at, tenant, class));
-    }
+    // Arrival times, tenants, and classes are a function of the seed
+    // alone — the admission pipeline cannot perturb them.
+    let mut arrivals = Arrivals {
+        gen: ArrivalGen::new(spec.arrivals.clone(), spec.seed, 0)?,
+        tenant_rng: SplitMix::new(spec.seed, 1),
+        class_rng: SplitMix::new(spec.seed, 2),
+        end: spec.duration_mcycles * MCYCLE,
+        tenants: spec.tenants as u64,
+        classes: profiles.len().max(1) as u64,
+    };
 
     let mut s = Serve {
         spec,
@@ -452,8 +542,8 @@ pub fn run_serve(
         now: 0,
         seq: 0,
         heap: BinaryHeap::new(),
-        arrivals,
         tenants: (0..spec.tenants).map(|_| TenantState::default()).collect(),
+        ready: ReadySet::new(spec.tenants),
         lanes: vec![None; spec.lanes],
         rr_cursor: 0,
         depth: 0,
@@ -478,8 +568,9 @@ pub fn run_serve(
         t.tokens_milli = spec.bucket_cap * 1000;
     }
 
-    if !s.arrivals.is_empty() {
-        s.push(s.arrivals[0].0, Ev::Arrival { idx: 0 });
+    let first = arrivals.next();
+    if let Some((at, tenant, class)) = first {
+        s.push(at, Ev::Arrival { tenant, class });
     }
     s.push(spec.epoch_mcycles * MCYCLE, Ev::EpochTick);
     if let Some(o) = spec.outage {
@@ -487,19 +578,19 @@ pub fn run_serve(
         s.push(o.end_mcycles * MCYCLE, Ev::OutageEnd);
     }
 
-    let mut next_arrival = if s.arrivals.is_empty() { None } else { Some(0usize) };
+    // Exactly one arrival is in the heap while the stream lasts: each
+    // pop draws and pushes its successor before admitting itself.
+    let mut arrival_pending = first.is_some();
     while let Some(Reverse((at, _, ev))) = s.heap.pop() {
         s.now = at;
         match ev {
-            Ev::Arrival { idx } => {
-                let next = idx + 1;
-                if next < s.arrivals.len() {
-                    s.push(s.arrivals[next].0, Ev::Arrival { idx: next });
-                    next_arrival = Some(next);
-                } else {
-                    next_arrival = None;
+            Ev::Arrival { tenant, class } => {
+                let next = arrivals.next();
+                if let Some((at, tenant, class)) = next {
+                    s.push(at, Ev::Arrival { tenant, class });
                 }
-                s.on_arrival(idx);
+                arrival_pending = next.is_some();
+                s.on_arrival(tenant, class);
             }
             Ev::PhaseDone { lane } => s.on_phase_done(lane),
             Ev::EpochTick => {
@@ -515,7 +606,7 @@ pub fn run_serve(
                 }
                 // Keep ticking only while there is work left; otherwise
                 // the tick itself would keep the run alive forever.
-                if s.work_pending(next_arrival.is_some()) {
+                if s.work_pending(arrival_pending) {
                     let next = s.now.saturating_add(spec.epoch_mcycles * MCYCLE);
                     s.push(next, Ev::EpochTick);
                 }
@@ -697,6 +788,68 @@ mod tests {
             t.slo_ok += s.slo_ok;
         }
         t
+    }
+
+    /// The linear-scan dispatcher's pick for every cursor: the first
+    /// ready tenant at or after it, else the first from 0.
+    fn scan_picks(ready: &[bool]) -> Vec<Option<usize>> {
+        let mut next = vec![None; ready.len() + 1];
+        for i in (0..ready.len()).rev() {
+            next[i] = if ready[i] { Some(i) } else { next[i + 1] };
+        }
+        (0..ready.len()).map(|i| next[i].or(next[0])).collect()
+    }
+
+    /// `ReadySet::next_from` agrees with the linear scan at every
+    /// cursor — so at every word and summary boundary and across the
+    /// wrap — through random insert/remove sequences that sweep the set
+    /// from dense to empty, with half the touches on a boundary.
+    #[test]
+    fn ready_set_matches_the_linear_scan() {
+        let mut rng = SplitMix::new(7, 0);
+        for n in [1usize, 63, 64, 65, 4_095, 4_096, 4_097, 100_003] {
+            let mut set = ReadySet::new(n);
+            let mut oracle = vec![false; n];
+            let check = |set: &ReadySet, oracle: &[bool]| {
+                for (from, want) in scan_picks(oracle).into_iter().enumerate() {
+                    assert_eq!(set.next_from(from), want, "n={n} from={from}");
+                }
+            };
+            let check_every = (n / 64).max(1);
+            for insert_permille in [900, 500, 100, 0] {
+                for step in 0..2 * n.min(4_096) {
+                    let i = if rng.next_u64() & 1 == 0 {
+                        (rng.next_u64() % n as u64) as usize
+                    } else {
+                        let stride = if rng.next_u64() & 1 == 0 { 64 } else { 4_096 };
+                        let b = (rng.next_u64() % (n / stride + 1) as u64) as usize * stride;
+                        (b + n - 1 + (rng.next_u64() % 3) as usize) % n
+                    };
+                    let insert = rng.next_u64() % 1000 < insert_permille;
+                    if insert {
+                        set.insert(i);
+                    } else {
+                        set.remove(i);
+                    }
+                    oracle[i] = insert;
+                    if step % check_every == 0 {
+                        check(&set, &oracle);
+                    }
+                }
+                check(&set, &oracle);
+            }
+            for i in 0..n {
+                set.remove(i);
+            }
+            assert_eq!(set.next_from(0), None, "n={n}: emptied set");
+            // Lone members at either end: every cursor past the low one
+            // wraps, and every cursor finds the high one.
+            set.insert(0);
+            assert_eq!(set.next_from(n - 1), Some(0), "n={n}: wrap to 0");
+            set.remove(0);
+            set.insert(n - 1);
+            assert_eq!(set.next_from(0), Some(n - 1), "n={n}: last tenant");
+        }
     }
 
     #[test]

@@ -7,6 +7,11 @@ use nqp_sim::{SimError, SimResult};
 /// Cycles per Mcycle — spec durations are given in Mcycles.
 pub const MCYCLE: u64 = 1_000_000;
 
+/// The most arrivals a serve spec may expect at its peak rate. The
+/// driver draws arrivals lazily, so this bounds run time, not memory:
+/// it keeps a typo from turning into a multi-minute spin.
+pub const MAX_EXPECTED_ARRIVALS: u128 = 64_000_000;
+
 /// Calibrated cost profile for one query class under one engine
 /// configuration. Captured once from a real simulator run (per-phase
 /// cycles from the trace spans); the serve loop replays it.
@@ -215,9 +220,10 @@ pub struct ServeSpec {
 }
 
 impl ServeSpec {
-    /// Validation used by the CLI empty-spec gate: a spec that can
-    /// never produce work is an error, and one that would produce an
-    /// unbounded amount of it is too.
+    /// The one bound on a serve spec: one that can never produce work
+    /// is an error, and so is one expecting more than
+    /// [`MAX_EXPECTED_ARRIVALS`] arrivals. The driver never truncates
+    /// the arrival stream itself.
     pub fn validate(&self) -> SimResult<()> {
         let harness = |what: String| SimError::Harness { what };
         if self.tenants == 0 {
@@ -235,14 +241,12 @@ impl ServeSpec {
         if self.epoch_mcycles == 0 {
             return Err(harness("serve epoch must be nonzero".into()));
         }
-        // Expected arrivals at peak rate, capped to keep a typo from
-        // turning into a multi-minute spin.
         let expected =
             self.arrivals.peak_rate_milli() as u128 * self.duration_mcycles as u128 / 1000;
-        if expected > 4_000_000 {
+        if expected > MAX_EXPECTED_ARRIVALS {
             return Err(harness(format!(
-                "serve spec would generate ~{expected} arrivals (cap 4000000); \
-                 lower the rate or duration"
+                "serve spec would generate ~{expected} arrivals \
+                 (cap {MAX_EXPECTED_ARRIVALS}); lower the rate or duration"
             )));
         }
         Ok(())
@@ -353,7 +357,23 @@ mod tests {
         s.arrivals = ArrivalSpec::Poisson { rate_milli: 0 };
         assert!(s.validate().is_err());
         let mut s = spec();
+        s.duration_mcycles = 500_000;
+        assert!(s.validate().is_ok(), "~10M expected arrivals are within the cap");
+        let mut s = spec();
         s.duration_mcycles = 1_000_000_000;
-        assert!(s.validate().is_err(), "runaway arrival counts are rejected");
+        let err = s.validate().unwrap_err().to_string();
+        assert!(
+            err.contains(&MAX_EXPECTED_ARRIVALS.to_string()),
+            "runaway arrival counts are rejected, naming the cap: {err}"
+        );
+        for tweak in [
+            |s: &mut ServeSpec| s.lanes = 0,
+            |s: &mut ServeSpec| s.queue_cap = 0,
+            |s: &mut ServeSpec| s.epoch_mcycles = 0,
+        ] {
+            let mut s = spec();
+            tweak(&mut s);
+            assert!(s.validate().is_err());
+        }
     }
 }

@@ -154,6 +154,17 @@ if "$CLI" serve w1 --machine B --tenants 0 > /dev/null 2>&1; then
   exit 1
 fi
 
+# Tenant-scale smoke (DESIGN.md §4f, "Dispatch"): serve dispatch does
+# not scan the tenants and arrivals are drawn lazily, so 100 000
+# tenants finish well inside a minute, and every admitted request
+# resolves (admitted = completed + timeouts, summed over the CSV's
+# per-tenant rows).
+timeout 60 "$CLI" serve w1,w3 --machine B --threads 8 --duration 400000 \
+    --arrivals poisson:rate=0.9 --configs tuned --tenants 100000 \
+    --csv "$SMOKE/scale.csv" > /dev/null
+awk -F, 'NR > 1 { a += $4; r += $5 + $9; n++ } END { exit !(n == 100000 && a > 0 && a == r) }' \
+    "$SMOKE/scale.csv"
+
 # Online-advisor smoke (DESIGN.md §4g): the phase-shift sweep with the
 # epoch-driven controller and the AutoNUMA contender must be
 # byte-identical serial vs --jobs, and resume from a killed journal to

@@ -1388,15 +1388,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         advisor,
         seed: getu("seed", 42)?,
     };
-    // An empty serve spec is a mis-specified run, not a vacuous
-    // success: fail loudly, like the empty sweep grid.
-    if let Err(e) = spec.validate() {
-        eprintln!("warning: {e} — nothing to serve");
-        return Err(
-            "empty serve spec (need tenants >= 1, duration >= 1, arrival rate > 0)"
-                .to_string(),
-        );
-    }
+    // An empty or runaway serve spec is a mis-specified run, not a
+    // vacuous success: fail loudly with the bound it broke.
+    spec.validate().map_err(|e| e.to_string())?;
     let jobs = jobs_arg(&flags)?;
     let max_cells: Option<usize> = flags.get("max-cells").and_then(|s| s.parse().ok());
     let trace_dir = trace_dir_arg(&flags)?;

@@ -258,3 +258,91 @@ fn epoch_rows_telescope_and_ladder_reacts_to_load() {
         );
     }
 }
+
+/// FNV-1a over `bytes`, folded into `h`: a stable, dependency-free
+/// digest for pinning a run's full output.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Dispatch-order identity at a tenant count that is not a multiple of
+/// the ready-set word size: 4 097 tenants, 3 lanes, ~9x overload, a
+/// node outage, the online advisor, and every session recorded. The
+/// digest covers the cell's journal record (`fields_json`: per-tenant
+/// counts, histogram, epoch rows) plus every session's tenant, lane,
+/// timing and outcome, so any change to which tenant a free lane picks
+/// moves it.
+///
+/// `PINNED` was computed by running this test against the linear
+/// cursor-scan dispatcher (the implementation before the ready-tenant
+/// bitmap and lazy arrivals); it must never be recomputed from the
+/// current driver.
+#[test]
+fn dispatch_order_matches_the_linear_scan_dispatcher() {
+    use nqp::core::journal::JournalRecord;
+    const PINNED: u64 = 0x296b_a103_1d36_f096;
+    let sp = ServeSpec {
+        tenants: 4_097,
+        duration_mcycles: 600,
+        arrivals: ArrivalSpec::Poisson { rate_milli: 30_000 },
+        lanes: 3,
+        queue_cap: 2,
+        bucket_cap: 4,
+        refill_milli_per_mcycle: 2_000,
+        deadline_mcycles: 4,
+        breaker_threshold: 3,
+        epoch_mcycles: 4,
+        outage: Some(OutageSpec { start_mcycles: 100, end_mcycles: 180, node: 1 }),
+        advisor: ServeAdvisor::Online { rearm_after: 2 },
+        seed: 4_097,
+    };
+    let (stats, sessions) =
+        nqp::serve::run_serve("tuned", &sp, &profiles(), true).expect("serve run");
+    let t = stats.totals();
+    assert!(t.arrivals > 15_000, "overload produced work ({})", t.arrivals);
+    assert!(t.shed() > 0 && t.timeouts > 0 && t.degraded > 0, "{t:?}");
+    assert_eq!(sessions.len() as u64, t.arrivals, "one session per arrival");
+    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, stats.fields_json().as_bytes());
+    for s in &sessions {
+        let line = format!(
+            "{},{},{},{},{},{},{},{};",
+            s.tenant,
+            s.class,
+            s.lane,
+            s.arrival,
+            s.start,
+            s.end,
+            s.outcome.label(),
+            s.burned
+        );
+        h = fnv1a(h, line.as_bytes());
+    }
+    assert_eq!(h, PINNED, "dispatch order diverged from the linear-scan dispatcher: {h:#018x}");
+}
+
+/// The CLI reports the bound a serve spec broke, not a generic "empty
+/// spec" line: an over-cap spec exits nonzero naming the arrival cap,
+/// and `--lanes 0` names the lane requirement.
+#[test]
+fn cli_serve_rejects_a_spec_with_the_bound_it_broke() {
+    let serve = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nqp-cli"))
+            .args(["serve", "w1", "--machine", "B"])
+            .args(extra)
+            .output()
+            .expect("spawn nqp-cli");
+        assert!(!out.status.success(), "`serve {extra:?}` must exit nonzero");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!err.contains("panicked") && !err.contains("empty serve spec"), "{err}");
+        err
+    };
+    let cap = nqp::serve::spec::MAX_EXPECTED_ARRIVALS.to_string();
+    let err = serve(&["--duration", "100000000", "--arrivals", "poisson:rate=1"]);
+    assert!(err.contains(&format!("(cap {cap})")), "over-cap error must name the cap: {err}");
+    let err = serve(&["--duration", "10", "--lanes", "0"]);
+    assert!(err.contains("1 lane"), "{err}");
+}
