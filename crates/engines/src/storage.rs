@@ -230,6 +230,10 @@ impl TpchDb {
         // count, same as the W1–W4 relation loaders.
         for &(name, schema) in SCHEMAS {
             let shadow = &db.tables[name];
+            // Each column's `(base, width)` in schema order, resolved once
+            // per table instead of once per cell.
+            let cols: Vec<(u64, u64)> =
+                schema.iter().map(|&(cname, _)| shadow.cols[cname]).collect();
             sim.try_parallel_sharded(threads, shadow, |w, shadow| {
                 for row in shadow.partition(w.tid(), threads) {
                     match layout {
@@ -238,8 +242,7 @@ impl TpchDb {
                             w.touch(addr, shadow.row_bytes, Access::Write);
                         }
                         Layout::Column => {
-                            for &(cname, _) in schema {
-                                let &(base, wd) = &shadow.cols[cname];
+                            for &(base, wd) in &cols {
                                 w.touch(base + row as u64 * wd, wd, Access::Write);
                             }
                         }

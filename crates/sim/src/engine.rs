@@ -23,7 +23,7 @@
 //! minimises controller pressure, and which wins depends on machine and
 //! workload.
 
-use crate::cache::Llc;
+use crate::cache::{access_in, slot_of, Llc, Tags};
 use crate::config::{MemPolicy, SimConfig};
 use crate::error::{SimError, SimResult};
 use crate::fault::{ActiveFaults, FaultPlan};
@@ -36,6 +36,7 @@ use crate::trace::{TraceEvent, TraceLog, NO_TID};
 use crate::tune::{EpochView, PageHeat, RegionHook, TuneAction};
 use nqp_topology::{CoreId, NodeId};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Barrier, PoisonError, RwLock};
 
 /// Read or write; counted identically by the current cost model but kept
 /// distinct in the API for workloads that want to annotate intent.
@@ -60,6 +61,9 @@ const L1_LINES: u64 = 512;
 /// invalidations (collisions cause occasional spurious invalidations).
 const WRITER_TABLE_SLOTS: usize = 1 << 20;
 
+/// A copy of the per-node LLCs and the last-writer table.
+type TableCopy = (Vec<Llc>, Vec<(u64, u32)>);
+
 /// The NUMA machine simulator.
 #[derive(Debug)]
 pub struct NumaSim {
@@ -77,6 +81,10 @@ pub struct NumaSim {
     /// Coherence model: `(line, last writer tid)` so one thread's write
     /// invalidates other threads' L1 copies of the line.
     writer_table: Vec<(u64, u32)>,
+    /// The table copies host shards 1..N−1 of a sharded region run on,
+    /// refreshed from the canonical tables every region and kept in
+    /// between so their pages stay mapped.
+    shard_copies: Vec<TableCopy>,
     locks: LockTable,
     counters: Counters,
     region_idx: u64,
@@ -115,7 +123,7 @@ impl NumaSim {
         let machine = &cfg.machine;
         let nodes = machine.topology.num_nodes();
         let caches = (0..nodes)
-            .map(|_| Llc::new(machine.llc.num_lines(), machine.llc.hit_cycles))
+            .map(|_| Llc::new(machine.llc.num_lines()))
             .collect();
         let links = machine.topology.links();
         let link_index = |a: NodeId, b: NodeId| -> u16 {
@@ -150,6 +158,7 @@ impl NumaSim {
             l1s: Vec::new(),
             sched_plans: Vec::new(),
             writer_table: vec![(u64::MAX, u32::MAX); WRITER_TABLE_SLOTS],
+            shard_copies: Vec::new(),
             locks: LockTable::default(),
             counters: Counters::default(),
             region_idx: 0,
@@ -341,11 +350,16 @@ impl NumaSim {
     /// isolated state and a deterministic merge at the region boundary.
     ///
     /// Each worker executes against the *frozen* region-start memory,
-    /// LLC, and writer-table state plus a private overlay of its own
-    /// effects, so its execution (and every cycle it charges) is a pure
-    /// function of that frozen state — independent of how workers are
-    /// partitioned across host threads. Overlays are merged back in
-    /// ascending-tid order when every worker has finished. Counters,
+    /// LLC, and writer-table state plus its own effects, so its
+    /// execution (and every cycle it charges) is a pure function of
+    /// that frozen state — independent of how workers are partitioned
+    /// across host threads. Every host shard runs its contiguous tid
+    /// chunk in place on one arena of LLC tags and writer-table slots
+    /// (shard 0 on the canonical tables, shards 1.. on one region-start
+    /// copy each); a worker undo-logs the first write of every slot and,
+    /// when it finishes, rolls the arena back and keeps the redo set
+    /// (DESIGN.md §4h). Redo sets and memory overlays are merged back
+    /// in ascending-tid order when every worker has finished. Counters,
     /// region stats, trace logs, and downstream journal/advisor
     /// decisions are therefore byte-identical for every shard count,
     /// including `shards = 1` (which runs the same isolated-worker
@@ -393,73 +407,108 @@ impl NumaSim {
             let l1 = std::mem::replace(&mut self.l1s[tid], Tlb::new(0));
             seats.push((tid, sched, tlb4, tlb2, l1));
         }
-
+        // Contiguous balanced tid chunks, one per host shard; collecting
+        // results in shard order is collecting them in ascending-tid
+        // order.
         let shard_count = self.cfg.shards.max(1).min(threads);
+        let (base, extra) = (threads / shard_count, threads % shard_count);
+        let mut seats = seats.into_iter();
+        let chunks: Vec<Vec<Seat>> = (0..shard_count)
+            .map(|s| seats.by_ref().take(base + usize::from(s < extra)).collect())
+            .collect();
+
         let cfg = &self.cfg;
         let link_paths = &self.link_paths;
         let num_links = self.num_links;
         let sim_now = self.now_cycles;
         let trace_on = self.trace.is_some();
         let memory = &self.memory;
-        let caches: &[Llc] = &self.caches;
-        let writer: &[(u64, u32)] = &self.writer_table;
         let setup_ref = &setup;
         let f_ref = &f;
-        let run_seat = move |seat: Seat| -> (ThreadOutcome, R) {
-            let (tid, sched, tlb4, tlb2, l1) = seat;
-            let trace = if trace_on {
-                TraceLink::Buffer(Vec::new())
-            } else {
-                TraceLink::Off
-            };
-            let mut w = make_worker(
-                cfg,
-                link_paths,
-                setup_ref,
-                tid,
-                sched,
-                tlb4,
-                tlb2,
-                l1,
-                MemLink::Shard(ShardMemView::new(memory)),
-                CacheLink::shard(caches),
-                WriterLink::shard(writer),
-                trace,
-                num_links,
-                sim_now,
-            );
-            let r = f_ref(&mut w, shared);
-            (w.finish(), r)
+        let run_chunk = move |chunk: Vec<Seat>, mut arena: Arena<'_>| {
+            let mut out: Vec<(ThreadOutcome, R)> = Vec::with_capacity(chunk.len());
+            // The chunk's latest toucher of each node's LLC, so a
+            // superseded LLC redo set is dropped as soon as a later tid
+            // touches that node (only the last toucher's survives the
+            // merge).
+            let mut last_toucher: Vec<Option<usize>> = vec![None; arena.caches.len()];
+            for (tid, sched, tlb4, tlb2, l1) in chunk {
+                let trace = if trace_on {
+                    TraceLink::Buffer(Vec::new())
+                } else {
+                    TraceLink::Off
+                };
+                let (caches, writer) = arena.links();
+                let mut w = make_worker(
+                    cfg,
+                    link_paths,
+                    setup_ref,
+                    tid,
+                    sched,
+                    tlb4,
+                    tlb2,
+                    l1,
+                    MemLink::Shard(ShardMemView::new(memory)),
+                    caches,
+                    writer,
+                    trace,
+                    num_links,
+                    sim_now,
+                );
+                let r = f_ref(&mut w, shared);
+                let outcome = w.finish();
+                if let Some(delta) = &outcome.shard {
+                    for (node, redo) in delta.llcs.iter().enumerate() {
+                        if redo.is_none() {
+                            continue;
+                        }
+                        if let Some(prev) = last_toucher[node].replace(out.len()) {
+                            if let Some(d) = out[prev].0.shard.as_mut() {
+                                d.llcs[node] = None;
+                            }
+                        }
+                    }
+                }
+                out.push((outcome, r));
+            }
+            out
         };
 
         let mut outcomes: Vec<(ThreadOutcome, R)> = Vec::with_capacity(threads);
+        let mut chunks = chunks.into_iter();
+        let first = chunks.next().unwrap_or_default();
         if shard_count <= 1 {
             // Same isolated-worker semantics, no host threads spawned.
-            for seat in seats {
-                outcomes.push(run_seat(seat));
-            }
+            outcomes = run_chunk(first, Arena::new(&mut self.caches, &mut self.writer_table));
         } else {
-            // Contiguous balanced tid chunks; collecting join results in
-            // shard order is collecting them in ascending-tid order.
-            let base = threads / shard_count;
-            let extra = threads % shard_count;
-            let mut chunks: Vec<Vec<Seat>> = Vec::with_capacity(shard_count);
-            let mut it = seats.into_iter();
-            for s in 0..shard_count {
-                let take = base + usize::from(s < extra);
-                chunks.push(it.by_ref().take(take).collect());
-            }
+            // Shard 0 runs in place on the canonical tables. Every other
+            // shard copies them (the region-start image) into its kept
+            // copy in its own host thread, so the copies are made in
+            // parallel; shard 0 starts once all of them are made.
+            let mut copies = std::mem::take(&mut self.shard_copies);
+            copies.resize_with(copies.len().max(shard_count - 1), Default::default);
+            let tables = RwLock::new((&mut self.caches, &mut self.writer_table));
+            let copied = Barrier::new(shard_count);
             let mut host_panic = false;
             std::thread::scope(|scope| {
-                let run_seat = &run_seat;
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk.into_iter().map(run_seat).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
+                let (run_chunk, tables, copied) = (&run_chunk, &tables, &copied);
+                let mut handles = vec![scope.spawn(move || {
+                    copied.wait();
+                    let mut canonical = tables.write().unwrap_or_else(PoisonError::into_inner);
+                    let (caches, writer) = &mut *canonical;
+                    run_chunk(first, Arena::new(caches, writer))
+                })];
+                for (chunk, (caches, writer)) in chunks.zip(copies.iter_mut()) {
+                    handles.push(scope.spawn(move || {
+                        {
+                            let canonical = tables.read().unwrap_or_else(PoisonError::into_inner);
+                            caches.clone_from(canonical.0);
+                            writer.clone_from(canonical.1);
+                        }
+                        copied.wait();
+                        run_chunk(chunk, Arena::new(caches, writer))
+                    }));
+                }
                 for h in handles {
                     match h.join() {
                         Ok(batch) => outcomes.extend(batch),
@@ -467,10 +516,12 @@ impl NumaSim {
                     }
                 }
             });
+            self.shard_copies = copies;
             if host_panic {
-                // The trial's state is torn; surface a typed fault so
-                // the supervisor re-runs it on a fresh simulator
-                // instead of unwinding through the harness.
+                // The trial's state is torn (a panicking worker never
+                // rolled its arena back); surface a typed fault so the
+                // supervisor re-runs it on a fresh simulator instead of
+                // unwinding through the harness.
                 return Err(SimError::Harness {
                     what: "a shard host thread panicked mid-region".to_string(),
                 });
@@ -507,21 +558,33 @@ impl NumaSim {
             return Err(e);
         }
 
-        // Deterministic epoch-boundary merge, ascending tid order: later
-        // tids win conflicting slots wholesale, exactly like the serial
-        // path's last-writer ordering.
+        // Deterministic epoch-boundary merge, ascending tid order, onto
+        // the region-start image every worker rolled back to: the last
+        // toucher of a node's LLC wins it wholesale (its insertions on
+        // the region-start image, even if it only hit), later tids win
+        // conflicting writer slots, exactly like the serial path's
+        // last-writer ordering.
+        let mut llc_winners: Vec<Option<Vec<(u32, u64)>>> = vec![None; self.caches.len()];
         for delta in deltas {
-            for (node, llc) in delta.llcs.into_iter().enumerate() {
-                if let Some(llc) = llc {
-                    self.caches[node] = llc;
+            for (node, redo) in delta.llcs.into_iter().enumerate() {
+                if redo.is_some() {
+                    llc_winners[node] = redo;
                 }
             }
-            merge_writer(&mut self.writer_table, delta.writer);
+            for (slot, value) in delta.writer {
+                self.writer_table[slot as usize] = value;
+            }
             self.memory.merge_shard(delta.mem);
             if let Some(t) = self.trace.as_deref_mut() {
                 for (at, tid, ev) in delta.trace {
                     t.push(at, tid, ev);
                 }
+            }
+        }
+        for (llc, redo) in self.caches.iter_mut().zip(llc_winners) {
+            let (_, tags) = llc.parts_mut();
+            for (slot, tag) in redo.unwrap_or_default() {
+                tags[slot as usize] = tag;
             }
         }
         let heat = self.collect_heat(&mut finished);
@@ -1175,8 +1238,9 @@ struct ThreadOutcome {
     tlb2: Tlb,
     l1: Tlb,
     sched: ThreadSchedule,
-    /// The isolated-state overlay of a sharded-region worker (None on
-    /// the serial path, which mutates canonical state directly).
+    /// The memory overlay and redo sets of a sharded-region worker
+    /// (None on the serial path, which mutates canonical state
+    /// directly).
     shard: Option<ShardDelta>,
 }
 
@@ -1396,132 +1460,180 @@ fn shard_map_fault() -> SimError {
     }
 }
 
-/// Worker handle on the per-node LLCs: lazily clones a node's LLC image
-/// into the worker on first mutation (sharded path). Indexing mirrors
-/// `Vec<Llc>` so `self.caches[node]` call sites compile unchanged.
-enum CacheLink<'a> {
-    Direct(&'a mut Vec<Llc>),
-    Shard {
-        base: &'a [Llc],
-        local: Vec<Option<Llc>>,
-    },
+/// One host shard's working state in a sharded region: the LLC tag
+/// arrays and the last-writer table its workers run on *in place* —
+/// the simulator's canonical tables for shard 0, a region-start copy
+/// for every other shard — plus one dirty bitmap per table. Every
+/// worker rolls its changes back when it finishes, so between workers
+/// the tables hold the region-start image and the bitmaps are clear.
+struct Arena<'a> {
+    caches: &'a mut [Llc],
+    writer: &'a mut [(u64, u32)],
+    llc_dirty: Vec<Vec<u64>>,
+    writer_dirty: Vec<u64>,
 }
 
-impl<'a> CacheLink<'a> {
-    fn shard(base: &'a [Llc]) -> Self {
-        CacheLink::Shard { base, local: vec![None; base.len()] }
+impl<'a> Arena<'a> {
+    fn new(caches: &'a mut [Llc], writer: &'a mut [(u64, u32)]) -> Self {
+        // Logs and redo sets store slot indices as u32.
+        let slots_fit = |n: usize| u32::try_from(n).is_ok();
+        assert!(
+            slots_fit(writer.len()) && caches.iter().all(|c| slots_fit(c.capacity_lines())),
+            "a table has more than 2^32 slots"
+        );
+        let llc_dirty = caches
+            .iter()
+            .map(|c| vec![0; c.capacity_lines().div_ceil(64)])
+            .collect();
+        let writer_dirty = vec![0; writer.len().div_ceil(64)];
+        Arena { caches, writer, llc_dirty, writer_dirty }
+    }
+
+    /// The next worker's undo-logged views of every table.
+    fn links(&mut self) -> (CacheLink<'_>, WriterLink<'_>) {
+        let views = self
+            .caches
+            .iter_mut()
+            .zip(&mut self.llc_dirty)
+            .map(|(llc, dirty)| {
+                let (mask, tags) = llc.parts_mut();
+                LlcView { mask, tags: UndoTable::new(tags, dirty), touched: false }
+            })
+            .collect();
+        let writer = UndoTable::new(self.writer, &mut self.writer_dirty);
+        (CacheLink::Shard(views), WriterLink::Shard(writer))
     }
 }
 
-impl std::ops::Index<usize> for CacheLink<'_> {
-    type Output = Llc;
+/// A sharded worker's in-place view of one arena table. The first write
+/// of every slot logs `(slot, region-start value)`, found by the dirty
+/// bitmap; [`UndoTable::finish`] swaps the logged values back, which
+/// restores the arena and turns the log into the worker's redo set.
+/// The host cost is proportional to the slots the worker changes, and
+/// since each slot is logged at most once the log never holds more
+/// entries than the table has slots.
+struct UndoTable<'a, T> {
+    arena: &'a mut [T],
+    dirty: &'a mut [u64],
+    log: Vec<(u32, T)>,
+}
+
+impl<'a, T: Copy> UndoTable<'a, T> {
+    fn new(arena: &'a mut [T], dirty: &'a mut [u64]) -> Self {
+        UndoTable { arena, dirty, log: Vec::new() }
+    }
+
+    /// The worker's current value of slot `i`.
     #[inline]
-    fn index(&self, i: usize) -> &Llc {
+    fn slot(&self, i: usize) -> &T {
+        &self.arena[i]
+    }
+
+    /// Store `value` in slot `i`. Every store counts as a write for the
+    /// merge, including one equal to the slot's current value.
+    #[inline]
+    fn set(&mut self, i: usize, value: T) {
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if self.dirty[word] & bit == 0 {
+            self.dirty[word] |= bit;
+            self.log.push((i as u32, self.arena[i]));
+        }
+        self.arena[i] = value;
+    }
+
+    /// Roll the arena back to the region-start image, clear the dirty
+    /// bitmap, and return the redo set: `(slot, value)` once for every
+    /// slot the worker stored to.
+    fn finish(self) -> Vec<(u32, T)> {
+        let UndoTable { arena, dirty, mut log } = self;
+        for (i, value) in &mut log {
+            std::mem::swap(&mut arena[*i as usize], value);
+            dirty[*i as usize / 64] = 0;
+        }
+        log
+    }
+}
+
+impl Tags for UndoTable<'_, u64> {
+    #[inline]
+    fn tag(&self, slot: usize) -> u64 {
+        *self.slot(slot)
+    }
+
+    #[inline]
+    fn set_tag(&mut self, slot: usize, line_addr: u64) {
+        self.set(slot, line_addr);
+    }
+}
+
+/// A sharded worker's view of one node's LLC: [`access_in`] over an
+/// undo-logged tag array.
+struct LlcView<'a> {
+    mask: u64,
+    tags: UndoTable<'a, u64>,
+    /// Whether the worker accessed this LLC at all, hits included: the
+    /// last toucher of a node's LLC wins it wholesale at the merge.
+    touched: bool,
+}
+
+/// Worker handle on the per-node LLCs: the canonical caches on the
+/// serial path, undo-logged views of the shard's arena on the sharded
+/// path.
+enum CacheLink<'a> {
+    Direct(&'a mut [Llc]),
+    Shard(Vec<LlcView<'a>>),
+}
+
+impl CacheLink<'_> {
+    /// [`Llc::access`] on `node`'s LLC: `true` on a hit, insert on a
+    /// miss.
+    #[inline]
+    fn access(&mut self, node: NodeId, line: u64) -> bool {
         match self {
-            CacheLink::Direct(v) => &v[i],
-            CacheLink::Shard { base, local } => local[i].as_ref().unwrap_or(&base[i]),
+            CacheLink::Direct(c) => c[node].access(line),
+            CacheLink::Shard(views) => {
+                let v = &mut views[node];
+                v.touched = true;
+                access_in(v.mask, &mut v.tags, line)
+            }
         }
     }
-}
 
-impl std::ops::IndexMut<usize> for CacheLink<'_> {
+    /// [`Llc::prefetch`] on `node`'s LLC.
     #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut Llc {
+    fn prefetch(&self, node: NodeId, line: u64) {
         match self {
-            CacheLink::Direct(v) => &mut v[i],
-            CacheLink::Shard { base, local } => {
-                local[i].get_or_insert_with(|| base[i].clone())
+            CacheLink::Direct(c) => c[node].prefetch(line),
+            CacheLink::Shard(views) => {
+                let v = &views[node];
+                crate::mix::prefetch(v.tags.slot(slot_of(v.mask, line)));
             }
         }
     }
 }
 
-/// Slots per copy-on-write chunk of the last-writer table. 4096 slots
-/// (64 KB) keeps the clone unit small enough that a worker touching a
-/// few hot lines copies kilobytes, not the table's megabytes.
-const WRITER_CHUNK: usize = 1 << 12;
-/// Chunks covering the whole table.
-const WRITER_CHUNKS: usize = WRITER_TABLE_SLOTS / WRITER_CHUNK;
-
-/// One cloned writer-table chunk plus a written-slot bitmap: the merge
-/// copies exactly the slots this worker stored, so workers writing
-/// disjoint slots of the same chunk never clobber each other.
-struct WriterChunk {
-    slots: [(u64, u32); WRITER_CHUNK],
-    written: [u64; WRITER_CHUNK / 64],
-}
-
-/// Worker handle on the last-writer table: chunked copy-on-write on the
-/// sharded path. `Index` is the read path; `IndexMut` is used by worker
-/// code exactly for stores, so it also marks the written bitmap.
+/// Worker handle on the last-writer table: the canonical table on the
+/// serial path, an undo-logged view of the shard's arena on the
+/// sharded path.
 enum WriterLink<'a> {
-    Direct(&'a mut Vec<(u64, u32)>),
-    Shard {
-        base: &'a [(u64, u32)],
-        chunks: Vec<Option<Box<WriterChunk>>>,
-    },
+    Direct(&'a mut [(u64, u32)]),
+    Shard(UndoTable<'a, (u64, u32)>),
 }
 
-impl<'a> WriterLink<'a> {
-    fn shard(base: &'a [(u64, u32)]) -> Self {
-        WriterLink::Shard {
-            base,
-            chunks: std::iter::repeat_with(|| None).take(WRITER_CHUNKS).collect(),
-        }
-    }
-}
-
-impl std::ops::Index<usize> for WriterLink<'_> {
-    type Output = (u64, u32);
+impl WriterLink<'_> {
     #[inline]
-    fn index(&self, i: usize) -> &(u64, u32) {
+    fn slot(&self, i: usize) -> &(u64, u32) {
         match self {
             WriterLink::Direct(v) => &v[i],
-            WriterLink::Shard { base, chunks } => match &chunks[i / WRITER_CHUNK] {
-                Some(c) => &c.slots[i % WRITER_CHUNK],
-                None => &base[i],
-            },
+            WriterLink::Shard(t) => t.slot(i),
         }
     }
-}
 
-impl std::ops::IndexMut<usize> for WriterLink<'_> {
     #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut (u64, u32) {
+    fn set(&mut self, i: usize, value: (u64, u32)) {
         match self {
-            WriterLink::Direct(v) => &mut v[i],
-            WriterLink::Shard { base, chunks } => {
-                let c = chunks[i / WRITER_CHUNK].get_or_insert_with(|| {
-                    let start = i / WRITER_CHUNK * WRITER_CHUNK;
-                    let mut c = Box::new(WriterChunk {
-                        slots: [(0u64, 0u32); WRITER_CHUNK],
-                        written: [0; WRITER_CHUNK / 64],
-                    });
-                    c.slots.copy_from_slice(&base[start..start + WRITER_CHUNK]);
-                    c
-                });
-                let off = i % WRITER_CHUNK;
-                c.written[off >> 6] |= 1u64 << (off & 63);
-                &mut c.slots[off]
-            }
-        }
-    }
-}
-
-/// Copy one worker's written slots into the canonical table (tid-order
-/// caller; later tids overwrite conflicting slots, like the serial
-/// path's last-writer ordering).
-fn merge_writer(table: &mut [(u64, u32)], chunks: Vec<Option<Box<WriterChunk>>>) {
-    for (ci, chunk) in chunks.into_iter().enumerate() {
-        let Some(c) = chunk else { continue };
-        let start = ci * WRITER_CHUNK;
-        for (wi, &word) in c.written.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let off = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                table[start + off] = c.slots[off];
-            }
+            WriterLink::Direct(v) => v[i] = value,
+            WriterLink::Shard(t) => t.set(i, value),
         }
     }
 }
@@ -1556,8 +1668,10 @@ impl TraceLink<'_> {
 /// borrows so the engine can merge it into `&mut self` state.
 struct ShardDelta {
     mem: MemDelta,
-    llcs: Vec<Option<Llc>>,
-    writer: Vec<Option<Box<WriterChunk>>>,
+    /// Per node, the LLC redo set if the worker accessed that LLC at
+    /// all (`None` also once a later tid has superseded it).
+    llcs: Vec<Option<Vec<(u32, u64)>>>,
+    writer: Vec<(u32, (u64, u32))>,
     trace: Vec<(u64, u32, TraceEvent)>,
 }
 
@@ -1878,10 +1992,10 @@ impl<'a> Worker<'a> {
     #[inline]
     fn prefetch_line(&self, line_addr: VAddr, access: Access) {
         let line = line_addr / LINE;
-        self.caches[self.node].prefetch(line);
+        self.caches.prefetch(self.node, line);
         if access == Access::Write {
             let slot = (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1);
-            crate::mix::prefetch(&self.writer_table[slot]);
+            crate::mix::prefetch(self.writer_table.slot(slot));
         }
         if self.uwalk.page != line_addr / SMALL_PAGE {
             self.memory.prefetch_page(line_addr);
@@ -1905,10 +2019,10 @@ impl<'a> Worker<'a> {
         let line = line_addr / LINE;
         let slot = (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1);
         let l1_hit = self.l1.access(line);
-        let (wt_line, wt_tid) = self.writer_table[slot];
+        let (wt_line, wt_tid) = *self.writer_table.slot(slot);
         let invalidated = wt_line == line && wt_tid != self.tid as u32;
         if access == Access::Write {
-            self.writer_table[slot] = (line, self.tid as u32);
+            self.writer_table.set(slot, (line, self.tid as u32));
         }
         if l1_hit && !invalidated {
             self.counters.l1_hits += 1;
@@ -2014,8 +2128,8 @@ impl<'a> Worker<'a> {
         }
 
         // LLC of the node the thread currently runs on.
-        if self.caches[self.node].access(line_addr / LINE) {
-            self.clock += self.caches[self.node].hit_cycles;
+        if self.caches.access(self.node, line_addr / LINE) {
+            self.clock += self.cfg.machine.llc.hit_cycles;
             self.counters.cache_hits += 1;
         } else {
             self.counters.cache_misses += 1;
@@ -2084,9 +2198,9 @@ impl<'a> Worker<'a> {
         if access == Access::Write {
             let slot = (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1);
             if l1_hit {
-                let (wt_line, wt_tid) = self.writer_table[slot];
+                let (wt_line, wt_tid) = *self.writer_table.slot(slot);
                 let invalidated = wt_line == line && wt_tid != self.tid as u32;
-                self.writer_table[slot] = (line, self.tid as u32);
+                self.writer_table.set(slot, (line, self.tid as u32));
                 if !invalidated {
                     self.counters.l1_hits += 1;
                     self.last_line = line;
@@ -2097,11 +2211,11 @@ impl<'a> Worker<'a> {
                 // L1-miss write: the previous entry is never consumed, so
                 // store without the dependent load — the store retires
                 // asynchronously instead of stalling on a cache miss.
-                self.writer_table[slot] = (line, self.tid as u32);
+                self.writer_table.set(slot, (line, self.tid as u32));
             }
         } else if l1_hit {
             let slot = (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1);
-            let (wt_line, wt_tid) = self.writer_table[slot];
+            let (wt_line, wt_tid) = *self.writer_table.slot(slot);
             if !(wt_line == line && wt_tid != self.tid as u32) {
                 self.counters.l1_hits += 1;
                 self.last_line = line;
@@ -2229,8 +2343,8 @@ impl<'a> Worker<'a> {
         }
 
         // LLC of the node the thread currently runs on.
-        if self.caches[self.node].access(line) {
-            self.clock += self.caches[self.node].hit_cycles;
+        if self.caches.access(self.node, line) {
+            self.clock += self.cfg.machine.llc.hit_cycles;
             self.counters.cache_hits += 1;
         } else {
             self.counters.cache_misses += 1;
@@ -2611,23 +2725,29 @@ impl<'a> Worker<'a> {
             trace,
             ..
         } = self;
-        // A sharded worker carries its isolated overlays out for the
-        // engine's tid-order merge; a serial worker mutated canonical
-        // state in place and carries nothing.
+        // A sharded worker rolls its arena back and carries its memory
+        // overlay and redo sets out for the engine's tid-order merge; a
+        // serial worker mutated canonical state in place and carries
+        // nothing.
         let shard = match (memory, caches, writer_table) {
-            (
-                MemLink::Shard(view),
-                CacheLink::Shard { local, .. },
-                WriterLink::Shard { chunks, .. },
-            ) => Some(ShardDelta {
-                mem: view.into_delta(),
-                llcs: local,
-                writer: chunks,
-                trace: match trace {
-                    TraceLink::Buffer(b) => b,
-                    _ => Vec::new(),
-                },
-            }),
+            (MemLink::Shard(view), CacheLink::Shard(views), WriterLink::Shard(writer)) => {
+                Some(ShardDelta {
+                    mem: view.into_delta(),
+                    // Every view rolls its arena back, touched or not.
+                    llcs: views
+                        .into_iter()
+                        .map(|v| {
+                            let redo = v.tags.finish();
+                            v.touched.then_some(redo)
+                        })
+                        .collect(),
+                    writer: writer.finish(),
+                    trace: match trace {
+                        TraceLink::Buffer(b) => b,
+                        _ => Vec::new(),
+                    },
+                })
+            }
             _ => None,
         };
         let mut heat: Vec<(u64, u64)> = heat.into_iter().collect();
@@ -2663,6 +2783,7 @@ mod tests {
     use super::*;
     use crate::config::{MemPolicy, ThreadPlacement};
     use nqp_topology::machines;
+    use std::collections::HashSet;
 
     fn quiet_cfg(machine: nqp_topology::MachineSpec) -> SimConfig {
         SimConfig::os_default(machine)
@@ -3292,5 +3413,147 @@ mod tests {
             SimConfig::os_default(machines::machine_b()).with_faults(plan),
             4,
         );
+    }
+
+    // ---- sharded-region merge rules, at shards 1, 2 and 3 -----------
+
+    /// What one worker of a merge-rule region touches: `(first line,
+    /// lines, access)`, in lines from the arena base (0 lines = nothing).
+    type LinePlan = (u64, u64, Access);
+
+    /// A machine-B simulator with three threads packed on node 0 and
+    /// `lines` lines mapped, the first `warm` of them written in a
+    /// serial region (LLC-resident and in the writer table at the next
+    /// region's start).
+    fn merge_sim(shards: usize, lines: u64, warm: u64) -> (NumaSim, VAddr) {
+        let cfg = quiet_cfg(machines::machine_b())
+            .with_threads(ThreadPlacement::Dense)
+            .with_shards(shards);
+        let mut sim = NumaSim::new(cfg);
+        let mut base = 0;
+        sim.try_serial(&mut base, |w, base| {
+            *base = w.map_pages(lines * LINE);
+            w.touch(*base, warm * LINE, Access::Write);
+        })
+        .unwrap();
+        (sim, base)
+    }
+
+    /// One three-thread sharded region running `plans[tid]` per worker.
+    fn run_plans(sim: &mut NumaSim, base: VAddr, plans: &[LinePlan]) -> SimResult<RegionStats> {
+        sim.try_parallel_sharded(plans.len(), plans, |w, plans| {
+            let (first, lines, access) = plans[w.tid()];
+            w.touch(base + first * LINE, lines * LINE, access);
+        })
+        .map(|(stats, _)| stats)
+    }
+
+    fn writer_slot(line: u64) -> usize {
+        (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1)
+    }
+
+    /// Distinct LLC slots a run of `lines` lines from line `first` maps to.
+    fn distinct_llc_slots(sim: &NumaSim, base: VAddr, first: u64, lines: u64) -> usize {
+        let mask = sim.caches[0].capacity_lines() as u64 - 1;
+        let line0 = base / LINE + first;
+        let llc: HashSet<usize> = (line0..line0 + lines).map(|l| slot_of(mask, l)).collect();
+        llc.len()
+    }
+
+    #[test]
+    fn sharded_llc_goes_to_the_last_toucher_even_when_it_only_hit() {
+        const W: Access = Access::Write;
+        const R: Access = Access::Read;
+        for shards in 1..=3 {
+            // tid 2 re-reads the 64 warm lines, which sit in 64 distinct
+            // slots: every access hits, so node 0's LLC ends at the
+            // region-start image and tids 0 and 1's insertions are gone.
+            let (mut sim, base) = merge_sim(shards, 4096, 64);
+            assert_eq!(distinct_llc_slots(&sim, base, 0, 64), 64);
+            let start = sim.caches.clone();
+            let misses = sim.counters().cache_misses;
+            run_plans(&mut sim, base, &[(1000, 500, W), (2000, 500, R), (0, 64, R)]).unwrap();
+            assert_eq!(sim.counters().cache_misses - misses, 1000, "shards={shards}");
+            assert_eq!(sim.caches, start, "shards={shards}: hit-only last toucher");
+
+            // tid 2 inserts: node 0's LLC is the region-start image plus
+            // tid 2's insertions alone — what a run of tid 2 by itself
+            // leaves.
+            let (mut sim, base) = merge_sim(shards, 4096, 64);
+            run_plans(&mut sim, base, &[(1000, 500, W), (2000, 500, R), (3000, 500, R)]).unwrap();
+            let (mut solo, base) = merge_sim(shards, 4096, 64);
+            run_plans(&mut solo, base, &[(0, 0, W), (0, 0, R), (3000, 500, R)]).unwrap();
+            assert_ne!(solo.caches, start);
+            assert_eq!(sim.caches, solo.caches, "shards={shards}: last toucher's image");
+        }
+    }
+
+    #[test]
+    fn sharded_writer_slots_go_to_the_later_tid() {
+        const W: Access = Access::Write;
+        for shards in 1..=3 {
+            let (mut sim, base) = merge_sim(shards, 4096, 0);
+            let (l10, l20) = (base / LINE + 10, base / LINE + 20);
+            assert_ne!(writer_slot(l10), writer_slot(l20));
+            run_plans(&mut sim, base, &[(0, 0, W), (10, 1, W), (0, 0, W)]).unwrap();
+            assert_eq!(sim.writer_table[writer_slot(l10)], (l10, 1));
+            // tid 0 stores (l10, 0); tid 1 stores (l10, 1), the slot's
+            // prior value, and still wins as the later tid.
+            run_plans(&mut sim, base, &[(10, 1, W), (10, 1, W), (20, 1, W)]).unwrap();
+            assert_eq!(sim.writer_table[writer_slot(l10)], (l10, 1), "shards={shards}");
+            assert_eq!(sim.writer_table[writer_slot(l20)], (l20, 2), "shards={shards}");
+            // With tid 1 not writing, tid 0's store lands.
+            run_plans(&mut sim, base, &[(10, 1, W), (0, 0, W), (0, 0, W)]).unwrap();
+            assert_eq!(sim.writer_table[writer_slot(l10)], (l10, 0), "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn undo_table_restores_the_arena_and_returns_every_store() {
+        let start: Vec<(u64, u32)> = (0..1024).map(|i| (i, 7)).collect();
+        let mut arena = start.clone();
+        let mut dirty = vec![0u64; 16];
+        let mut table = UndoTable::new(&mut arena, &mut dirty);
+        let mut expect = BTreeMap::new();
+        // Slot (k * 37) % 1024 is distinct for every k < 1024; every
+        // fifth store rewrites the slot's region-start value, and the
+        // first ten slots are stored twice.
+        for k in (0..900usize).chain(0..10) {
+            let i = (k * 37) % 1024;
+            let value = if k % 5 == 0 { start[i] } else { (k as u64, k as u32 + 1) };
+            table.set(i, value);
+            assert_eq!(*table.slot(i), value);
+            expect.insert(i as u32, value);
+        }
+        let mut redo = table.finish();
+        redo.sort_unstable_by_key(|&(i, _)| i);
+        assert_eq!(redo, expect.into_iter().collect::<Vec<_>>());
+        assert_eq!(arena, start, "arena not rolled back");
+        assert!(dirty.iter().all(|&w| w == 0), "bitmap not cleared");
+    }
+
+    #[test]
+    fn faulted_sharded_region_leaves_the_region_start_state() {
+        const MANY: u64 = 4096;
+        for shards in 1..=3 {
+            let (mut sim, base) = merge_sim(shards, MANY, 0);
+            let caches = sim.caches.clone();
+            let writer = sim.writer_table.clone();
+            let memory = sim.memory.clone();
+            // tid 0 writes many lines, faulting pages in; tid 1 writes a
+            // few, then faults.
+            let out = sim.try_parallel_sharded(3, &(), |w, ()| match w.tid() {
+                0 => w.touch(base, MANY * LINE, Access::Write),
+                1 => {
+                    w.touch(base + 100 * LINE, 50 * LINE, Access::Write);
+                    w.fail(SimError::Harness { what: "injected".into() });
+                }
+                _ => w.touch(base, 64 * LINE, Access::Read),
+            });
+            assert!(matches!(out, Err(SimError::Harness { .. })), "shards={shards}");
+            assert!(sim.caches == caches, "shards={shards}: LLCs moved");
+            assert!(sim.writer_table == writer, "shards={shards}: writer table moved");
+            assert!(sim.memory == memory, "shards={shards}: memory moved");
+        }
     }
 }

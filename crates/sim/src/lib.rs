@@ -23,8 +23,10 @@
 //! its simulated workers across host threads with
 //! [`NumaSim::try_parallel_sharded`] (`SimConfig::shards`, the CLI's
 //! `--shards N`): each worker runs against the frozen region-start
-//! state through private copy-on-write overlays that merge back in
-//! ascending-tid order at the region boundary, so the model's output
+//! state — a copy-on-write memory view plus undo-logged LLC and
+//! writer-table arenas it rolls back when it finishes — and its effects
+//! merge back in ascending-tid order at the region boundary, so the
+//! model's output
 //! is byte-identical at every shard count — only host wall-clock
 //! changes (DESIGN.md §4h; `examples/sharded_trial.rs` demonstrates
 //! it, `tests/shards.rs` enforces it).

@@ -22,6 +22,7 @@ const NO_NODE: u8 = u8::MAX;
 
 /// Per-4KB-page metadata.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct PageEntry {
     /// Home node, or `NO_NODE` while unassigned.
     node: u8,
@@ -76,6 +77,7 @@ pub struct TouchResolution {
 
 /// The simulated memory subsystem.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone, PartialEq))]
 pub struct Memory {
     pages: Vec<PageEntry>,
     backing: Vec<u8>,

@@ -106,6 +106,16 @@ diff "$SMOKE/fastpath.txt" "$SMOKE/shards4.txt"
 diff -r "$SMOKE/tfast" "$SMOKE/ts2"
 diff -r "$SMOKE/tfast" "$SMOKE/ts4"
 
+# Many small workers and uneven shard chunks: 32 simulated threads split
+# 11/11/10 across three host shards must reproduce the single-shard
+# bytes — stdout, CSV, and trace artifacts.
+WARGS=(sweep w2 --machine B --threads 32 --n 8000 --card 800 --trials 1)
+"$CLI" "${WARGS[@]}" --shards 1 --csv "$SMOKE/wide1.csv" --trace-dir "$SMOKE/tw1" > "$SMOKE/wide1.txt"
+"$CLI" "${WARGS[@]}" --shards 3 --csv "$SMOKE/wide3.csv" --trace-dir "$SMOKE/tw3" > "$SMOKE/wide3.txt"
+diff "$SMOKE/wide1.txt" "$SMOKE/wide3.txt"
+diff "$SMOKE/wide1.csv" "$SMOKE/wide3.csv"
+diff -r "$SMOKE/tw1" "$SMOKE/tw3"
+
 # Shard count is not part of the grid fingerprint: a journal written at
 # --shards 4 resumes at --shards 2 to the uninterrupted bytes.
 "$CLI" "${ARGS[@]}" --shards 4 --journal "$SMOKE/js.jsonl" --max-cells 2 > /dev/null 2>&1
