@@ -6,12 +6,10 @@
 //! (page cache cleared), the cold run is discarded, and warm runs are
 //! averaged.
 
-use nqp_alloc::AllocatorKind;
 use nqp_bench::{banner, tpch_sf, Tbl, SEED};
 use nqp_datagen::tpch::TpchData;
 use nqp_engines::{DbSystem, SystemKind, QUERY_COUNT};
 use nqp_query::WorkloadEnv;
-use nqp_sim::{MemPolicy, SimConfig};
 use nqp_topology::machines;
 
 const WARM_RUNS: usize = 2;
@@ -30,25 +28,7 @@ fn main() {
     banner("Figure 8 — TPC-H (W5) latency reduction, Machine A, SF-scaled");
     let data = TpchData::generate(tpch_sf(), SEED);
     let machine = machines::machine_a();
-    let threads = machine.total_hw_threads();
-
-    let default_env = WorkloadEnv {
-        sim: SimConfig::os_default(machine.clone()),
-        allocator: AllocatorKind::Ptmalloc,
-        threads,
-        engine: nqp_query::EngineKind::Tuple,
-    };
-    let tuned_env = |thp: bool| WorkloadEnv {
-        // The paper's W5 tuning changes no thread placement: First Touch,
-        // AutoNUMA off, THP off (DBMSx keeps THP), tbbmalloc preloaded.
-        sim: SimConfig::os_default(machine.clone())
-            .with_policy(MemPolicy::FirstTouch)
-            .with_autonuma(false)
-            .with_thp(thp),
-        allocator: AllocatorKind::Tbbmalloc,
-        threads,
-        engine: nqp_query::EngineKind::Tuple,
-    };
+    let default_env = WorkloadEnv::os_default(machine.clone());
 
     let mut t = Tbl::new(
         std::iter::once("query".to_string())
@@ -58,8 +38,7 @@ fn main() {
     for qnum in 1..=QUERY_COUNT {
         let mut row = vec![format!("Q{qnum}")];
         for (si, system) in SystemKind::ALL.into_iter().enumerate() {
-            // The paper keeps THP on for DBMSx only.
-            let tuned = tuned_env(system == SystemKind::DbmsX);
+            let tuned = system.tuned_env(machine.clone());
             let d = measure(system, &default_env, &data, qnum);
             let u = measure(system, &tuned, &data, qnum);
             let reduction = nqp_core::experiment::reduction_pct(d, u);

@@ -6,8 +6,6 @@ use nqp_alloc::AllocatorKind;
 use nqp_bench::{banner, tpch_sf, Tbl, SEED};
 use nqp_datagen::tpch::TpchData;
 use nqp_engines::{DbSystem, SystemKind};
-use nqp_query::WorkloadEnv;
-use nqp_sim::{MemPolicy, SimConfig};
 use nqp_topology::machines;
 
 const WARM_RUNS: usize = 3;
@@ -16,20 +14,10 @@ fn main() {
     banner("Figure 9 — Allocator effect on MonetDB TPC-H Q5/Q18 (Machine A)");
     let data = TpchData::generate(tpch_sf(), SEED);
     let machine = machines::machine_a();
-    let threads = machine.total_hw_threads();
 
     let mut t = Tbl::new(["allocator", "Q5 (Mcyc)", "Q18 (Mcyc)"]);
     for alloc in AllocatorKind::MAIN {
-        let env = WorkloadEnv {
-            // W5 tuning leaves thread placement to the OS (paper §IV-E).
-            sim: SimConfig::os_default(machine.clone())
-                .with_policy(MemPolicy::FirstTouch)
-                .with_autonuma(false)
-                .with_thp(false),
-            allocator: alloc,
-            threads,
-            engine: nqp_query::EngineKind::Tuple,
-        };
+        let env = SystemKind::MonetDbLike.tuned_env(machine.clone()).with_allocator(alloc);
         let mut cells = vec![alloc.label().to_string()];
         for qnum in [5usize, 18] {
             let mut db = DbSystem::boot(SystemKind::MonetDbLike, &env, &data);

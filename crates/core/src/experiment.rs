@@ -44,25 +44,23 @@ impl TuningConfig {
     /// The out-of-the-box configuration the paper starts every
     /// comparison from.
     pub fn os_default(machine: MachineSpec) -> Self {
-        TuningConfig {
-            name: "os-default".into(),
-            sim: SimConfig::os_default(machine),
-            allocator: AllocatorKind::Ptmalloc,
-            advisor: AdvisorMode::Static,
-            tier: TierSpec::NONE,
-            engine: EngineKind::Tuple,
-        }
+        Self::static_preset("os-default", WorkloadEnv::os_default(machine))
     }
 
     /// The paper's fully tuned configuration for standalone workloads.
     pub fn tuned(machine: MachineSpec) -> Self {
+        Self::static_preset("tuned", WorkloadEnv::tuned(machine))
+    }
+
+    /// A static, untiered configuration with `env`'s knobs.
+    fn static_preset(name: &str, env: WorkloadEnv) -> Self {
         TuningConfig {
-            name: "tuned".into(),
-            sim: SimConfig::tuned(machine),
-            allocator: AllocatorKind::Tbbmalloc,
+            name: name.into(),
+            sim: env.sim,
+            allocator: env.allocator,
             advisor: AdvisorMode::Static,
             tier: TierSpec::NONE,
-            engine: EngineKind::Tuple,
+            engine: env.engine,
         }
     }
 
@@ -180,6 +178,75 @@ impl TuningConfig {
     }
 }
 
+/// The two presets every grid starts from: `base` (the OS default
+/// plus overrides) and the paper's tuned knobs over the same base, so
+/// an injected fault or budget stresses the whole grid, not one column.
+pub fn preset_configs(base: TuningConfig) -> Vec<TuningConfig> {
+    let preset = TuningConfig::tuned(base.sim.machine.clone());
+    let tuned = base
+        .clone()
+        .named("tuned (+flags)")
+        .with_threads(preset.sim.thread_placement)
+        .with_policy(preset.sim.mem_policy)
+        .with_autonuma(preset.sim.autonuma)
+        .with_thp(preset.sim.thp)
+        .with_allocator(preset.allocator);
+    vec![base.named("os-default (+flags)"), tuned]
+}
+
+/// The runtime-adaptive contender `online` or `autonuma`: `tuned`
+/// pinned to FirstTouch (the placement the phase shift punishes), for
+/// the epoch-driven controller or the kernel's AutoNUMA to fix mid-run.
+pub fn advisor_contender(tuned: &TuningConfig, name: &str) -> Option<TuningConfig> {
+    let first_touch = tuned.clone().with_policy(MemPolicy::FirstTouch);
+    Some(match name {
+        "online" => first_touch
+            .with_autonuma(false)
+            .named("online (+flags)")
+            .with_advisor(AdvisorMode::Online(ControllerConfig::default())),
+        "autonuma" => first_touch.with_autonuma(true).named("autonuma (+flags)"),
+        _ => return None,
+    })
+}
+
+/// Cross every contender with each tiering policy, then with each
+/// operator path. A `none` tier or the `tuple` engine keeps the column
+/// as it is (same name, default behaviour); any other entry appends
+/// ` tier=…` / ` engine=…` to the name.
+pub fn cross_grid(
+    configs: Vec<TuningConfig>,
+    tiers: &[TierSpec],
+    engines: &[EngineKind],
+) -> Vec<TuningConfig> {
+    let configs = cross(configs, tiers, TierSpec::is_none, |cfg, t| {
+        let name = format!("{} tier={}", cfg.name, t.label());
+        cfg.with_tier(*t).named(name)
+    });
+    cross(configs, engines, |e| *e == EngineKind::Tuple, |cfg, e| {
+        let name = format!("{} engine={}", cfg.name, e.as_str());
+        cfg.with_engine(*e).named(name)
+    })
+}
+
+/// One axis of [`cross_grid`]; a base value keeps the config as it is.
+fn cross<T>(
+    configs: Vec<TuningConfig>,
+    axis: &[T],
+    is_base: impl Fn(&T) -> bool,
+    apply: impl Fn(TuningConfig, &T) -> TuningConfig,
+) -> Vec<TuningConfig> {
+    if axis.iter().all(&is_base) {
+        return configs;
+    }
+    configs
+        .iter()
+        .flat_map(|cfg| {
+            axis.iter()
+                .map(|v| if is_base(v) { cfg.clone() } else { apply(cfg.clone(), v) })
+        })
+        .collect()
+}
+
 /// Speedup of `b` relative to `a` (how many times faster `b` is).
 pub fn speedup(a_cycles: u64, b_cycles: u64) -> f64 {
     a_cycles as f64 / b_cycles.max(1) as f64
@@ -223,6 +290,37 @@ mod tests {
         let env = c.env(8);
         assert_eq!(env.threads, 8);
         assert_eq!(env.allocator, AllocatorKind::Hoard);
+    }
+
+    #[test]
+    fn cross_grid_keeps_base_columns_and_crosses_tiers_then_engines() {
+        let names = |grid: &[TuningConfig]| grid.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
+        let (tuple, vec) = (EngineKind::Tuple, EngineKind::Vectorized);
+        let presets = preset_configs(TuningConfig::os_default(machines::machine_b()));
+        assert_eq!(names(&presets), ["os-default (+flags)", "tuned (+flags)"]);
+
+        // A `none` tier and the `tuple` engine keep each column as it is.
+        let same = cross_grid(presets.clone(), &[TierSpec::NONE], &[tuple]);
+        assert_eq!(names(&same), names(&presets));
+        assert!(same.iter().all(|c| c.tier.is_none() && c.engine == tuple));
+
+        // Tiers cross first, then engines; each non-base entry is named.
+        let hot = TierSpec::parse("hot-watermark").unwrap();
+        let grid = cross_grid(presets, &[TierSpec::NONE, hot], &[tuple, vec]);
+        let h = hot.label();
+        let mut want = Vec::new();
+        for preset in ["os-default (+flags)", "tuned (+flags)"] {
+            want.push(preset.to_string());
+            want.push(format!("{preset} engine=vec"));
+            want.push(format!("{preset} tier={h}"));
+            want.push(format!("{preset} tier={h} engine=vec"));
+        }
+        assert_eq!(names(&grid), want);
+        let knobs: Vec<(bool, EngineKind)> =
+            grid.iter().map(|c| (c.tier == hot, c.engine)).collect();
+        let column = [(false, tuple), (false, vec), (true, tuple), (true, vec)];
+        assert_eq!(knobs, [column, column].concat());
+        assert!(grid[4].allocator == AllocatorKind::Tbbmalloc && !grid[4].sim.autonuma);
     }
 
     #[test]

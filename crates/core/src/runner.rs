@@ -26,7 +26,7 @@
 
 use crate::experiment::TuningConfig;
 use crate::journal::JournalRecord;
-use nqp_query::WorkloadEnv;
+use nqp_query::{plan::RunOut, WorkloadEnv};
 use nqp_sim::{SimError, SimResult};
 
 /// How one trial ended.
@@ -109,6 +109,19 @@ pub struct TrialMeasurement {
 impl From<u64> for TrialMeasurement {
     fn from(cycles: u64) -> Self {
         TrialMeasurement { cycles, degraded: false, evacuated_pages: 0 }
+    }
+}
+
+impl From<&RunOut> for TrialMeasurement {
+    /// A run is degraded when it survived a node outage (a node went
+    /// offline or pages were evacuated off one).
+    fn from(out: &RunOut) -> Self {
+        let c = &out.counters;
+        TrialMeasurement {
+            cycles: out.cycles,
+            degraded: c.nodes_offlined > 0 || c.evacuated_pages > 0,
+            evacuated_pages: c.evacuated_pages,
+        }
     }
 }
 

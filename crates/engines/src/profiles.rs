@@ -5,6 +5,10 @@
 //! NUMA tuning: storage layout, intra-query parallelism, intermediate
 //! materialisation (allocation pressure), and interpretation overhead.
 
+use nqp_alloc::AllocatorKind;
+use nqp_query::WorkloadEnv;
+use nqp_sim::MemPolicy;
+
 /// Base-table storage layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
@@ -53,6 +57,16 @@ impl SystemKind {
             SystemKind::DbmsX => "DBMSx",
             SystemKind::QuickstepLike => "Quickstep",
         }
+    }
+
+    /// The paper's W5 tuning (§IV-E) on `machine`: First Touch, AutoNUMA
+    /// off, THP off except for DBMSx, tbbmalloc, and thread placement
+    /// left to the OS, on every hardware thread.
+    pub fn tuned_env(self, machine: nqp_topology::MachineSpec) -> WorkloadEnv {
+        let env = WorkloadEnv::os_default(machine);
+        let sim = env.sim.with_policy(MemPolicy::FirstTouch).with_autonuma(false);
+        let sim = sim.with_thp(self == SystemKind::DbmsX);
+        WorkloadEnv { sim, allocator: AllocatorKind::Tbbmalloc, ..env }
     }
 
     /// The architecture profile for this system.

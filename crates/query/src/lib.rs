@@ -28,6 +28,9 @@
 //! panicking, so a sweep records a failed configuration as a trial
 //! outcome. [`WorkloadEnv::engine`] picks the tuple-at-a-time or the
 //! vectorized operators behind the same entry point.
+//!
+//! [`plan`] pairs a workload with its pre-generated input and default
+//! sizes; it is what `sweep`, `serve`, `workload` and `compare` run.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -36,6 +39,7 @@ mod hash_join;
 mod hash_table;
 mod inl_join;
 mod phase_shift;
+pub mod plan;
 mod runner;
 mod vector;
 

@@ -77,13 +77,8 @@ impl WorkloadEnv {
     /// The paper's tuned environment: Sparse + Interleave + AutoNUMA/THP
     /// off + tbbmalloc.
     pub fn tuned(machine: nqp_topology::MachineSpec) -> Self {
-        let threads = machine.total_hw_threads();
-        WorkloadEnv {
-            sim: SimConfig::tuned(machine),
-            allocator: AllocatorKind::Tbbmalloc,
-            threads,
-            engine: EngineKind::Tuple,
-        }
+        let sim = SimConfig::tuned(machine.clone());
+        WorkloadEnv { sim, allocator: AllocatorKind::Tbbmalloc, ..Self::os_default(machine) }
     }
 
     /// Builder-style allocator override.

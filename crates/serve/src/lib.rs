@@ -29,7 +29,8 @@
 //! the real simulator and its per-phase cycle costs captured; the serve
 //! loop is then a deterministic discrete-event simulation over those
 //! profiles, which is what lets one run drive thousands of sessions
-//! without paying a full engine simulation per query. Determinism
+//! without paying a full engine simulation per query ([`calibrate`]
+//! owns that rule and the serve input sizes). Determinism
 //! argument: arrivals, admission decisions, service times, and the
 //! clock itself are all integer functions of the seed — DESIGN.md §4f.
 //! Because calibration runs the real engine, `SimConfig::shards` (the
@@ -43,6 +44,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arrival;
+pub mod calibrate;
 pub mod driver;
 pub mod histogram;
 pub mod report;

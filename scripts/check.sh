@@ -315,4 +315,25 @@ for cmd in 'workload w1 --machine B --n 500 --card 50 --thraeds 2' \
   grep -q -- "unknown flag \`$flag\`" "$SMOKE/flag.err"
 done
 
+# Malformed numeric values: a value that does not parse exits nonzero
+# and names the flag and the value, instead of running with the default
+# (or, for the sweep limits, with no limit at all).
+for cmd in 'sweep w1 --machine B --n 500 --card 50 --trials 1x' \
+           'workload w2 --machine B --card 50 --n 2k' \
+           'workload w1 --machine B --n 500 --card 50 --threads two' \
+           'tpch 1 --sf abc' \
+           'sweep w1 --machine B --n 500 --card 50 --trials 1 --max-cells 2x' \
+           'sweep w1 --machine B --n 500 --card 50 --trials 1 --watchdog 1e6' \
+           'sweep w1 --machine B --n 500 --card 50 --trials 1 --retry-budget lots' \
+           'sweep w1 --machine B --n 500 --card 50 --trials 1 --breaker off'; do
+  flag=$(echo "$cmd" | awk '{print $(NF-1)}')
+  value=$(echo "$cmd" | awk '{print $NF}')
+  # shellcheck disable=SC2086
+  if "$CLI" $cmd > /dev/null 2> "$SMOKE/num.err"; then
+    echo "check.sh: \`$cmd\` must exit nonzero" >&2
+    exit 1
+  fi
+  grep -qF -- "bad $flag \`$value\`" "$SMOKE/num.err"
+done
+
 echo "check.sh: all gates passed"

@@ -41,20 +41,20 @@
 //! sweep with `--resume PATH` to skip the journaled cells and produce a
 //! final table bit-identical to an uninterrupted run.
 //!
-//! `sweep` and `serve` share one grid harness: the worker pool of
-//! `nqp_core::executor`, one journal reader, and one set of helpers for
-//! presets, `--jobs`, `--trace-dir`, `--journal`/`--resume`, and
-//! `--csv`/`--json`. `--jobs N` (default 1) fans sweep configurations or
-//! serve cells across N workers; every output — table, CSV, JSON, trace
+//! `sweep` and `serve` share one grid harness: the worker pool and the
+//! presets of `nqp_core`, one journal reader, and one set of helpers for
+//! `--jobs`, `--trace-dir`, `--journal`/`--resume`, and `--csv`/`--json`.
+//! `--jobs N` (default 1) fans sweep configurations or serve cells
+//! across N workers; every output — table, CSV, JSON, trace
 //! artifacts — is byte-identical for any N, and each finished cell is
 //! journaled (fsync'd) before its worker moves on, so the journal stays
 //! resumable under any job count. `--retry-budget` is a deterministic
 //! per-config quota of `ceil(budget / configs)`, so admission never
 //! depends on scheduling order.
 //!
-//! Every subcommand rejects a flag it does not read (nonzero exit,
-//! naming the flag): a typo never runs silently with a default, and
-//! never leaks into a sweep's grid fingerprint.
+//! Every subcommand rejects a flag it does not read, and a numeric value
+//! that does not parse (nonzero exit, naming the flag): a typo never runs
+//! silently with a default, and never leaks into a grid fingerprint.
 //!
 //! `--shards N` (default 1) spreads the simulated workers of each
 //! *single* trial across N host threads; like `--jobs`, every output is
@@ -76,24 +76,22 @@
 //! fingerprint, and on `sweep` a `+` list (`--engine tuple+vec`)
 //! crosses every contender with each path.
 
-use nqp::advisor::{advise, ControllerConfig, WorkloadProfile};
+use nqp::advisor::{advise, WorkloadProfile};
 use nqp::alloc::AllocatorKind;
 use nqp::core::executor::sweep_parallel;
 use nqp::core::journal::{grid_fingerprint, JournalRecord, JournalWriter};
 use nqp::core::runner::{RetryPolicy, SupervisorPolicy, TrialMeasurement, TrialRecord};
-use nqp::core::{AdvisorMode, TuningConfig};
+use nqp::core::{advisor_contender, cross_grid, preset_configs, TuningConfig};
 use nqp::datagen::tpch::TpchData;
-use nqp::datagen::{generate, JoinDataset};
 use nqp::engines::{query_name, DbSystem, SystemKind};
 use nqp::indexes::IndexKind;
-use nqp::query::{
-    try_run_aggregation_on, try_run_hash_join_on, try_run_inl_join_on, try_run_phase_shift,
-    AggConfig, AggKind, EngineKind, PhaseShiftConfig, WorkloadEnv,
-};
+use nqp::query::plan::{PlanSpec, RunOut, WorkloadPlan};
+use nqp::query::{EngineKind, WorkloadEnv};
 use nqp::sim::{
     Access, Counters, FaultPlan, MemPolicy, NumaSim, SimError, SimResult, ThreadPlacement,
-    TraceConfig, TraceLog,
+    TraceConfig,
 };
+use nqp::serve::calibrate::{calibrate, serve_sizes};
 use nqp::serve::{
     arrival::parse_milli, run_cells, ArrivalSpec, CellInput, CellStats, ClassProfile,
     OutageSpec, ServeAdvisor, ServeSpec, Session,
@@ -104,6 +102,7 @@ use nqp::trace::{artifact_name, sessions_to_chrome_json, slug, SessionSpan, Trac
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -170,7 +169,7 @@ const CONFIG_FLAGS: &[&str] = &[
     "machine", "placement", "policy", "autonuma", "thp", "alloc", "seed", "faults",
     "trial-budget", "shards",
 ];
-/// Flags [`WorkloadPlan::parse`] reads.
+/// Flags [`plan_spec`] reads.
 const PLAN_FLAGS: &[&str] = &["n", "card", "index", "seed"];
 /// Flags both grid commands (`sweep`, `serve`) read through the shared
 /// grid helpers.
@@ -217,65 +216,67 @@ fn machine_arg(flags: &HashMap<String, String>) -> Result<MachineSpec, String> {
     nqp::sim::machine_by_name(name).map_err(|e| e.to_string())
 }
 
-/// Parse `--tier` as a `+`-separated list of tiering specs — commas
-/// belong to each spec's knob grammar (`hot-watermark:dwm=64,pwm=4`),
-/// so crossing several policies in one sweep uses `+`:
-/// `--tier none+lru-epoch+hot-watermark:pwm=2`. Absent flag = `none`.
+/// `--key` parsed as a `T`, `None` when absent. A value that does not
+/// parse fails naming the flag, never silently runs with a default.
+fn num_arg<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<Option<T>, String> {
+    flags.get(key).map(|s| s.parse().map_err(|_| format!("bad --{key} `{s}`"))).transpose()
+}
+
+/// [`num_arg`] for a count that must be at least 1; `want` completes
+/// the error, e.g. ``bad --jobs `0` (need an integer >= 1)``.
+fn count_arg<T: FromStr + From<u8> + PartialOrd>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    want: &str,
+) -> Result<Option<T>, String> {
+    let bad = |s: &String| format!("bad --{key} `{s}` ({want} >= 1)");
+    let count = |s: &String| s.parse().ok().filter(|n| *n >= T::from(1)).ok_or_else(|| bad(s));
+    flags.get(key).map(count).transpose()
+}
+
+/// Parse `--{flag}` as a `+`-separated list — commas belong to each
+/// entry's own knob grammar (`hot-watermark:dwm=64,pwm=4`), so crossing
+/// several entries in one sweep uses `+`. Absent flag = `[default]`.
+fn list_arg<T, E: ToString>(
+    flags: &HashMap<String, String>,
+    flag: &str,
+    hint: &str,
+    default: T,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Result<Vec<T>, String> {
+    let Some(list) = flags.get(flag) else {
+        return Ok(vec![default]);
+    };
+    let items: Vec<T> = list
+        .split('+')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|s| parse(s).map_err(|e| e.to_string()))
+        .collect::<Result<_, _>>()?;
+    if items.is_empty() {
+        return Err(format!("empty --{flag} list ({hint})"));
+    }
+    Ok(items)
+}
+
+/// The one entry of a [`list_arg`] list, for commands that run one
+/// configuration rather than a sweep grid; `what` names the flag.
+fn single<T: Copy>(items: Vec<T>, what: &str) -> Result<T, String> {
+    match items[..] {
+        [one] => Ok(one),
+        _ => Err(format!("this command takes a single {what} (`+` lists are for sweep)")),
+    }
+}
+
+/// `--tier`: tiering policies, `none+lru-epoch+hot-watermark:pwm=2`.
 fn tier_arg(flags: &HashMap<String, String>) -> Result<Vec<TierSpec>, String> {
-    let Some(list) = flags.get("tier") else {
-        return Ok(vec![TierSpec::NONE]);
-    };
-    let specs: Vec<TierSpec> = list
-        .split('+')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| TierSpec::parse(s).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
-    if specs.is_empty() {
-        return Err("empty --tier list (none, lru-epoch, hot-watermark)".to_string());
-    }
-    Ok(specs)
+    list_arg(flags, "tier", "none, lru-epoch, hot-watermark", TierSpec::NONE, TierSpec::parse)
 }
 
-/// The single-policy form of [`tier_arg`], for commands that run one
-/// configuration rather than a sweep grid.
-fn single_tier_arg(flags: &HashMap<String, String>) -> Result<TierSpec, String> {
-    let specs = tier_arg(flags)?;
-    match specs[..] {
-        [one] => Ok(one),
-        _ => Err("this command takes a single --tier policy (`+` lists are for sweep)"
-            .to_string()),
-    }
-}
-
-/// Parse `--engine` as a `+`-separated list of operator paths, the
-/// [`tier_arg`] pattern: `tuple`, `vec`, or `tuple+vec` to cross both
-/// in one sweep. Absent flag = `tuple` (the differential oracle).
+/// `--engine`: operator paths, `tuple`, `vec` or `tuple+vec`. Absent
+/// flag = `tuple` (the differential oracle).
 fn engine_arg(flags: &HashMap<String, String>) -> Result<Vec<EngineKind>, String> {
-    let Some(list) = flags.get("engine") else {
-        return Ok(vec![EngineKind::Tuple]);
-    };
-    let kinds: Vec<EngineKind> = list
-        .split('+')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| EngineKind::parse(s).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
-    if kinds.is_empty() {
-        return Err("empty --engine list (tuple, vec)".to_string());
-    }
-    Ok(kinds)
-}
-
-/// The single-engine form of [`engine_arg`], for commands that run one
-/// configuration rather than a sweep grid.
-fn single_engine_arg(flags: &HashMap<String, String>) -> Result<EngineKind, String> {
-    let kinds = engine_arg(flags)?;
-    match kinds[..] {
-        [one] => Ok(one),
-        _ => Err("this command takes a single --engine (`+` lists are for sweep)"
-            .to_string()),
-    }
+    list_arg(flags, "engine", "tuple, vec", EngineKind::Tuple, EngineKind::parse)
 }
 
 fn cmd_machines() -> Result<(), String> {
@@ -372,28 +373,21 @@ fn config_from_flags(
         let kind = AllocatorKind::parse(a).ok_or_else(|| format!("unknown allocator `{a}`"))?;
         cfg = cfg.with_allocator(kind);
     }
-    if let Some(s) = flags.get("seed") {
-        let seed: u64 = s.parse().map_err(|_| format!("bad seed `{s}`"))?;
+    if let Some(seed) = num_arg(flags, "seed")? {
         cfg.sim = cfg.sim.with_seed(seed);
     }
     if let Some(spec) = flags.get("faults") {
         let plan = FaultPlan::parse(spec, cfg.sim.seed).map_err(|e| e.to_string())?;
         cfg = cfg.with_faults(plan);
     }
-    if let Some(b) = flags.get("trial-budget") {
-        let cycles: u64 = b.parse().map_err(|_| format!("bad --trial-budget `{b}`"))?;
+    if let Some(cycles) = num_arg(flags, "trial-budget")? {
         cfg = cfg.with_trial_budget(cycles);
     }
     // --shards N spreads one trial's simulated workers over N host
     // threads. Results are byte-identical for every shard count (the
     // check.sh gate), so — like --jobs — it is excluded from grid
     // fingerprints and never changes what a sweep reports.
-    if let Some(s) = flags.get("shards") {
-        let shards: usize = s
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("bad --shards `{s}` (want an integer >= 1)"))?;
+    if let Some(shards) = count_arg(flags, "shards", "want an integer")? {
         cfg.sim = cfg.sim.with_shards(shards);
     }
     // NQP_REFERENCE=1 runs the per-line reference model instead of the
@@ -417,133 +411,32 @@ fn counters_summary(c: &Counters) -> String {
     )
 }
 
-/// A workload with its input data pre-generated, so sweeps can replay
-/// the exact same work under many environments (and fault attempts)
-/// without paying datagen per trial.
-enum WorkloadPlan {
-    Agg { acfg: AggConfig, records: Vec<nqp::datagen::Record> },
-    Hash { data: JoinDataset },
-    Inl { index: IndexKind, data: JoinDataset },
-    Shift { cfg: PhaseShiftConfig },
+/// The workload inputs `--n`, `--card`, `--index` and `--seed` ask
+/// for; unset sizes take the workload's defaults.
+fn plan_spec(flags: &HashMap<String, String>) -> Result<PlanSpec, String> {
+    let index = match flags.get("index").map(String::as_str).unwrap_or("B+tree") {
+        "art" | "ART" => IndexKind::Art,
+        "masstree" | "Masstree" => IndexKind::Masstree,
+        "btree" | "B+tree" => IndexKind::BPlusTree,
+        "skiplist" | "Skip List" => IndexKind::SkipList,
+        other => return Err(format!("unknown index `{other}`")),
+    };
+    Ok(PlanSpec {
+        n: num_arg(flags, "n")?,
+        card: num_arg(flags, "card")?,
+        index,
+        seed: num_arg(flags, "seed")?.unwrap_or(42),
+    })
 }
 
-impl WorkloadPlan {
-    fn parse(which: &str, flags: &HashMap<String, String>) -> Result<Self, String> {
-        let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-        match which {
-            "w1" | "w2" => {
-                let n: usize =
-                    flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(300_000);
-                let card: u64 =
-                    flags.get("card").and_then(|s| s.parse().ok()).unwrap_or(75_000);
-                let mut acfg = if which == "w1" {
-                    AggConfig::w1(n, card, seed)
-                } else {
-                    AggConfig::w2(n, card, seed)
-                };
-                if acfg.kind == AggKind::DistributiveCount {
-                    acfg.cardinality = card;
-                }
-                let records = generate(acfg.dataset, n, card, seed);
-                Ok(WorkloadPlan::Agg { acfg, records })
-            }
-            "w3" => {
-                let r: usize =
-                    flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(30_000);
-                Ok(WorkloadPlan::Hash { data: JoinDataset::generate(r, seed) })
-            }
-            "w4" => {
-                let r: usize =
-                    flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(20_000);
-                let index = match flags.get("index").map(String::as_str).unwrap_or("B+tree")
-                {
-                    "art" | "ART" => IndexKind::Art,
-                    "masstree" | "Masstree" => IndexKind::Masstree,
-                    "btree" | "B+tree" => IndexKind::BPlusTree,
-                    "skiplist" | "Skip List" => IndexKind::SkipList,
-                    other => return Err(format!("unknown index `{other}`")),
-                };
-                Ok(WorkloadPlan::Inl { index, data: JoinDataset::generate(r, seed) })
-            }
-            "wshift" => {
-                // The build phase scans thread-private partitions; the
-                // probe phase hammers one node's shared table — no
-                // static placement wins both, which is the workload the
-                // online advisor exists for.
-                let mut cfg = PhaseShiftConfig::small(seed);
-                if let Some(n) = flags.get("n").and_then(|s| s.parse().ok()) {
-                    cfg.shared_n = n;
-                    cfg.private_n = n * 2;
-                }
-                Ok(WorkloadPlan::Shift { cfg })
-            }
-            other => Err(format!("unknown workload `{other}` (w1, w2, w3, w4, wshift)")),
-        }
-    }
-
-    /// Run once under `env`, surfacing simulation faults (OOM under a
-    /// strict bind, injected failures, budget timeouts) as errors.
-    fn try_run(&self, env: &WorkloadEnv) -> SimResult<RunOut> {
-        match self {
-            WorkloadPlan::Agg { acfg, records } => {
-                let out = try_run_aggregation_on(env, acfg, records)?;
-                Ok(RunOut {
-                    cycles: out.exec_cycles,
-                    checksum: out.checksum,
-                    counters: out.counters,
-                    trace: out.trace,
-                })
-            }
-            WorkloadPlan::Hash { data } => {
-                let out = try_run_hash_join_on(env, data)?;
-                Ok(RunOut {
-                    cycles: out.build_cycles + out.probe_cycles,
-                    checksum: out.checksum,
-                    counters: out.counters,
-                    trace: out.trace,
-                })
-            }
-            WorkloadPlan::Inl { index, data } => {
-                let out = try_run_inl_join_on(env, *index, data)?;
-                Ok(RunOut {
-                    cycles: out.build_cycles + out.join_cycles,
-                    checksum: out.checksum,
-                    counters: out.counters,
-                    trace: out.trace,
-                })
-            }
-            WorkloadPlan::Shift { cfg } => {
-                let out = try_run_phase_shift(env, cfg)?;
-                Ok(RunOut {
-                    cycles: out.exec_cycles,
-                    checksum: out.checksum,
-                    counters: out.counters,
-                    trace: out.trace,
-                })
-            }
-        }
-    }
+/// Workload `which` with the input [`plan_spec`] asks for, generated.
+fn plan_arg(which: &str, spec: &PlanSpec) -> Result<WorkloadPlan, String> {
+    WorkloadPlan::new(which, spec)
+        .ok_or_else(|| format!("unknown workload `{which}` (w1, w2, w3, w4, wshift)"))
 }
 
-/// One workload run's observables: the simulated latency, the
-/// result checksum (the engine-identity invariant `--engine` pins),
-/// the counters, and the trace log when tracing was configured.
-struct RunOut {
-    cycles: u64,
-    checksum: u64,
-    counters: Counters,
-    trace: Option<TraceLog>,
-}
-
-fn run_workload(
-    which: &str,
-    cfg: &TuningConfig,
-    threads: usize,
-    flags: &HashMap<String, String>,
-) -> Result<RunOut, String> {
-    let plan = WorkloadPlan::parse(which, flags)?;
-    plan.try_run(&cfg.env(threads))
-        .map_err(|e| format!("simulation fault: {e}"))
+fn run_plan(plan: &WorkloadPlan, cfg: &TuningConfig, threads: usize) -> Result<RunOut, String> {
+    plan.try_run(&cfg.env(threads)).map_err(|e| format!("simulation fault: {e}"))
 }
 
 fn cmd_workload(args: &[String]) -> Result<(), String> {
@@ -551,14 +444,11 @@ fn cmd_workload(args: &[String]) -> Result<(), String> {
         parse_flags("workload", args, &[CONFIG_FLAGS, PLAN_FLAGS, &["threads", "tier", "engine"]])?;
     let which = pos.first().ok_or("workload needs w1|w2|w3|w4")?;
     let machine = machine_arg(&flags)?;
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(machine.total_hw_threads());
+    let threads = num_arg(&flags, "threads")?.unwrap_or(machine.total_hw_threads());
     let cfg = config_from_flags(machine, &flags)?
-        .with_tier(single_tier_arg(&flags)?)
-        .with_engine(single_engine_arg(&flags)?);
-    let out = run_workload(which, &cfg, threads, &flags)?;
+        .with_tier(single(tier_arg(&flags)?, "--tier policy")?)
+        .with_engine(single(engine_arg(&flags)?, "--engine")?);
+    let out = run_plan(&plan_arg(which, &plan_spec(&flags)?)?, &cfg, threads)?;
     let (cycles, counters) = (out.cycles, out.counters);
     println!("{which} on machine {} with {} threads:", cfg.sim.machine.name, threads);
     println!(
@@ -596,8 +486,9 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let threads = machine.total_hw_threads();
     let default = TuningConfig::os_default(machine.clone());
     let tuned = TuningConfig::tuned(machine);
-    let d = run_workload(which, &default, threads, &flags)?.cycles;
-    let t = run_workload(which, &tuned, threads, &flags)?.cycles;
+    let plan = plan_arg(which, &plan_spec(&flags)?)?;
+    let d = run_plan(&plan, &default, threads)?.cycles;
+    let t = run_plan(&plan, &tuned, threads)?.cycles;
     println!("{which}: os-default {d} cycles, tuned {t} cycles -> {:.2}x", d as f64 / t as f64);
     Ok(())
 }
@@ -620,15 +511,15 @@ fn cmd_hotpath(args: &[String]) -> Result<(), String> {
         parse_flags("hotpath", args, &[CONFIG_FLAGS, &["threads", "reps", "engine", "n", "card"]])?;
     let which = pos.first().map(String::as_str).unwrap_or("w1");
     let machine = machine_arg(&flags)?;
-    let threads: usize = flags.get("threads").and_then(|s| s.parse().ok()).unwrap_or(8);
-    let reps: usize = flags.get("reps").and_then(|s| s.parse().ok()).unwrap_or(3).max(1);
+    let threads: usize = num_arg(&flags, "threads")?.unwrap_or(8);
+    let reps: usize = num_arg(&flags, "reps")?.unwrap_or(3).max(1);
     // `--engine vec` replays the vectorized operators' access stream:
     // direct perfect-hash slot updates and ranged column reads instead
     // of hash + directory walk + chain entries. Fewer simulator calls
     // per tuple is exactly where the vectorized path's host wall-time
     // win comes from, and this microbench isolates it
     // (scripts/bench.sh `vector_speedup` times both engines here).
-    let engine = single_engine_arg(&flags)?;
+    let engine = single(engine_arg(&flags)?, "--engine")?;
     let cfg = config_from_flags(machine, &flags)?;
     let model = if cfg.sim.reference_model { "reference" } else { "fast" };
     let seed = cfg.sim.seed;
@@ -645,9 +536,8 @@ fn cmd_hotpath(args: &[String]) -> Result<(), String> {
     let mut sim = NumaSim::new(cfg.sim.clone());
     let (best_ns, lines_per_rep, label) = match which {
         "w1" => {
-            let n: u64 = flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(1_000_000);
-            let card: u64 =
-                flags.get("card").and_then(|s| s.parse().ok()).unwrap_or(n / 10).max(1);
+            let n: u64 = num_arg(&flags, "n")?.unwrap_or(1_000_000);
+            let card: u64 = num_arg(&flags, "card")?.unwrap_or(n / 10).max(1);
             // Input tuples, hash directory, entry/chain heap — the three
             // address spaces W1's build loop bounces between.
             let mut bases = (0u64, 0u64, 0u64);
@@ -739,7 +629,7 @@ fn cmd_hotpath(args: &[String]) -> Result<(), String> {
             (best, lines, format!("w1 n={n} card={card}"))
         }
         "w3" => {
-            let r: u64 = flags.get("n").and_then(|s| s.parse().ok()).unwrap_or(200_000);
+            let r: u64 = num_arg(&flags, "n")?.unwrap_or(200_000);
             let s_len = r * 16;
             let mut bases = (0u64, 0u64, 0u64, 0u64);
             sim.try_serial(&mut bases, |w, b| {
@@ -857,14 +747,7 @@ fn cmd_hotpath(args: &[String]) -> Result<(), String> {
 /// cells. Every output is byte-identical for any N, so it never enters
 /// a grid fingerprint.
 fn jobs_arg(flags: &HashMap<String, String>) -> Result<usize, String> {
-    match flags.get("jobs") {
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("bad --jobs `{s}` (need an integer >= 1)")),
-        None => Ok(1),
-    }
+    Ok(count_arg(flags, "jobs", "need an integer")?.unwrap_or(1))
 }
 
 /// `--trace-dir DIR`, created up front so a bad path fails before any
@@ -878,72 +761,6 @@ fn trace_dir_arg(flags: &HashMap<String, String>) -> Result<Option<PathBuf>, Str
     Ok(Some(dir))
 }
 
-/// The two presets every grid starts from. Both get the same fault
-/// plan / budget / policy overrides, so an injected fault stresses the
-/// whole grid, not one column.
-fn preset_configs(
-    machine: &MachineSpec,
-    flags: &HashMap<String, String>,
-) -> Result<Vec<TuningConfig>, String> {
-    let os_default = config_from_flags(machine.clone(), flags)?.named("os-default (+flags)");
-    let preset = TuningConfig::tuned(machine.clone());
-    let mut tuned = config_from_flags(machine.clone(), flags)?.named("tuned (+flags)");
-    tuned.sim = tuned
-        .sim
-        .with_threads(preset.sim.thread_placement)
-        .with_policy(preset.sim.mem_policy)
-        .with_autonuma(preset.sim.autonuma)
-        .with_thp(preset.sim.thp);
-    tuned.allocator = preset.allocator;
-    Ok(vec![os_default, tuned])
-}
-
-/// Cross every contender with each tiering policy, then with each
-/// operator path — the knobs × policies and engine studies. A `none`
-/// tier or the `tuple` engine keeps the base column untouched (same
-/// name, default behaviour), so `--tier none` or `--engine tuple`
-/// yields output byte-identical to omitting the flag; any other entry
-/// appends ` tier=…` / ` engine=…` to the name. Both flags enter the
-/// grid fingerprint (they change charged cycles), unlike `--jobs`.
-fn cross_grid(
-    configs: Vec<TuningConfig>,
-    tiers: &[TierSpec],
-    engines: &[EngineKind],
-) -> Vec<TuningConfig> {
-    let mut out = configs;
-    if tiers.iter().any(|t| !t.is_none()) {
-        out = out
-            .iter()
-            .flat_map(|cfg| {
-                tiers.iter().map(move |t| {
-                    if t.is_none() {
-                        cfg.clone()
-                    } else {
-                        let name = format!("{} tier={}", cfg.name, t.label());
-                        cfg.clone().with_tier(*t).named(name)
-                    }
-                })
-            })
-            .collect();
-    }
-    if engines.iter().any(|e| *e != EngineKind::Tuple) {
-        out = out
-            .iter()
-            .flat_map(|cfg| {
-                engines.iter().map(move |e| {
-                    if *e == EngineKind::Tuple {
-                        cfg.clone()
-                    } else {
-                        let name = format!("{} engine={}", cfg.name, e.as_str());
-                        cfg.clone().with_engine(*e).named(name)
-                    }
-                })
-            })
-            .collect();
-    }
-    out
-}
-
 /// Open the grid's write-ahead journal. `--resume PATH` reads it back —
 /// refusing a journal of a different grid, noting a discarded torn
 /// tail — and returns its records for adoption; `--journal PATH` starts
@@ -951,10 +768,10 @@ fn cross_grid(
 fn open_journal<R: JournalRecord>(
     flags: &HashMap<String, String>,
     what: &str,
-    fp: &str,
     grid_desc: &str,
     cells: usize,
 ) -> Result<(Option<JournalWriter>, Vec<R>), String> {
+    let fp = grid_fingerprint(grid_desc);
     if let Some(path) = flags.get("resume") {
         let (w, contents) = JournalWriter::append_to::<R>(Path::new(path))
             .map_err(|e| format!("cannot resume from `{path}`: {e}"))?;
@@ -979,7 +796,7 @@ fn open_journal<R: JournalRecord>(
     }
     match flags.get("journal") {
         Some(path) => {
-            let w = JournalWriter::create(Path::new(path), fp, grid_desc)
+            let w = JournalWriter::create(Path::new(path), &fp, grid_desc)
                 .map_err(|e| format!("cannot create journal `{path}`: {e}"))?;
             Ok((Some(w), Vec::new()))
         }
@@ -1072,51 +889,31 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     )?;
     let which = pos.first().ok_or("sweep needs w1|w2|w3|w4|wshift")?;
     let machine = machine_arg(&flags)?;
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(machine.total_hw_threads());
-    let trials: usize = flags.get("trials").and_then(|s| s.parse().ok()).unwrap_or(3);
-    let retries: u32 = flags.get("retries").and_then(|s| s.parse().ok()).unwrap_or(3);
+    let threads = num_arg(&flags, "threads")?.unwrap_or(machine.total_hw_threads());
+    let trials = num_arg(&flags, "trials")?.unwrap_or(3);
     let jobs = jobs_arg(&flags)?;
     let supervisor = SupervisorPolicy {
-        retry: RetryPolicy { max_retries: retries, ..RetryPolicy::default() },
-        watchdog_budget_cycles: flags.get("watchdog").and_then(|s| s.parse().ok()),
-        global_retry_budget: flags.get("retry-budget").and_then(|s| s.parse().ok()),
-        breaker_threshold: flags.get("breaker").and_then(|s| s.parse().ok()),
-        max_cells: flags.get("max-cells").and_then(|s| s.parse().ok()),
+        retry: RetryPolicy {
+            max_retries: num_arg(&flags, "retries")?.unwrap_or(3),
+            ..RetryPolicy::default()
+        },
+        watchdog_budget_cycles: num_arg(&flags, "watchdog")?,
+        global_retry_budget: num_arg(&flags, "retry-budget")?,
+        breaker_threshold: num_arg(&flags, "breaker")?,
+        max_cells: num_arg(&flags, "max-cells")?,
     };
-    let trace_epoch: u64 = match flags.get("trace-epoch") {
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("bad --trace-epoch `{s}` (need cycles >= 1)"))?,
-        None => TraceConfig::default().epoch_cycles,
-    };
+    let trace_epoch = count_arg(&flags, "trace-epoch", "need cycles")?
+        .unwrap_or(TraceConfig::default().epoch_cycles);
     let trace_dir = trace_dir_arg(&flags)?;
 
-    let mut configs = preset_configs(&machine, &flags)?;
-    // `--advisor online[,autonuma]` appends runtime-adaptive contenders:
-    // both start from the tuned preset pinned to FirstTouch (the
-    // placement the phase shift punishes), then either the epoch-driven
-    // controller or the kernel's AutoNUMA model gets to fix it mid-run.
+    let mut configs = preset_configs(config_from_flags(machine, &flags)?);
+    // `--advisor online[,autonuma]` appends runtime-adaptive contenders.
     if let Some(list) = flags.get("advisor") {
-        let first_touch = configs[1].clone().with_policy(MemPolicy::FirstTouch);
         for entry in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            configs.push(match entry {
-                "online" => first_touch
-                    .clone()
-                    .with_autonuma(false)
-                    .named("online (+flags)")
-                    .with_advisor(AdvisorMode::Online(ControllerConfig::default())),
-                "autonuma" => first_touch.clone().with_autonuma(true).named("autonuma (+flags)"),
-                other => {
-                    return Err(format!(
-                        "unknown --advisor entry `{other}` (online, autonuma)"
-                    ))
-                }
-            });
+            let contender = advisor_contender(&configs[1], entry).ok_or_else(|| {
+                format!("unknown --advisor entry `{entry}` (online, autonuma)")
+            })?;
+            configs.push(contender);
         }
     }
     // `+` lists on `--tier` and `--engine` cross every contender above.
@@ -1146,11 +943,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
     let grid_desc =
         grid_descriptor(which, &configs[0].sim.machine.name, threads, trials, &flags);
-    let fp = grid_fingerprint(&grid_desc);
     let (mut writer, resumed) =
-        open_journal::<TrialRecord>(&flags, "sweep", &fp, &grid_desc, configs.len() * trials)?;
+        open_journal::<TrialRecord>(&flags, "sweep", &grid_desc, configs.len() * trials)?;
 
-    let plan = WorkloadPlan::parse(which, &flags)?;
+    let plan = plan_arg(which, &plan_spec(&flags)?)?;
     let mut journal_err: Option<String> = None;
     let report = {
         let mut sink = |rec: &TrialRecord| {
@@ -1161,13 +957,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             }
         };
         let workload = |env: &WorkloadEnv, trial: usize| {
-            let out = plan.try_run(env)?;
-            let (cycles, counters, trace) = (out.cycles, out.counters, out.trace);
+            let mut out = plan.try_run(env)?;
             // One artifact per (config, trial) cell, named purely from
             // the cell's coordinates — the same cell writes the same
             // bytes to the same path whether it runs serially, under
             // --jobs N, or in a resumed sweep.
-            if let (Some(dir), Some(log)) = (&trace_dir, trace) {
+            if let (Some(dir), Some(log)) = (&trace_dir, out.trace.take()) {
                 let label = log.config().label.clone();
                 let artifact = Trace::from_log(
                     TraceMeta {
@@ -1183,11 +978,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                     what: format!("cannot write trace `{}`: {e}", path.display()),
                 })?;
             }
-            Ok(TrialMeasurement {
-                cycles,
-                degraded: counters.nodes_offlined > 0 || counters.evacuated_pages > 0,
-                evacuated_pages: counters.evacuated_pages,
-            })
+            Ok(TrialMeasurement::from(&out))
         };
         sweep_parallel(
             &configs, threads, trials, &supervisor, &resumed, jobs, &mut sink, workload,
@@ -1288,25 +1079,6 @@ fn serve_grid_descriptor(
     )
 }
 
-/// Calibrate per-phase cycle costs for one query class under one
-/// configuration by running the real engine once with tracing on:
-/// top-level spans (minus `load`, which serve sessions never pay)
-/// become the class's phase plan.
-fn profile_phases(trace: Option<TraceLog>, total_cycles: u64) -> Vec<(String, u64)> {
-    if let Some(log) = trace {
-        let spans: Vec<(String, u64)> = log
-            .spans()
-            .iter()
-            .filter(|s| s.depth == 0 && s.name != "load")
-            .map(|s| (s.name.clone(), (s.end_cycles - s.begin_cycles).max(1)))
-            .collect();
-        if !spans.is_empty() {
-            return spans;
-        }
-    }
-    vec![("run".to_string(), total_cycles.max(1))]
-}
-
 /// `serve`: open-loop multi-tenant serving against calibrated engine
 /// profiles — admission control, bounded queues, deadlines, load
 /// shedding, circuit breakers, and tail-latency SLO reporting.
@@ -1337,26 +1109,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let which = pos
         .first()
         .ok_or("serve needs query classes, e.g. `w1` or `w1,w3`")?;
-    let classes: Vec<String> = which
+    // Serve classes run serve-sized inputs unless --n/--card say otherwise.
+    let sizes = serve_sizes(plan_spec(&flags)?);
+    let classes: Vec<(String, WorkloadPlan)> = which
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect();
+        .map(|c| Ok((c.to_string(), plan_arg(c, &sizes)?)))
+        .collect::<Result<_, String>>()?;
     if classes.is_empty() {
         return Err("serve needs at least one query class (w1, w2, w3, w4)".to_string());
     }
     let machine = machine_arg(&flags)?;
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(machine.total_hw_threads());
-    let getu = |key: &str, default: u64| -> Result<u64, String> {
-        match flags.get(key) {
-            Some(s) => s.parse().map_err(|_| format!("bad --{key} `{s}`")),
-            None => Ok(default),
-        }
-    };
+    let threads = num_arg(&flags, "threads")?.unwrap_or(machine.total_hw_threads());
     let arrivals = ArrivalSpec::parse(
         flags.get("arrivals").map(String::as_str).unwrap_or("poisson:rate=3"),
     )
@@ -1374,30 +1139,30 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         None => ServeAdvisor::default(),
     };
     let spec = ServeSpec {
-        tenants: getu("tenants", 8)? as usize,
-        duration_mcycles: getu("duration", 50)?,
+        tenants: num_arg(&flags, "tenants")?.unwrap_or(8),
+        duration_mcycles: num_arg(&flags, "duration")?.unwrap_or(50),
         arrivals,
-        lanes: getu("lanes", 4)? as usize,
-        queue_cap: getu("queue-cap", 16)? as usize,
-        bucket_cap: getu("tokens", 8)?,
+        lanes: num_arg(&flags, "lanes")?.unwrap_or(4),
+        queue_cap: num_arg(&flags, "queue-cap")?.unwrap_or(16),
+        bucket_cap: num_arg(&flags, "tokens")?.unwrap_or(8),
         refill_milli_per_mcycle,
-        deadline_mcycles: getu("deadline", 5)?,
-        breaker_threshold: getu("breaker", 8)?,
-        epoch_mcycles: getu("epoch", 4)?,
+        deadline_mcycles: num_arg(&flags, "deadline")?.unwrap_or(5),
+        breaker_threshold: num_arg(&flags, "breaker")?.unwrap_or(8),
+        epoch_mcycles: num_arg(&flags, "epoch")?.unwrap_or(4),
         outage,
         advisor,
-        seed: getu("seed", 42)?,
+        seed: num_arg(&flags, "seed")?.unwrap_or(42),
     };
     // An empty or runaway serve spec is a mis-specified run, not a
     // vacuous success: fail loudly with the bound it broke.
     spec.validate().map_err(|e| e.to_string())?;
     let jobs = jobs_arg(&flags)?;
-    let max_cells: Option<usize> = flags.get("max-cells").and_then(|s| s.parse().ok());
+    let max_cells = num_arg(&flags, "max-cells")?;
     let trace_dir = trace_dir_arg(&flags)?;
     let record_sessions = trace_dir.is_some();
 
     // Same two presets as `sweep`, selectable via --configs.
-    let presets = preset_configs(&machine, &flags)?;
+    let presets = preset_configs(config_from_flags(machine.clone(), &flags)?);
     let presets: Vec<TuningConfig> =
         match flags.get("configs").map(String::as_str).unwrap_or("both") {
             "both" => presets,
@@ -1413,8 +1178,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // configuration: the serve loop replays calibrated engine profiles,
     // so the daemon's effect and the operator path are captured during
     // each configuration's calibration run.
-    let configs =
-        cross_grid(presets, &[single_tier_arg(&flags)?], &[single_engine_arg(&flags)?]);
+    let configs = cross_grid(
+        presets,
+        &[single(tier_arg(&flags)?, "--tier policy")?],
+        &[single(engine_arg(&flags)?, "--engine")?],
+    );
     let cells: Vec<CellInput> = configs
         .iter()
         .map(|c| CellInput { config: c.name.clone(), spec: spec.clone() })
@@ -1422,59 +1190,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let grid_desc =
         serve_grid_descriptor(which, &machine.name, threads, &spec, &flags);
-    let fp = grid_fingerprint(&grid_desc);
     let (mut writer, journaled) =
-        open_journal::<CellStats>(&flags, "serve", &fp, &grid_desc, cells.len())?;
+        open_journal::<CellStats>(&flags, "serve", &grid_desc, cells.len())?;
     let adopted: HashMap<String, CellStats> =
         journaled.into_iter().map(|c| (c.config.clone(), c)).collect();
-
-    // Serve sessions are interactive-sized queries, not batch scans:
-    // default to much smaller inputs than `sweep` unless overridden, so
-    // per-query service time (~1 Mcycle) sits sensibly under the
-    // default 5 Mcycle deadline.
-    let mut plan_flags = flags.clone();
-    plan_flags.entry("n".to_string()).or_insert_with(|| "8000".to_string());
-    plan_flags.entry("card".to_string()).or_insert_with(|| "2000".to_string());
-    let plans: Vec<WorkloadPlan> = classes
-        .iter()
-        .map(|c| WorkloadPlan::parse(c, &plan_flags))
-        .collect::<Result<_, _>>()?;
-
-    let calibrate = |cell_idx: usize| -> SimResult<Vec<ClassProfile>> {
-        let cfg = &configs[cell_idx];
-        let mut profiles = Vec::new();
-        for (ci, plan) in plans.iter().enumerate() {
-            let mut healthy_cfg = cfg.clone();
-            healthy_cfg.sim = healthy_cfg.sim.with_trace(
-                TraceConfig::default().with_label(&format!("{} {}", cfg.name, classes[ci])),
-            );
-            let run = plan.try_run(&healthy_cfg.env(threads))?;
-            let healthy = profile_phases(run.trace, run.cycles);
-            let (degraded, evacuated_pages) = if let Some(o) = spec.outage {
-                let mut dcfg = cfg.clone();
-                // Region 2 is the first region where workload pages
-                // have landed on remote nodes (0/1 are load/init), so
-                // the outage actually evacuates something.
-                let fault_spec = format!("offline@2:node={}", o.node);
-                let fault_plan = FaultPlan::parse(&fault_spec, dcfg.sim.seed)?;
-                dcfg = dcfg.with_faults(fault_plan);
-                dcfg.sim = dcfg.sim.with_trace(TraceConfig::default().with_label(
-                    &format!("{} {} offline", cfg.name, classes[ci]),
-                ));
-                let drun = plan.try_run(&dcfg.env(threads))?;
-                (profile_phases(drun.trace, drun.cycles), drun.counters.evacuated_pages)
-            } else {
-                (healthy.clone(), 0)
-            };
-            profiles.push(ClassProfile {
-                name: classes[ci].clone(),
-                healthy,
-                degraded,
-                evacuated_pages,
-            });
-        }
-        Ok(profiles)
-    };
 
     let lanes = spec.lanes;
     let mut sink = |stats: &CellStats,
@@ -1523,7 +1242,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         jobs,
         max_cells,
         record_sessions,
-        &calibrate,
+        &|i| calibrate(&configs[i], &classes, threads, spec.outage),
         &mut sink,
     )
     .map_err(|e| e.to_string())?;
@@ -1626,7 +1345,7 @@ fn cmd_tpch(args: &[String]) -> Result<(), String> {
         .and_then(|s| s.parse().ok())
         .filter(|q| (1..=22).contains(q))
         .ok_or("tpch needs a query number 1..22")?;
-    let sf: f64 = flags.get("sf").and_then(|s| s.parse().ok()).unwrap_or(0.005);
+    let sf = num_arg(&flags, "sf")?.unwrap_or(0.005);
     let system = match flags.get("system").map(String::as_str).unwrap_or("monetdb") {
         "monetdb" => SystemKind::MonetDbLike,
         "postgresql" | "postgres" => SystemKind::PostgresLike,
@@ -1636,20 +1355,13 @@ fn cmd_tpch(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown system `{other}`")),
     };
     let machine = machine_arg(&flags)?;
-    let engine = single_engine_arg(&flags)?;
+    let engine = single(engine_arg(&flags)?, "--engine")?;
     let env = if flags.contains_key("tuned") {
-        WorkloadEnv {
-            sim: nqp::sim::SimConfig::os_default(machine)
-                .with_policy(MemPolicy::FirstTouch)
-                .with_autonuma(false)
-                .with_thp(false),
-            allocator: AllocatorKind::Tbbmalloc,
-            threads: 16,
-            engine,
-        }
+        system.tuned_env(machine)
     } else {
-        WorkloadEnv::os_default(machine).with_engine(engine)
+        WorkloadEnv::os_default(machine)
     };
+    let env = env.with_engine(engine);
     let data = TpchData::generate(sf, 42);
     let mut db = DbSystem::boot(system, &env, &data);
     db.try_run(qnum).map_err(|e| e.to_string())?;

@@ -15,8 +15,9 @@ use nqp::core::runner::{
     sweep_supervised, RetryPolicy, SupervisorPolicy, TrialMeasurement,
 };
 use nqp::core::TuningConfig;
-use nqp::datagen::generate;
-use nqp::query::{try_run_aggregation_on, AggConfig, WorkloadEnv};
+use nqp::indexes::IndexKind;
+use nqp::query::plan::{PlanSpec, WorkloadPlan};
+use nqp::query::WorkloadEnv;
 use nqp::sim::{FaultKind, FaultPlan, MemPolicy, SimResult};
 use nqp::topology::machines;
 use std::path::PathBuf;
@@ -74,16 +75,9 @@ fn grid(n: usize, faults: Faults) -> Vec<TuningConfig> {
 }
 
 fn workload() -> impl Fn(&WorkloadEnv, usize) -> SimResult<TrialMeasurement> + Sync {
-    let acfg = AggConfig::w2(800, 80, 7);
-    let records = generate(acfg.dataset, 800, 80, 7);
-    move |env: &WorkloadEnv, _trial: usize| {
-        let out = try_run_aggregation_on(env, &acfg, &records)?;
-        Ok(TrialMeasurement {
-            cycles: out.exec_cycles,
-            degraded: out.counters.nodes_offlined > 0 || out.counters.evacuated_pages > 0,
-            evacuated_pages: out.counters.evacuated_pages,
-        })
-    }
+    let spec = PlanSpec { n: Some(800), card: Some(80), index: IndexKind::BPlusTree, seed: 7 };
+    let plan = WorkloadPlan::new("w2", &spec).expect("w2 is a workload");
+    move |env: &WorkloadEnv, _trial: usize| Ok(TrialMeasurement::from(&plan.try_run(env)?))
 }
 
 #[test]

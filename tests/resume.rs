@@ -14,6 +14,8 @@ use nqp::core::runner::{
 };
 use nqp::core::TuningConfig;
 use nqp::datagen::generate;
+use nqp::indexes::IndexKind;
+use nqp::query::plan::{PlanSpec, WorkloadPlan};
 use nqp::query::{try_run_aggregation_on, AggConfig, WorkloadEnv};
 use nqp::sim::{FaultKind, FaultPlan, MemPolicy, SimError, SimResult};
 use nqp::topology::machines;
@@ -47,16 +49,9 @@ fn grid() -> Vec<TuningConfig> {
 // `Fn + Sync` (not just `FnMut`) so the same workload drives both the
 // serial supervisor and the parallel executor.
 fn workload() -> impl Fn(&WorkloadEnv, usize) -> SimResult<TrialMeasurement> + Sync {
-    let acfg = AggConfig::w2(6_000, 600, 3);
-    let records = generate(acfg.dataset, 6_000, 600, 3);
-    move |env: &WorkloadEnv, _trial: usize| {
-        let out = try_run_aggregation_on(env, &acfg, &records)?;
-        Ok(TrialMeasurement {
-            cycles: out.exec_cycles,
-            degraded: out.counters.nodes_offlined > 0 || out.counters.evacuated_pages > 0,
-            evacuated_pages: out.counters.evacuated_pages,
-        })
-    }
+    let spec = PlanSpec { n: Some(6_000), card: Some(600), index: IndexKind::BPlusTree, seed: 3 };
+    let plan = WorkloadPlan::new("w2", &spec).expect("w2 is a workload");
+    move |env: &WorkloadEnv, _trial: usize| Ok(TrialMeasurement::from(&plan.try_run(env)?))
 }
 
 fn run_sweep(
