@@ -282,6 +282,9 @@ fn error_json(e: &SimError) -> String {
         SimError::NodeOffline { node } => {
             format!("{{\"tag\":\"node-offline\",\"node\":{node}}}")
         }
+        SimError::ThreadCount { threads, max } => {
+            format!("{{\"tag\":\"thread-count\",\"threads\":{threads},\"max\":{max}}}")
+        }
         SimError::Harness { what } => {
             format!("{{\"tag\":\"harness\",\"what\":\"{}\"}}", esc(what))
         }
@@ -315,6 +318,9 @@ fn error_from_obj(obj: &[(String, JVal)]) -> Option<SimError> {
             elapsed_cycles: num("elapsed_cycles")?,
         }),
         "node-offline" => Some(SimError::NodeOffline { node: num("node")? as usize }),
+        "thread-count" => {
+            Some(SimError::ThreadCount { threads: num("threads")?, max: num("max")? })
+        }
         "harness" => Some(SimError::Harness { what: get_str(obj, "what")?.to_string() }),
         "bad-spec" => Some(SimError::BadSpec {
             flag: get_str(obj, "flag")?.to_string(),
@@ -601,6 +607,7 @@ mod tests {
             SimError::InjectedAllocFault { region: 9, attempt: 2 },
             SimError::Timeout { budget_cycles: 10, elapsed_cycles: 20 },
             SimError::NodeOffline { node: 1 },
+            SimError::ThreadCount { threads: 1 << 20, max: (1 << 20) - 1 },
             SimError::Harness { what: "weird \"quoted\"\npath\\x".to_string() },
         ];
         for e in errors {

@@ -17,6 +17,8 @@ pub mod text;
 use dates::Date;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// The REGION table.
 #[derive(Debug, Clone, Default)]
@@ -119,9 +121,9 @@ pub struct Lineitem {
     pub l_comment: Vec<String>,
 }
 
-/// One generated TPC-H database.
-#[derive(Debug, Clone, Default)]
-pub struct TpchData {
+/// The eight tables of one generated TPC-H database.
+#[derive(Debug, Default)]
+pub struct TpchTables {
     pub region: Region,
     pub nation: Nation,
     pub supplier: Supplier,
@@ -130,6 +132,21 @@ pub struct TpchData {
     pub partsupp: PartSupp,
     pub orders: Orders,
     pub lineitem: Lineitem,
+}
+
+/// One generated TPC-H database, shared: its tables sit behind an
+/// [`Arc`], so a clone — one per booted engine — costs a reference
+/// count, not a copy of every column. Reads go through [`Deref`] to
+/// [`TpchTables`].
+#[derive(Debug, Clone, Default)]
+pub struct TpchData(Arc<TpchTables>);
+
+impl Deref for TpchData {
+    type Target = TpchTables;
+
+    fn deref(&self) -> &TpchTables {
+        &self.0
+    }
 }
 
 /// Rate (parts per million) at which the Q13/Q16 exclusion phrases are
@@ -154,7 +171,7 @@ impl TpchData {
         let n_part = scaled(200_000.0);
         let n_orders = n_customer * 10;
         let n_clerks = scaled(1_000.0).max(1);
-        let mut db = TpchData::default();
+        let mut db = TpchTables::default();
 
         // REGION and NATION are fixed-size.
         for (k, name) in text::REGIONS.iter().enumerate() {
@@ -295,9 +312,11 @@ impl TpchData {
             o.o_comment.push(text::comment(&mut rng, 8, SPECIAL_PPM));
         }
         let _ = line_number_base;
-        db
+        TpchData(Arc::new(db))
     }
+}
 
+impl TpchTables {
     /// Total rows across all eight tables.
     pub fn total_rows(&self) -> usize {
         self.region.r_regionkey.len()

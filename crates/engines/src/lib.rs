@@ -151,6 +151,32 @@ mod tests {
     }
 
     #[test]
+    fn booted_systems_share_the_data_and_store_only_written_pages() {
+        let data = TpchData::generate(0.002, 15);
+        let env = WorkloadEnv::os_default(machines::machine_b());
+        for system in SystemKind::ALL {
+            let mut db = DbSystem::boot(system, &env, &data);
+            let Ok((_, tables)) = &db.loaded else { panic!("{system:?} failed to boot") };
+            let shared: &nqp_datagen::tpch::TpchTables = &tables.data;
+            assert!(std::ptr::eq(shared, &*data), "{system:?} copied the data");
+            for _round in 0..2 {
+                for q in 1..=QUERY_COUNT {
+                    db.try_run(q).unwrap();
+                }
+            }
+            // The byte store holds the pages queries wrote, not the
+            // whole address space: table shadows are only touched.
+            let mapped_pages = db.sim.mapped_high_water() / nqp_sim::SMALL_PAGE;
+            let data_pages = db.sim.data_pages();
+            assert!(data_pages > 0, "{system:?} wrote nothing");
+            assert!(
+                data_pages * 3 < mapped_pages,
+                "{system:?}: {data_pages} data pages of {mapped_pages} mapped"
+            );
+        }
+    }
+
+    #[test]
     fn queries_are_deterministic() {
         let data = TpchData::generate(0.002, 12);
         let env = WorkloadEnv::tuned(machines::machine_b()).with_threads(2);

@@ -9,7 +9,7 @@
 
 use crate::profiles::Layout;
 use nqp_datagen::tpch::TpchData;
-use nqp_sim::{Access, NumaSim, SimResult, VAddr, Worker};
+use nqp_sim::{Access, MixBuildHasher, NumaSim, SimResult, VAddr, Worker};
 use nqp_storage::SimHeap;
 use std::collections::HashMap;
 
@@ -108,6 +108,11 @@ const SCHEMAS: &[(&str, &[(&str, u64)])] = &[
     ),
 ];
 
+/// Table and column shadows keyed by name. Every query charges a cell
+/// through two of these lookups, so they hash with the cheap
+/// deterministic [`MixBuildHasher`] instead of SipHash.
+type NameMap<V> = HashMap<&'static str, V, MixBuildHasher>;
+
 /// The storage shadow of one table.
 #[derive(Debug)]
 pub struct TableShadow {
@@ -118,7 +123,7 @@ pub struct TableShadow {
     /// Row layout: tuple base. Column layout: unused.
     row_base: VAddr,
     /// Per column: `(offset within row | column base, width)`.
-    cols: HashMap<&'static str, (VAddr, u64)>,
+    cols: NameMap<(VAddr, u64)>,
 }
 
 impl TableShadow {
@@ -152,9 +157,10 @@ impl TableShadow {
 
 /// The loaded database: host values + per-table cost shadows.
 pub struct TpchDb {
-    /// The generated data (exact values for query evaluation).
+    /// The generated data (exact values for query evaluation), shared
+    /// with every other system booted from the same data.
     pub data: TpchData,
-    tables: HashMap<&'static str, TableShadow>,
+    tables: NameMap<TableShadow>,
 }
 
 impl TpchDb {
@@ -182,7 +188,7 @@ impl TpchDb {
                 other => panic!("unknown table {other}"),
             }
         };
-        let mut tables = HashMap::new();
+        let mut tables = NameMap::default();
         for &(name, schema) in SCHEMAS {
             let nrows = row_count(name);
             let shadow = match layout {
@@ -209,7 +215,7 @@ impl TpchDb {
                     TableShadow { layout, nrows, row_bytes, row_base: base, cols }
                 }
                 Layout::Column => {
-                    let mut cols = HashMap::new();
+                    let mut cols = NameMap::default();
                     for &(cname, wd) in schema {
                         let mut base = 0;
                         sim.try_serial(&mut base, |w, base| {

@@ -3,10 +3,12 @@
 //! profiles.
 //!
 //! Everything runs on the model clock. Events (arrivals, phase
-//! completions, epoch ticks, outage edges) live in a binary heap keyed
-//! by `(cycle, sequence)`, where the sequence number is assigned at
-//! push time — pushes are themselves deterministic, so ties break the
-//! same way on every run, every platform, and across kill-and-resume.
+//! completions, epoch ticks, outage edges) are popped in `(cycle,
+//! sequence)` order, where the sequence number is assigned at push
+//! time — pushes are themselves deterministic, so ties break the same
+//! way on every run, every platform, and across kill-and-resume. Each
+//! event source has at most one event pending, so the event set is one
+//! slot per source ([`Events`]).
 //!
 //! Admission pipeline, in order, for each arrival:
 //!
@@ -31,8 +33,6 @@
 //! `wasted_cycles`; a query whose deadline expired while still queued
 //! is timed out at dispatch without burning anything.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -46,15 +46,78 @@ use crate::histogram::LatencyHistogram;
 use crate::report::{CellStats, EpochRow, ServeReport, Session, TenantStats};
 use crate::spec::{CellInput, ClassProfile, ServeAdvisor, ServeOutcome, ServeSpec, MCYCLE};
 
-/// Discrete events, ordered by the heap key `(cycle, seq)` — the
-/// variant order here is never used for tie-breaking.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// Discrete events, popped in `(cycle, seq)` order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Arrival { tenant: usize, class: usize },
     PhaseDone { lane: usize },
     EpochTick,
     OutageStart,
     OutageEnd,
+}
+
+/// Slots of the fixed sources in [`Events`]; lane `l`'s `PhaseDone`
+/// is slot `LANE_SLOTS + l`.
+const ARRIVAL_SLOT: usize = 0;
+const EPOCH_SLOT: usize = 1;
+const OUTAGE_START_SLOT: usize = 2;
+const OUTAGE_END_SLOT: usize = 3;
+const LANE_SLOTS: usize = 4;
+
+/// The pending events, one slot per source: the next arrival, the epoch
+/// tick, the two outage edges, and each lane's `PhaseDone`. No source
+/// ever has two events pending — the arrival stream pushes a successor
+/// only when it pops, a lane holds one running phase, the tick re-arms
+/// itself when it fires — so popping the least `(cycle, seq)` over the
+/// lanes + 4 slots yields exactly what a binary heap of the same pushes
+/// would, with no sift on either side.
+struct Events {
+    seq: u64,
+    /// `(cycle, seq)` of each source's pending event.
+    slots: Vec<Option<(u64, u64)>>,
+    /// The pending arrival's `(tenant, class)`.
+    arrival: (usize, usize),
+}
+
+impl Events {
+    fn new(lanes: usize) -> Self {
+        Events { seq: 0, slots: vec![None; LANE_SLOTS + lanes], arrival: (0, 0) }
+    }
+
+    fn push(&mut self, at: u64, ev: Ev) {
+        self.seq += 1;
+        let slot = match ev {
+            Ev::Arrival { tenant, class } => {
+                self.arrival = (tenant, class);
+                ARRIVAL_SLOT
+            }
+            Ev::PhaseDone { lane } => LANE_SLOTS + lane,
+            Ev::EpochTick => EPOCH_SLOT,
+            Ev::OutageStart => OUTAGE_START_SLOT,
+            Ev::OutageEnd => OUTAGE_END_SLOT,
+        };
+        debug_assert!(self.slots[slot].is_none(), "two pending events from one source");
+        self.slots[slot] = Some((at, self.seq));
+    }
+
+    /// Remove and return the event with the least `(cycle, seq)`.
+    fn pop(&mut self) -> Option<(u64, Ev)> {
+        let (slot, (at, _)) = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|key| (i, key)))
+            .min_by_key(|&(_, key)| key)?;
+        self.slots[slot] = None;
+        let ev = match slot {
+            ARRIVAL_SLOT => Ev::Arrival { tenant: self.arrival.0, class: self.arrival.1 },
+            EPOCH_SLOT => Ev::EpochTick,
+            OUTAGE_START_SLOT => Ev::OutageStart,
+            OUTAGE_END_SLOT => Ev::OutageEnd,
+            lane_slot => Ev::PhaseDone { lane: lane_slot - LANE_SLOTS },
+        };
+        Some((at, ev))
+    }
 }
 
 /// A query occupying a service lane. Its plan is read from the class
@@ -199,8 +262,7 @@ struct Serve<'a> {
     profiles: &'a [ClassProfile],
     breaker: RetryPolicy,
     now: u64,
-    seq: u64,
-    heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
+    events: Events,
     tenants: Vec<TenantState>,
     /// Tenants with a nonempty queue, kept in step with every push
     /// and pop.
@@ -228,11 +290,6 @@ struct Serve<'a> {
 }
 
 impl Serve<'_> {
-    fn push(&mut self, at: u64, ev: Ev) {
-        self.seq += 1;
-        self.heap.push(Reverse((at, self.seq, ev)));
-    }
-
     /// Current shedding-ladder level (0–3).
     fn ladder_level(&self) -> u8 {
         let cap = (self.spec.tenants * self.spec.queue_cap) as u64;
@@ -408,7 +465,7 @@ impl Serve<'_> {
                     arrival_cycle: at,
                     start_cycle: self.now,
                 });
-                self.push(self.now.saturating_add(first), Ev::PhaseDone { lane });
+                self.events.push(self.now.saturating_add(first), Ev::PhaseDone { lane });
                 continue 'lanes;
             }
         }
@@ -440,7 +497,7 @@ impl Serve<'_> {
                 return;
             }
             self.lanes[lane] = Some(r);
-            self.push(self.now.saturating_add(next), Ev::PhaseDone { lane });
+            self.events.push(self.now.saturating_add(next), Ev::PhaseDone { lane });
             return;
         }
         // Final phase: the query completes even if late.
@@ -540,8 +597,7 @@ pub fn run_serve(
             backoff_base_cycles: spec.epoch_mcycles * MCYCLE,
         },
         now: 0,
-        seq: 0,
-        heap: BinaryHeap::new(),
+        events: Events::new(spec.lanes),
         tenants: (0..spec.tenants).map(|_| TenantState::default()).collect(),
         ready: ReadySet::new(spec.tenants),
         lanes: vec![None; spec.lanes],
@@ -570,24 +626,24 @@ pub fn run_serve(
 
     let first = arrivals.next();
     if let Some((at, tenant, class)) = first {
-        s.push(at, Ev::Arrival { tenant, class });
+        s.events.push(at, Ev::Arrival { tenant, class });
     }
-    s.push(spec.epoch_mcycles * MCYCLE, Ev::EpochTick);
+    s.events.push(spec.epoch_mcycles * MCYCLE, Ev::EpochTick);
     if let Some(o) = spec.outage {
-        s.push(o.start_mcycles * MCYCLE, Ev::OutageStart);
-        s.push(o.end_mcycles * MCYCLE, Ev::OutageEnd);
+        s.events.push(o.start_mcycles * MCYCLE, Ev::OutageStart);
+        s.events.push(o.end_mcycles * MCYCLE, Ev::OutageEnd);
     }
 
-    // Exactly one arrival is in the heap while the stream lasts: each
-    // pop draws and pushes its successor before admitting itself.
+    // Exactly one arrival is pending while the stream lasts: each pop
+    // draws and pushes its successor before admitting itself.
     let mut arrival_pending = first.is_some();
-    while let Some(Reverse((at, _, ev))) = s.heap.pop() {
+    while let Some((at, ev)) = s.events.pop() {
         s.now = at;
         match ev {
             Ev::Arrival { tenant, class } => {
                 let next = arrivals.next();
                 if let Some((at, tenant, class)) = next {
-                    s.push(at, Ev::Arrival { tenant, class });
+                    s.events.push(at, Ev::Arrival { tenant, class });
                 }
                 arrival_pending = next.is_some();
                 s.on_arrival(tenant, class);
@@ -608,7 +664,7 @@ pub fn run_serve(
                 // the tick itself would keep the run alive forever.
                 if s.work_pending(arrival_pending) {
                     let next = s.now.saturating_add(spec.epoch_mcycles * MCYCLE);
-                    s.push(next, Ev::EpochTick);
+                    s.events.push(next, Ev::EpochTick);
                 }
             }
             Ev::OutageStart => {

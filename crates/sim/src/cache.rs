@@ -26,7 +26,11 @@ impl Clone for Llc {
     }
 }
 
-const EMPTY: u64 = u64::MAX;
+/// The tag of an empty slot. Line 0 lies in page 0, which is never
+/// mapped (address 0 is null), so no access ever looks up line 0: an
+/// empty slot can hold 0, and a fresh tag array is allocated zeroed —
+/// faulted in by the host only where lines land — instead of filled.
+const EMPTY: u64 = 0;
 
 impl Llc {
     /// Build an LLC holding `lines` cache lines (rounded up to a power of

@@ -29,6 +29,7 @@ use crate::error::{SimError, SimResult};
 use crate::fault::{ActiveFaults, FaultPlan};
 use crate::lock::{resolve_waits, LockId, LockTable, ThreadLockUse};
 use crate::mem::{MemDelta, Memory, ShardMemView, TouchResolution, VAddr, LINE, SMALL_PAGE};
+use crate::mix::MixBuildHasher;
 use crate::metrics::{Bottleneck, Counters, RegionStats};
 use crate::sched::{plan_region, ThreadSchedule};
 use crate::tlb::Tlb;
@@ -57,12 +58,55 @@ const MMAP_SYSCALL_CYCLES: u64 = 800;
 /// Per-thread L1 size in cache lines (32 KB).
 const L1_LINES: u64 = 512;
 
-/// Slots in the global last-writer table used to model coherence
+/// Words `read_u64_run`/`write_u64_run` move through the byte store per
+/// call (a stack buffer of 256 bytes).
+const RUN_CHUNK_WORDS: usize = 32;
+
+/// Index bits of the global last-writer table used to model coherence
 /// invalidations (collisions cause occasional spurious invalidations).
-const WRITER_TABLE_SLOTS: usize = 1 << 20;
+const WRITER_SLOT_BITS: u32 = 20;
+
+/// Slots in the last-writer table.
+const WRITER_TABLE_SLOTS: usize = 1 << WRITER_SLOT_BITS;
+
+/// Low bits of a writer-table entry: the writer's `tid + 1`, 0 in an
+/// empty slot. [`mix_line`] is a bijection and a line's slot is the low
+/// `WRITER_SLOT_BITS` of its mix, so the entry's remaining high bits
+/// (the rest of the mix) identify the line exactly and the low bits are
+/// free for the writer.
+const WRITER_TID_MASK: u64 = (1 << WRITER_SLOT_BITS) - 1;
+
+/// The most simulated threads one region can run: every `tid + 1` must
+/// fit in a writer-table entry's low bits.
+pub const MAX_THREADS: usize = WRITER_TID_MASK as usize;
+
+/// Fail with [`SimError::ThreadCount`] unless a region can run
+/// `threads` simulated threads: at least one, at most [`MAX_THREADS`].
+pub fn check_threads(threads: usize) -> SimResult<()> {
+    if threads == 0 || threads > MAX_THREADS {
+        return Err(SimError::ThreadCount { threads: threads as u64, max: MAX_THREADS as u64 });
+    }
+    Ok(())
+}
+
+/// The writer-table entry recording a store to the line that mixes to
+/// `mixed` by thread `tid`.
+#[inline]
+fn writer_entry(mixed: u64, tid: usize) -> u64 {
+    (mixed & !WRITER_TID_MASK) | (tid as u64 + 1)
+}
+
+/// Whether `entry`, read from the slot of the line that mixes to
+/// `mixed`, records a store to that line by a thread other than `tid`:
+/// an L1 copy of the line held by `tid` is invalid.
+#[inline]
+fn written_by_other(entry: u64, mixed: u64, tid: usize) -> bool {
+    let writer = entry & WRITER_TID_MASK;
+    (entry ^ mixed) & !WRITER_TID_MASK == 0 && writer != 0 && writer != tid as u64 + 1
+}
 
 /// A copy of the per-node LLCs and the last-writer table.
-type TableCopy = (Vec<Llc>, Vec<(u64, u32)>);
+type TableCopy = (Vec<Llc>, Vec<u64>);
 
 /// The NUMA machine simulator.
 #[derive(Debug)]
@@ -78,9 +122,10 @@ pub struct NumaSim {
     /// keep their cores *across* parallel regions (re-planning every
     /// region would teleport them away from the memory they faulted in).
     sched_plans: Vec<ThreadSchedule>,
-    /// Coherence model: `(line, last writer tid)` so one thread's write
-    /// invalidates other threads' L1 copies of the line.
-    writer_table: Vec<(u64, u32)>,
+    /// Coherence model: the line and last writer of each slot, packed by
+    /// [`writer_entry`], so one thread's write invalidates other
+    /// threads' L1 copies of the line.
+    writer_table: Vec<u64>,
     /// The table copies host shards 1..N−1 of a sharded region run on,
     /// refreshed from the canonical tables every region and kept in
     /// between so their pages stay mapped.
@@ -157,7 +202,7 @@ impl NumaSim {
             tlbs: Vec::new(),
             l1s: Vec::new(),
             sched_plans: Vec::new(),
-            writer_table: vec![(u64::MAX, u32::MAX); WRITER_TABLE_SLOTS],
+            writer_table: vec![0; WRITER_TABLE_SLOTS],
             shard_copies: Vec::new(),
             locks: LockTable::default(),
             counters: Counters::default(),
@@ -265,6 +310,11 @@ impl NumaSim {
         self.memory.mapped_high_water()
     }
 
+    /// 4 KB pages of host memory holding the bytes the run wrote.
+    pub fn data_pages(&self) -> u64 {
+        self.memory.data_pages()
+    }
+
     /// Number of locks registered with the contention model.
     pub fn num_locks(&self) -> usize {
         self.locks.len()
@@ -284,7 +334,9 @@ impl NumaSim {
     /// resolving stats. A failed region charges no elapsed time and no
     /// counters; the experiment runner decides whether to retry. Faults
     /// are an OOM under `Bind`, an injected fault, a blown cycle budget,
-    /// a passed deadline, or an invalid mapping.
+    /// a passed deadline, or an invalid mapping; a region of 0 or more
+    /// than [`MAX_THREADS`] threads fails with [`SimError::ThreadCount`]
+    /// before it runs.
     pub fn try_parallel<S, F>(
         &mut self,
         threads: usize,
@@ -294,7 +346,6 @@ impl NumaSim {
     where
         F: FnMut(&mut Worker<'_>, &mut S),
     {
-        assert!(threads > 0, "a region needs at least one thread");
         let mut setup = self.begin_region(threads)?;
         let schedules = std::mem::take(&mut setup.schedules);
         let mut finished: Vec<ThreadOutcome2> = Vec::with_capacity(threads);
@@ -392,7 +443,6 @@ impl NumaSim {
         R: Send,
         F: Fn(&mut Worker<'_>, &S) -> R + Sync,
     {
-        assert!(threads > 0, "a region needs at least one thread");
         let mut setup = self.begin_region(threads)?;
         let schedules = std::mem::take(&mut setup.schedules);
 
@@ -630,6 +680,7 @@ impl NumaSim {
     /// per-region integer latency tables, and the `RegionBegin` trace
     /// event. Byte-identical to the historical `try_parallel` prologue.
     fn begin_region(&mut self, threads: usize) -> SimResult<RegionSetup> {
+        check_threads(threads)?;
         if let Some(deadline) = self.cfg.deadline_cycles {
             // Cooperative cancellation: a query whose deadline has
             // passed abandons *between* phases, never mid-region, and
@@ -1319,7 +1370,7 @@ fn make_worker<'a>(
         heat_on: setup.heat_on,
         heat_page: u64::MAX,
         heat_run: 0,
-        heat: HashMap::new(),
+        heat: HashMap::default(),
         reference: cfg.reference_model,
         epoch_cur: 0,
         epoch_valid_until: 0,
@@ -1442,7 +1493,7 @@ impl MemLink<'_> {
     }
 
     #[inline]
-    fn read_bytes(&mut self, addr: VAddr, out: &mut [u8]) {
+    fn read_bytes(&self, addr: VAddr, out: &mut [u8]) {
         match self {
             MemLink::Direct(m) => m.read_bytes(addr, out),
             MemLink::Shard(v) => v.read_bytes(addr, out),
@@ -1468,13 +1519,13 @@ fn shard_map_fault() -> SimError {
 /// the tables hold the region-start image and the bitmaps are clear.
 struct Arena<'a> {
     caches: &'a mut [Llc],
-    writer: &'a mut [(u64, u32)],
+    writer: &'a mut [u64],
     llc_dirty: Vec<Vec<u64>>,
     writer_dirty: Vec<u64>,
 }
 
 impl<'a> Arena<'a> {
-    fn new(caches: &'a mut [Llc], writer: &'a mut [(u64, u32)]) -> Self {
+    fn new(caches: &'a mut [Llc], writer: &'a mut [u64]) -> Self {
         // Logs and redo sets store slot indices as u32.
         let slots_fit = |n: usize| u32::try_from(n).is_ok();
         assert!(
@@ -1512,27 +1563,27 @@ impl<'a> Arena<'a> {
 /// The host cost is proportional to the slots the worker changes, and
 /// since each slot is logged at most once the log never holds more
 /// entries than the table has slots.
-struct UndoTable<'a, T> {
-    arena: &'a mut [T],
+struct UndoTable<'a> {
+    arena: &'a mut [u64],
     dirty: &'a mut [u64],
-    log: Vec<(u32, T)>,
+    log: Vec<(u32, u64)>,
 }
 
-impl<'a, T: Copy> UndoTable<'a, T> {
-    fn new(arena: &'a mut [T], dirty: &'a mut [u64]) -> Self {
+impl<'a> UndoTable<'a> {
+    fn new(arena: &'a mut [u64], dirty: &'a mut [u64]) -> Self {
         UndoTable { arena, dirty, log: Vec::new() }
     }
 
     /// The worker's current value of slot `i`.
     #[inline]
-    fn slot(&self, i: usize) -> &T {
+    fn slot(&self, i: usize) -> &u64 {
         &self.arena[i]
     }
 
     /// Store `value` in slot `i`. Every store counts as a write for the
     /// merge, including one equal to the slot's current value.
     #[inline]
-    fn set(&mut self, i: usize, value: T) {
+    fn set(&mut self, i: usize, value: u64) {
         let (word, bit) = (i / 64, 1u64 << (i % 64));
         if self.dirty[word] & bit == 0 {
             self.dirty[word] |= bit;
@@ -1544,7 +1595,7 @@ impl<'a, T: Copy> UndoTable<'a, T> {
     /// Roll the arena back to the region-start image, clear the dirty
     /// bitmap, and return the redo set: `(slot, value)` once for every
     /// slot the worker stored to.
-    fn finish(self) -> Vec<(u32, T)> {
+    fn finish(self) -> Vec<(u32, u64)> {
         let UndoTable { arena, dirty, mut log } = self;
         for (i, value) in &mut log {
             std::mem::swap(&mut arena[*i as usize], value);
@@ -1554,7 +1605,7 @@ impl<'a, T: Copy> UndoTable<'a, T> {
     }
 }
 
-impl Tags for UndoTable<'_, u64> {
+impl Tags for UndoTable<'_> {
     #[inline]
     fn tag(&self, slot: usize) -> u64 {
         *self.slot(slot)
@@ -1570,7 +1621,7 @@ impl Tags for UndoTable<'_, u64> {
 /// undo-logged tag array.
 struct LlcView<'a> {
     mask: u64,
-    tags: UndoTable<'a, u64>,
+    tags: UndoTable<'a>,
     /// Whether the worker accessed this LLC at all, hits included: the
     /// last toucher of a node's LLC wins it wholesale at the merge.
     touched: bool,
@@ -1616,13 +1667,13 @@ impl CacheLink<'_> {
 /// serial path, an undo-logged view of the shard's arena on the
 /// sharded path.
 enum WriterLink<'a> {
-    Direct(&'a mut [(u64, u32)]),
-    Shard(UndoTable<'a, (u64, u32)>),
+    Direct(&'a mut [u64]),
+    Shard(UndoTable<'a>),
 }
 
 impl WriterLink<'_> {
     #[inline]
-    fn slot(&self, i: usize) -> &(u64, u32) {
+    fn slot(&self, i: usize) -> &u64 {
         match self {
             WriterLink::Direct(v) => &v[i],
             WriterLink::Shard(t) => t.slot(i),
@@ -1630,7 +1681,7 @@ impl WriterLink<'_> {
     }
 
     #[inline]
-    fn set(&mut self, i: usize, value: (u64, u32)) {
+    fn set(&mut self, i: usize, value: u64) {
         match self {
             WriterLink::Direct(v) => v[i] = value,
             WriterLink::Shard(t) => t.set(i, value),
@@ -1671,7 +1722,7 @@ struct ShardDelta {
     /// Per node, the LLC redo set if the worker accessed that LLC at
     /// all (`None` also once a later tid has superseded it).
     llcs: Vec<Option<Vec<(u32, u64)>>>,
-    writer: Vec<(u32, (u64, u32))>,
+    writer: Vec<(u32, u64)>,
     trace: Vec<(u64, u32, TraceEvent)>,
 }
 
@@ -1760,7 +1811,7 @@ pub struct Worker<'a> {
     heat_run: u64,
     /// Spilled per-page touch counts (sorted into `ThreadOutcome2::heat`
     /// at `finish`).
-    heat: HashMap<u64, u64>,
+    heat: HashMap<u64, u64, MixBuildHasher>,
     /// Run the per-line reference model instead of the fast path.
     reference: bool,
     /// Cached AutoNUMA scan epoch (`(clock / period) & 0xFF`) ...
@@ -2017,12 +2068,12 @@ impl<'a> Worker<'a> {
         // Private L1 with MESI-style invalidation: a hit is only valid if
         // no other thread wrote the line since we cached it.
         let line = line_addr / LINE;
-        let slot = (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1);
+        let mixed = mix_line(line);
+        let slot = (mixed as usize) & (WRITER_TABLE_SLOTS - 1);
         let l1_hit = self.l1.access(line);
-        let (wt_line, wt_tid) = *self.writer_table.slot(slot);
-        let invalidated = wt_line == line && wt_tid != self.tid as u32;
+        let invalidated = written_by_other(*self.writer_table.slot(slot), mixed, self.tid);
         if access == Access::Write {
-            self.writer_table.set(slot, (line, self.tid as u32));
+            self.writer_table.set(slot, writer_entry(mixed, self.tid));
         }
         if l1_hit && !invalidated {
             self.counters.l1_hits += 1;
@@ -2196,11 +2247,11 @@ impl<'a> Worker<'a> {
         let line = line_addr / LINE;
         let l1_hit = self.l1.access(line);
         if access == Access::Write {
-            let slot = (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1);
+            let mixed = mix_line(line);
+            let slot = (mixed as usize) & (WRITER_TABLE_SLOTS - 1);
             if l1_hit {
-                let (wt_line, wt_tid) = *self.writer_table.slot(slot);
-                let invalidated = wt_line == line && wt_tid != self.tid as u32;
-                self.writer_table.set(slot, (line, self.tid as u32));
+                let invalidated = written_by_other(*self.writer_table.slot(slot), mixed, self.tid);
+                self.writer_table.set(slot, writer_entry(mixed, self.tid));
                 if !invalidated {
                     self.counters.l1_hits += 1;
                     self.last_line = line;
@@ -2211,12 +2262,12 @@ impl<'a> Worker<'a> {
                 // L1-miss write: the previous entry is never consumed, so
                 // store without the dependent load — the store retires
                 // asynchronously instead of stalling on a cache miss.
-                self.writer_table.set(slot, (line, self.tid as u32));
+                self.writer_table.set(slot, writer_entry(mixed, self.tid));
             }
         } else if l1_hit {
-            let slot = (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1);
-            let (wt_line, wt_tid) = *self.writer_table.slot(slot);
-            if !(wt_line == line && wt_tid != self.tid as u32) {
+            let mixed = mix_line(line);
+            let slot = (mixed as usize) & (WRITER_TABLE_SLOTS - 1);
+            if !written_by_other(*self.writer_table.slot(slot), mixed, self.tid) {
                 self.counters.l1_hits += 1;
                 self.last_line = line;
                 self.check_events();
@@ -2555,10 +2606,13 @@ impl<'a> Worker<'a> {
             out.fill(0);
             return;
         }
-        let mut buf = [0u8; 8];
-        for (i, slot) in out.iter_mut().enumerate() {
-            self.memory.read_bytes(addr + (i as u64) * 8, &mut buf);
-            *slot = u64::from_le_bytes(buf);
+        let mut buf = [0u8; RUN_CHUNK_WORDS * 8];
+        for (k, words) in out.chunks_mut(RUN_CHUNK_WORDS).enumerate() {
+            let bytes = &mut buf[..words.len() * 8];
+            self.memory.read_bytes(addr + (k * RUN_CHUNK_WORDS * 8) as u64, bytes);
+            for (v, b) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+                *v = b.try_into().map_or(0, u64::from_le_bytes);
+            }
         }
     }
 
@@ -2589,8 +2643,13 @@ impl<'a> Worker<'a> {
         if self.fault.is_some() {
             return;
         }
-        for (i, v) in values.iter().enumerate() {
-            self.memory.write_bytes(addr + (i as u64) * 8, &v.to_le_bytes());
+        let mut buf = [0u8; RUN_CHUNK_WORDS * 8];
+        for (k, words) in values.chunks(RUN_CHUNK_WORDS).enumerate() {
+            for (v, b) in words.iter().zip(buf.chunks_exact_mut(8)) {
+                b.copy_from_slice(&v.to_le_bytes());
+            }
+            let at = addr + (k * RUN_CHUNK_WORDS * 8) as u64;
+            self.memory.write_bytes(at, &buf[..words.len() * 8]);
         }
     }
 
@@ -3452,6 +3511,11 @@ mod tests {
         (mix_line(line) as usize) & (WRITER_TABLE_SLOTS - 1)
     }
 
+    /// The packed entry of `line` last written by `tid`.
+    fn entry(line: u64, tid: usize) -> u64 {
+        writer_entry(mix_line(line), tid)
+    }
+
     /// Distinct LLC slots a run of `lines` lines from line `first` maps to.
     fn distinct_llc_slots(sim: &NumaSim, base: VAddr, first: u64, lines: u64) -> usize {
         let mask = sim.caches[0].capacity_lines() as u64 - 1;
@@ -3496,21 +3560,21 @@ mod tests {
             let (l10, l20) = (base / LINE + 10, base / LINE + 20);
             assert_ne!(writer_slot(l10), writer_slot(l20));
             run_plans(&mut sim, base, &[(0, 0, W), (10, 1, W), (0, 0, W)]).unwrap();
-            assert_eq!(sim.writer_table[writer_slot(l10)], (l10, 1));
+            assert_eq!(sim.writer_table[writer_slot(l10)], entry(l10, 1));
             // tid 0 stores (l10, 0); tid 1 stores (l10, 1), the slot's
             // prior value, and still wins as the later tid.
             run_plans(&mut sim, base, &[(10, 1, W), (10, 1, W), (20, 1, W)]).unwrap();
-            assert_eq!(sim.writer_table[writer_slot(l10)], (l10, 1), "shards={shards}");
-            assert_eq!(sim.writer_table[writer_slot(l20)], (l20, 2), "shards={shards}");
+            assert_eq!(sim.writer_table[writer_slot(l10)], entry(l10, 1), "shards={shards}");
+            assert_eq!(sim.writer_table[writer_slot(l20)], entry(l20, 2), "shards={shards}");
             // With tid 1 not writing, tid 0's store lands.
             run_plans(&mut sim, base, &[(10, 1, W), (0, 0, W), (0, 0, W)]).unwrap();
-            assert_eq!(sim.writer_table[writer_slot(l10)], (l10, 0), "shards={shards}");
+            assert_eq!(sim.writer_table[writer_slot(l10)], entry(l10, 0), "shards={shards}");
         }
     }
 
     #[test]
     fn undo_table_restores_the_arena_and_returns_every_store() {
-        let start: Vec<(u64, u32)> = (0..1024).map(|i| (i, 7)).collect();
+        let start: Vec<u64> = (0..1024).map(|i| i << 20 | 7).collect();
         let mut arena = start.clone();
         let mut dirty = vec![0u64; 16];
         let mut table = UndoTable::new(&mut arena, &mut dirty);
@@ -3520,7 +3584,7 @@ mod tests {
         // first ten slots are stored twice.
         for k in (0..900usize).chain(0..10) {
             let i = (k * 37) % 1024;
-            let value = if k % 5 == 0 { start[i] } else { (k as u64, k as u32 + 1) };
+            let value = if k % 5 == 0 { start[i] } else { (k as u64) << 20 | (k as u64 + 1) };
             table.set(i, value);
             assert_eq!(*table.slot(i), value);
             expect.insert(i as u32, value);
@@ -3530,6 +3594,68 @@ mod tests {
         assert_eq!(redo, expect.into_iter().collect::<Vec<_>>());
         assert_eq!(arena, start, "arena not rolled back");
         assert!(dirty.iter().all(|&w| w == 0), "bitmap not cleared");
+    }
+
+    /// The `(line, tid)` entry the packed one replaced, with its rule.
+    #[derive(Clone, Copy)]
+    struct Unpacked(u64, u32);
+    const UNPACKED_EMPTY: Unpacked = Unpacked(u64::MAX, u32::MAX);
+
+    fn unpacked_invalidates(e: Unpacked, line: u64, tid: usize) -> bool {
+        e.0 == line && e.1 != tid as u32
+    }
+
+    #[test]
+    fn packed_writer_entries_follow_the_unpacked_rule() {
+        // Two lines colliding in one slot: same low bits of the mix.
+        let a = 4096u64;
+        let b = (a + 1..)
+            .find(|&l| writer_slot(l) == writer_slot(a))
+            .expect("a colliding line");
+        let other = (a + 1..).find(|&l| writer_slot(l) != writer_slot(a)).expect("a line");
+        let tids = [0, 1, 7, MAX_THREADS - 1];
+        // The slot of `a` after each history, packed and unpacked.
+        let mut histories: Vec<(u64, Unpacked)> = vec![(0, UNPACKED_EMPTY)];
+        for &line in &[a, b] {
+            for &t in &tids {
+                histories.push((entry(line, t), Unpacked(line, t as u32)));
+            }
+        }
+        for (packed, unpacked) in histories {
+            for &probe in &[a, b, other] {
+                // Probe only lines sharing the slot (the engine never
+                // reads another line's slot); `other` checks the empty
+                // slot against a foreign mix.
+                if writer_slot(probe) != writer_slot(a) && packed != 0 {
+                    continue;
+                }
+                for &t in &tids {
+                    assert_eq!(
+                        written_by_other(packed, mix_line(probe), t),
+                        unpacked_invalidates(unpacked, probe, t),
+                        "entry {packed:#x}, line {probe}, tid {t}"
+                    );
+                }
+            }
+        }
+        // A tid at the bound keeps its own bits and stays distinct from
+        // the empty slot and from its neighbour.
+        let top = entry(a, MAX_THREADS - 1);
+        assert_eq!(top & WRITER_TID_MASK, MAX_THREADS as u64);
+        assert!(written_by_other(top, mix_line(a), MAX_THREADS - 2));
+        assert!(!written_by_other(top, mix_line(a), MAX_THREADS - 1));
+    }
+
+    #[test]
+    fn thread_counts_past_the_packed_tid_fail_typed() {
+        assert_eq!(MAX_THREADS, 1_048_575);
+        assert!(check_threads(1).is_ok());
+        assert!(check_threads(0).is_err());
+        assert!(check_threads(MAX_THREADS).is_ok());
+        assert_eq!(
+            check_threads(MAX_THREADS + 1),
+            Err(SimError::ThreadCount { threads: 1 << 20, max: MAX_THREADS as u64 })
+        );
     }
 
     #[test]

@@ -70,6 +70,14 @@ pub enum SimError {
         /// The offline node.
         node: usize,
     },
+    /// A region asked for no simulated threads, or for more than the
+    /// simulator can tell apart ([`crate::MAX_THREADS`]).
+    ThreadCount {
+        /// The requested thread count.
+        threads: u64,
+        /// The most a region can run.
+        max: u64,
+    },
     /// A harness-level invariant failed (the fallible replacement for
     /// internal `expect`s on the experiment path).
     Harness {
@@ -106,6 +114,7 @@ impl SimError {
             SimError::Timeout { .. } => "timeout",
             SimError::DeadlineExceeded { .. } => "deadline",
             SimError::NodeOffline { .. } => "node-offline",
+            SimError::ThreadCount { .. } => "thread-count",
             SimError::Harness { .. } => "harness",
             SimError::BadSpec { .. } => "bad-spec",
         }
@@ -137,6 +146,9 @@ impl fmt::Display for SimError {
             ),
             SimError::NodeOffline { node } => {
                 write!(f, "node {node} is offline and the operation required it")
+            }
+            SimError::ThreadCount { threads, max } => {
+                write!(f, "a region runs 1 to {max} simulated threads, not {threads}")
             }
             SimError::Harness { what } => write!(f, "harness invariant failed: {what}"),
             SimError::BadSpec { flag, token, why } => {

@@ -65,10 +65,11 @@ mod tune;
 
 pub use cache::Llc;
 pub use config::{machine_by_name, CostParams, MemPolicy, SimConfig, ThreadPlacement};
-pub use engine::{Access, NumaSim, Worker};
+pub use engine::{check_threads, Access, NumaSim, Worker, MAX_THREADS};
 pub use error::{SimError, SimResult};
 pub use fault::{ActiveFaults, FaultEvent, FaultKind, FaultPlan};
 pub use lock::LockId;
+pub use mix::{MixBuildHasher, MixHasher};
 pub use mem::{VAddr, HUGE_PAGE, LINE, PAGES_PER_HUGE, SMALL_PAGE};
 pub use metrics::{Bottleneck, Counters, RegionStats};
 pub use tlb::Tlb;

@@ -1,5 +1,5 @@
 //! Simulated physical memory: the page table, placement policies, node
-//! capacities, THP frame grouping, and the byte backing store.
+//! capacities, THP frame grouping, and the sparse byte store.
 
 use crate::config::MemPolicy;
 use crate::error::{SimError, SimResult};
@@ -80,7 +80,9 @@ pub struct TouchResolution {
 #[cfg_attr(test, derive(Clone, PartialEq))]
 pub struct Memory {
     pages: Vec<PageEntry>,
-    backing: Vec<u8>,
+    /// The bytes the simulated process wrote, one pool page per written
+    /// 4 KB page (never-written pages read as zeros and hold nothing).
+    data: PageStore,
     /// Next unmapped virtual address (bump-allocated address space).
     next: VAddr,
     node_used_pages: Vec<u64>,
@@ -109,7 +111,7 @@ impl Memory {
             .collect();
         Memory {
             pages: Vec::new(),
-            backing: Vec::new(),
+            data: PageStore::default(),
             // Leave page 0 unmapped so address 0 acts as null.
             next: SMALL_PAGE,
             node_used_pages: vec![0; num_nodes],
@@ -705,27 +707,24 @@ impl Memory {
         }
     }
 
-    // ---- byte backing store ----------------------------------------
+    // ---- byte store --------------------------------------------------
 
     /// Write raw bytes at `addr` (cost accounting happens in the engine).
     #[inline]
     pub fn write_bytes(&mut self, addr: VAddr, data: &[u8]) {
-        let end = addr as usize + data.len();
-        if self.backing.len() < end {
-            self.backing.resize(end, 0);
-        }
-        self.backing[addr as usize..end].copy_from_slice(data);
+        self.data.write(addr, data);
     }
 
     /// Read raw bytes at `addr`. Reads of never-written memory return
     /// zeroes, like fresh anonymous mappings.
     #[inline]
-    pub fn read_bytes(&mut self, addr: VAddr, out: &mut [u8]) {
-        let end = addr as usize + out.len();
-        if self.backing.len() < end {
-            self.backing.resize(end, 0);
-        }
-        out.copy_from_slice(&self.backing[addr as usize..end]);
+    pub fn read_bytes(&self, addr: VAddr, out: &mut [u8]) {
+        self.data.read(addr, out);
+    }
+
+    /// 4 KB pages of host memory holding written bytes.
+    pub fn data_pages(&self) -> u64 {
+        self.data.len() as u64
     }
 
     /// Total mapped address space handed out so far, in bytes.
@@ -734,37 +733,182 @@ impl Memory {
     }
 }
 
-// ---- sharded-region views ------------------------------------------
+// ---- sparse byte store ---------------------------------------------
 
-/// Bitmap words covering one 4 KB data page, one bit per byte.
-const PAGE_BITMAP_WORDS: usize = (SMALL_PAGE as usize) / 64;
+/// Bytes in one page of the byte store.
+const PAGE_BYTES: usize = SMALL_PAGE as usize;
 
-/// A privately-overlaid copy of one 4 KB page of the byte backing
-/// store, cloned from the frozen base on first write. `written` marks
-/// the bytes this worker actually wrote: the merge copies exactly
-/// those, so two workers writing disjoint halves of the same page never
-/// clobber each other with stale base bytes.
-#[derive(Debug)]
-pub(crate) struct DataPage {
-    bytes: Box<[u8]>,
-    written: [u64; PAGE_BITMAP_WORDS],
+/// Pool pages per chunk: the pool grows 256 KB at a time.
+const CHUNK_PAGES: usize = 64;
+
+type PageBytes = [u8; PAGE_BYTES];
+
+/// The simulated process's bytes, stored sparsely: one `u32` slot per
+/// 4 KB page of address space points into a pool of 4 KB pages. A page
+/// that was never written has no pool page, reads as zeros and holds no
+/// host memory, so the store follows what a run writes, not how far its
+/// address space reaches. The pool grows a fixed chunk at a time and
+/// never moves a page.
+#[derive(Debug, Default)]
+#[cfg_attr(test, derive(Clone))]
+pub(crate) struct PageStore {
+    /// Per 4 KB page: its pool index + 1, or 0 while never written.
+    slots: Vec<u32>,
+    /// The pool, in chunks of `CHUNK_PAGES` zeroed pages.
+    chunks: Vec<Box<[PageBytes]>>,
+    /// The 4 KB page each pool page backs, in allocation order.
+    owners: Vec<usize>,
 }
 
-impl DataPage {
-    fn cloned_from(base: &Memory, pidx: usize) -> DataPage {
-        let start = pidx * SMALL_PAGE as usize;
-        let mut bytes = vec![0u8; SMALL_PAGE as usize].into_boxed_slice();
-        if base.backing.len() > start {
-            let avail = (base.backing.len() - start).min(SMALL_PAGE as usize);
-            bytes[..avail].copy_from_slice(&base.backing[start..start + avail]);
+impl PageStore {
+    /// Pool pages in use.
+    fn len(&self) -> usize {
+        self.owners.len()
+    }
+
+    /// Pool index of page `pidx`, if it was ever written.
+    #[inline]
+    fn slot(&self, pidx: usize) -> Option<usize> {
+        match self.slots.get(pidx) {
+            Some(&s) if s != 0 => Some(s as usize - 1),
+            _ => None,
         }
-        DataPage { bytes, written: [0; PAGE_BITMAP_WORDS] }
     }
 
     #[inline]
-    fn written(&self, b: usize) -> bool {
-        self.written[b >> 6] & (1u64 << (b & 63)) != 0
+    fn pool(&self, i: usize) -> &PageBytes {
+        &self.chunks[i / CHUNK_PAGES][i % CHUNK_PAGES]
     }
+
+    #[inline]
+    fn pool_mut(&mut self, i: usize) -> &mut PageBytes {
+        &mut self.chunks[i / CHUNK_PAGES][i % CHUNK_PAGES]
+    }
+
+    /// Page `pidx`'s bytes; `None` reads as zeros.
+    #[inline]
+    fn page(&self, pidx: usize) -> Option<&PageBytes> {
+        self.slot(pidx).map(|i| self.pool(i))
+    }
+
+    /// Give never-written page `pidx` a zeroed pool page and return its
+    /// pool index.
+    fn alloc(&mut self, pidx: usize) -> usize {
+        if self.slots.len() <= pidx {
+            self.slots.resize(pidx + 1, 0);
+        }
+        let i = self.owners.len();
+        if i == self.chunks.len() * CHUNK_PAGES {
+            self.chunks.push(vec![[0; PAGE_BYTES]; CHUNK_PAGES].into_boxed_slice());
+        }
+        self.owners.push(pidx);
+        // 2^32 pool pages would be 16 TB of written bytes.
+        self.slots[pidx] = (i + 1) as u32;
+        i
+    }
+
+    /// Every written page with its bytes, in allocation order.
+    fn pages(&self) -> impl Iterator<Item = (usize, &PageBytes)> {
+        self.owners.iter().enumerate().map(|(i, &pidx)| (pidx, self.pool(i)))
+    }
+
+    /// Copy the bytes at `addr` into `out`.
+    #[inline]
+    fn read(&self, addr: VAddr, out: &mut [u8]) {
+        for_each_page(addr, out.len(), |pidx, in_page, range| {
+            let dst = &mut out[range];
+            match self.page(pidx) {
+                Some(p) => dst.copy_from_slice(&p[in_page..in_page + dst.len()]),
+                None => dst.fill(0),
+            }
+        });
+    }
+
+    /// Store `data` at `addr`. Zeros written to a never-written page
+    /// change nothing a read would see, so they allocate nothing.
+    #[inline]
+    fn write(&mut self, addr: VAddr, data: &[u8]) {
+        for_each_page(addr, data.len(), |pidx, in_page, range| {
+            let src = &data[range];
+            let i = match self.slot(pidx) {
+                Some(i) => i,
+                None if src.iter().all(|&b| b == 0) => return,
+                None => self.alloc(pidx),
+            };
+            self.pool_mut(i)[in_page..in_page + src.len()].copy_from_slice(src);
+        });
+    }
+}
+
+/// Equal when every address reads the same, however the pools are laid
+/// out.
+#[cfg(test)]
+impl PartialEq for PageStore {
+    fn eq(&self, other: &Self) -> bool {
+        let zeros = [0; PAGE_BYTES];
+        let covers = |a: &PageStore, b: &PageStore| {
+            a.pages().all(|(pidx, bytes)| b.page(pidx).unwrap_or(&zeros) == bytes)
+        };
+        covers(self, other) && covers(other, self)
+    }
+}
+
+/// Split the `len` bytes at `addr` at 4 KB page boundaries: `f(page,
+/// offset in page, range within the caller's buffer)` once per page.
+#[inline]
+fn for_each_page(
+    addr: VAddr,
+    len: usize,
+    mut f: impl FnMut(usize, usize, std::ops::Range<usize>),
+) {
+    let mut off = 0;
+    while off < len {
+        let a = addr + off as u64;
+        let in_page = (a % SMALL_PAGE) as usize;
+        let n = (PAGE_BYTES - in_page).min(len - off);
+        f((a / SMALL_PAGE) as usize, in_page, off..off + n);
+        off += n;
+    }
+}
+
+// ---- sharded-region views ------------------------------------------
+
+/// Bitmap words covering one 4 KB data page, one bit per byte.
+const PAGE_BITMAP_WORDS: usize = PAGE_BYTES / 64;
+
+/// Which bytes of one overlay page a worker wrote, one bit per byte.
+type WriteMask = [u64; PAGE_BITMAP_WORDS];
+
+/// Set the bits of bytes `range` in `mask`, a word at a time.
+#[inline]
+fn mark_written(mask: &mut WriteMask, range: std::ops::Range<usize>) {
+    let mut b = range.start;
+    while b < range.end {
+        let bit = b % 64;
+        let take = (64 - bit).min(range.end - b);
+        mask[b / 64] |= (u64::MAX >> (64 - take)) << bit;
+        b += take;
+    }
+}
+
+/// The first byte at or after `from` whose bit is `set` (`PAGE_BYTES`
+/// when there is none), found by scanning whole words.
+#[inline]
+fn next_bit(mask: &WriteMask, from: usize, set: bool) -> usize {
+    let flip = if set { 0 } else { u64::MAX };
+    let mut word = from / 64;
+    if word >= PAGE_BITMAP_WORDS {
+        return PAGE_BYTES;
+    }
+    let mut bits = (mask[word] ^ flip) & (u64::MAX << (from % 64));
+    while bits == 0 {
+        word += 1;
+        if word == PAGE_BITMAP_WORDS {
+            return PAGE_BYTES;
+        }
+        bits = mask[word] ^ flip;
+    }
+    word * 64 + bits.trailing_zeros() as usize
 }
 
 /// Per-worker isolated view of [`Memory`] for sharded parallel regions.
@@ -777,7 +921,7 @@ impl DataPage {
 /// independent of how workers are partitioned across host threads. At
 /// the region boundary the engine merges each worker's
 /// [`MemDelta`] back in ascending-tid order, which keeps the merged
-/// page table, capacity counters, and byte backing a pure function of
+/// page table, capacity counters, and byte store a pure function of
 /// the per-worker histories — byte-identical for every shard count.
 ///
 /// Mapping and unmapping are not supported through a view (the engine
@@ -794,10 +938,12 @@ pub struct ShardMemView<'a> {
     /// Private capacity snapshot: region-start counts plus this
     /// worker's own assignments (used by first-touch OOM checks).
     node_used_pages: Vec<u64>,
-    /// Overlay handle per 4 KB page of the byte backing store.
-    data_slot: Vec<u32>,
-    /// Copy-on-write data pages in first-write order.
-    data_pages: Vec<(usize, DataPage)>,
+    /// Copy-on-write data pages, cloned from the base on first write.
+    data: PageStore,
+    /// Per pool page of `data`, the bytes this worker wrote: the merge
+    /// copies exactly those, so two workers writing disjoint parts of
+    /// one page never clobber each other with stale base bytes.
+    written: Vec<WriteMask>,
 }
 
 /// The owned overlay extracted from a [`ShardMemView`] when its worker
@@ -805,7 +951,8 @@ pub struct ShardMemView<'a> {
 #[derive(Debug)]
 pub struct MemDelta {
     pages: Vec<(usize, PageEntry)>,
-    data: Vec<(usize, DataPage)>,
+    data: PageStore,
+    written: Vec<WriteMask>,
 }
 
 impl<'a> ShardMemView<'a> {
@@ -816,8 +963,8 @@ impl<'a> ShardMemView<'a> {
             page_slot: vec![u32::MAX; base.pages.len()],
             page_entries: Vec::new(),
             node_used_pages: base.node_used_pages.clone(),
-            data_slot: vec![u32::MAX; (base.next / SMALL_PAGE + 1) as usize],
-            data_pages: Vec::new(),
+            data: PageStore::default(),
+            written: Vec::new(),
             base,
         }
     }
@@ -825,7 +972,7 @@ impl<'a> ShardMemView<'a> {
     /// Detach the owned overlay for the tid-order merge.
     #[must_use]
     pub fn into_delta(self) -> MemDelta {
-        MemDelta { pages: self.page_entries, data: self.data_pages }
+        MemDelta { pages: self.page_entries, data: self.data, written: self.written }
     }
 
     #[inline]
@@ -991,66 +1138,39 @@ impl<'a> ShardMemView<'a> {
         self.base.prefetch_page(addr);
     }
 
-    #[inline]
-    fn data_page_mut(&mut self, pidx: usize) -> &mut DataPage {
-        if pidx >= self.data_slot.len() {
-            self.data_slot.resize(pidx + 1, u32::MAX);
-        }
-        let mut slot = self.data_slot[pidx] as usize;
-        if slot == u32::MAX as usize {
-            slot = self.data_pages.len();
-            self.data_slot[pidx] = slot as u32;
-            self.data_pages.push((pidx, DataPage::cloned_from(self.base, pidx)));
-        }
-        &mut self.data_pages[slot].1
-    }
-
     /// Write raw bytes into the copy-on-write overlay.
     #[inline]
     pub fn write_bytes(&mut self, addr: VAddr, data: &[u8]) {
-        let mut off = 0usize;
-        while off < data.len() {
-            let a = addr + off as u64;
-            let pidx = (a / SMALL_PAGE) as usize;
-            let in_page = (a % SMALL_PAGE) as usize;
-            let n = (SMALL_PAGE as usize - in_page).min(data.len() - off);
-            let dp = self.data_page_mut(pidx);
-            dp.bytes[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
-            for b in in_page..in_page + n {
-                dp.written[b >> 6] |= 1u64 << (b & 63);
-            }
-            off += n;
-        }
+        for_each_page(addr, data.len(), |pidx, in_page, range| {
+            let i = match self.data.slot(pidx) {
+                Some(i) => i,
+                None => {
+                    let i = self.data.alloc(pidx);
+                    if let Some(base) = self.base.data.page(pidx) {
+                        self.data.pool_mut(i).copy_from_slice(base);
+                    }
+                    self.written.push([0; PAGE_BITMAP_WORDS]);
+                    i
+                }
+            };
+            let span = in_page..in_page + range.len();
+            self.data.pool_mut(i)[span.clone()].copy_from_slice(&data[range]);
+            mark_written(&mut self.written[i], span);
+        });
     }
 
     /// Read raw bytes: overlaid pages serve this worker's own writes,
-    /// everything else comes from the frozen base (zero-filled beyond
-    /// it, like fresh anonymous mappings).
+    /// everything else comes from the frozen base (zeros where nothing
+    /// was written, like fresh anonymous mappings).
     #[inline]
     pub fn read_bytes(&self, addr: VAddr, out: &mut [u8]) {
-        let mut off = 0usize;
-        while off < out.len() {
-            let a = addr + off as u64;
-            let pidx = (a / SMALL_PAGE) as usize;
-            let in_page = (a % SMALL_PAGE) as usize;
-            let n = (SMALL_PAGE as usize - in_page).min(out.len() - off);
-            let slot = self.data_slot.get(pidx).copied().unwrap_or(u32::MAX);
-            if slot != u32::MAX {
-                out[off..off + n].copy_from_slice(
-                    &self.data_pages[slot as usize].1.bytes[in_page..in_page + n],
-                );
-            } else {
-                // Clamp the start too: a read wholly past the frozen
-                // backing is a pure zero-fill (fresh anonymous pages),
-                // and `backing[start..start]` would still bounds-check
-                // an out-of-range start.
-                let start = (a as usize).min(self.base.backing.len());
-                let avail = (self.base.backing.len() - start).min(n);
-                out[off..off + avail].copy_from_slice(&self.base.backing[start..start + avail]);
-                out[off + avail..off + n].fill(0);
+        for_each_page(addr, out.len(), |pidx, in_page, range| {
+            let dst = &mut out[range];
+            match self.data.page(pidx).or_else(|| self.base.data.page(pidx)) {
+                Some(p) => dst.copy_from_slice(&p[in_page..in_page + dst.len()]),
+                None => dst.fill(0),
             }
-            off += n;
-        }
+        });
     }
 }
 
@@ -1077,19 +1197,14 @@ impl Memory {
             }
             self.pages[page] = e;
         }
-        for (pidx, dp) in delta.data {
+        // Copy each run of written bytes whole.
+        for ((pidx, bytes), mask) in delta.data.pages().zip(&delta.written) {
             let start = pidx as u64 * SMALL_PAGE;
-            let mut b = 0usize;
-            while b < SMALL_PAGE as usize {
-                if !dp.written(b) {
-                    b += 1;
-                    continue;
-                }
-                let s = b;
-                while b < SMALL_PAGE as usize && dp.written(b) {
-                    b += 1;
-                }
-                self.write_bytes(start + s as u64, &dp.bytes[s..b]);
+            let mut b = next_bit(mask, 0, true);
+            while b < PAGE_BYTES {
+                let e = next_bit(mask, b, false);
+                self.data.write(start + b as u64, &bytes[b..e]);
+                b = next_bit(mask, e, true);
             }
         }
     }
@@ -1439,6 +1554,163 @@ mod tests {
             Err(SimError::NodeOffline { node: 3 })
         ));
         assert!(!m.is_node_offline(3));
+    }
+
+    /// Bytes the store proptests address: six pages from page 1.
+    const SPAN: usize = 6 * PAGE_BYTES;
+    /// The longest read or write: more than two pages.
+    const MAX_LEN: usize = 2 * PAGE_BYTES + 300;
+
+    /// `len` bytes of `seed`'s pattern (some zero), or all zeros.
+    fn bytes(seed: u64, len: usize, zeros: bool) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| seed.wrapping_add(i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 59)
+            .map(|b| if zeros { 0 } else { b as u8 })
+            .collect()
+    }
+
+    /// A write of `(offset from page 1, length, zeros, seed)`.
+    type Write = (usize, usize, bool, u64);
+
+    fn write_both(m: &mut Memory, dense: &mut [u8], &(off, len, zeros, seed): &Write) {
+        let data = bytes(seed, len, zeros);
+        m.write_bytes(SMALL_PAGE + off as u64, &data);
+        dense[off..off + len].copy_from_slice(&data);
+    }
+
+    fn read_all(read: impl Fn(VAddr, &mut [u8])) -> Vec<u8> {
+        let mut out = vec![0xAA; SPAN + MAX_LEN];
+        read(SMALL_PAGE, &mut out);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Page-crossing reads and writes, zero writes, and reads of
+        /// never-written pages agree with a dense byte array, and the
+        /// store holds a pool page for exactly the pages that were ever
+        /// written a nonzero byte.
+        #[test]
+        fn sparse_store_matches_a_dense_reference(
+            ops in proptest::prop::collection::vec(
+                (0..SPAN, 0..MAX_LEN, 0u8..4, proptest::any::<bool>(), proptest::any::<u64>()),
+                1..60,
+            ),
+        ) {
+            let mut m = mem();
+            let mut dense = vec![0u8; SPAN + MAX_LEN];
+            let mut nonzero_pages = std::collections::BTreeSet::new();
+            for (off, len, kind, write, seed) in ops {
+                let addr = SMALL_PAGE + off as u64;
+                if write {
+                    let op = (off, len, kind == 0, seed);
+                    write_both(&mut m, &mut dense, &op);
+                    let data = bytes(seed, len, kind == 0);
+                    for_each_page(addr, len, |pidx, _, range| {
+                        if data[range].iter().any(|&b| b != 0) {
+                            nonzero_pages.insert(pidx);
+                        }
+                    });
+                } else {
+                    let mut out = vec![0xAA; len];
+                    m.read_bytes(addr, &mut out);
+                    proptest::prop_assert_eq!(&out[..], &dense[off..off + len]);
+                }
+            }
+            proptest::prop_assert_eq!(read_all(|a, o| m.read_bytes(a, o)), dense);
+            let mut far = [0xAA; 64];
+            m.read_bytes(1000 * SMALL_PAGE - 10, &mut far);
+            proptest::prop_assert!(far.iter().all(|&b| b == 0));
+            proptest::prop_assert_eq!(m.data_pages(), nonzero_pages.len() as u64);
+        }
+
+        /// Copy-on-write overlays read the frozen base plus their own
+        /// writes, and merging 1–3 of them in tid order leaves exactly
+        /// what their writes, applied in tid order, leave in a dense
+        /// array — disjoint bytes of one page included.
+        #[test]
+        fn shard_overlays_merge_like_tid_ordered_writes(
+            base_ops in proptest::prop::collection::vec(
+                (0..SPAN, 0..MAX_LEN, proptest::any::<bool>(), proptest::any::<u64>()),
+                1..8,
+            ),
+            worker_ops in proptest::prop::collection::vec(
+                (0usize..3, 0..SPAN, 0..MAX_LEN, 0u8..4, proptest::any::<u64>()),
+                1..30,
+            ),
+            workers in 1usize..4,
+        ) {
+            let mut m = mem();
+            let mut dense = vec![0u8; SPAN + MAX_LEN];
+            for &(off, len, zeros, seed) in &base_ops {
+                write_both(&mut m, &mut dense, &(off, len, zeros, seed));
+            }
+            let ops_of = |tid: usize| -> Vec<Write> {
+                worker_ops
+                    .iter()
+                    .filter(|op| op.0 % workers == tid)
+                    .map(|&(_, off, len, kind, seed)| (off, len, kind == 0, seed))
+                    .collect()
+            };
+            let mut deltas = Vec::new();
+            for tid in 0..workers {
+                let mut view = ShardMemView::new(&m);
+                let mut own = dense.clone();
+                for &(off, len, zeros, seed) in &ops_of(tid) {
+                    let data = bytes(seed, len, zeros);
+                    view.write_bytes(SMALL_PAGE + off as u64, &data);
+                    own[off..off + len].copy_from_slice(&data);
+                }
+                proptest::prop_assert_eq!(read_all(|a, o| view.read_bytes(a, o)), own);
+                deltas.push(view.into_delta());
+            }
+            let mut merged = dense.clone();
+            for tid in 0..workers {
+                for &(off, len, zeros, seed) in &ops_of(tid) {
+                    merged[off..off + len].copy_from_slice(&bytes(seed, len, zeros));
+                }
+            }
+            for d in deltas {
+                m.merge_shard(d);
+            }
+            proptest::prop_assert_eq!(read_all(|a, o| m.read_bytes(a, o)), merged.clone());
+            // Content equality, whatever order the pools filled in.
+            let mut fresh = PageStore::default();
+            fresh.write(SMALL_PAGE, &merged);
+            proptest::prop_assert!(m.data == fresh);
+        }
+    }
+
+    #[test]
+    fn store_equality_compares_contents_not_layout() {
+        let (mut a, mut b) = (PageStore::default(), PageStore::default());
+        a.write(SMALL_PAGE, &[1]);
+        a.write(3 * SMALL_PAGE, &[2]);
+        b.write(3 * SMALL_PAGE, &[2]);
+        assert!(a != b);
+        b.write(SMALL_PAGE, &[1]);
+        assert!(a == b, "same bytes, pools filled in another order");
+        // A page written back to zeros equals one never written.
+        b.write(5 * SMALL_PAGE + 7, &[9]);
+        b.write(5 * SMALL_PAGE + 7, &[0]);
+        assert!(a == b);
+    }
+
+    #[test]
+    fn write_masks_scan_whole_runs() {
+        let mut mask = [0; PAGE_BITMAP_WORDS];
+        mark_written(&mut mask, 3..70);
+        mark_written(&mut mask, 128..192);
+        mark_written(&mut mask, 4000..PAGE_BYTES);
+        let mut runs = Vec::new();
+        let mut b = next_bit(&mask, 0, true);
+        while b < PAGE_BYTES {
+            let e = next_bit(&mask, b, false);
+            runs.push(b..e);
+            b = next_bit(&mask, e, true);
+        }
+        assert_eq!(runs, vec![3..70, 128..192, 4000..PAGE_BYTES]);
     }
 
     #[test]

@@ -21,6 +21,39 @@ pub(crate) const fn xor_mul_shift(mut x: u64, pre: u32, mult: u64, post: u32) ->
     x ^ (x >> post)
 }
 
+/// A cheap deterministic hasher for host-side maps keyed by integers
+/// or short names (page numbers, table and column names): one
+/// multiply per 8-byte word and one finalization round, where std's
+/// `RandomState` runs SipHash with a per-process seed. Only host time
+/// depends on it — every map it keys is either sorted before use or
+/// only looked up — so it cannot move a model result.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MixHasher(u64);
+
+impl std::hash::Hasher for MixHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(26) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        xor_mul_shift(self.0, 32, 0xd6e8_feb8_6659_fd93, 32)
+    }
+}
+
+/// `HashMap`/`HashSet` builder for [`MixHasher`].
+pub type MixBuildHasher = std::hash::BuildHasherDefault<MixHasher>;
+
 /// Hint the host CPU to pull `r`'s cache line closer.
 ///
 /// Purely a host-side latency hint — it reads nothing and writes
@@ -54,6 +87,25 @@ mod tests {
         y = y.wrapping_mul(0xff51_afd7_ed55_8ccd);
         y ^= y >> 33;
         assert_eq!(xor_mul_shift(x, 33, 0xff51_afd7_ed55_8ccd, 33), y);
+    }
+
+    #[test]
+    fn mix_hasher_is_deterministic_and_spreads_keys() {
+        use std::hash::BuildHasher;
+        let h = |x: u64| MixBuildHasher::default().hash_one(x);
+        assert_eq!(h(42), h(42));
+        assert_eq!(
+            MixBuildHasher::default().hash_one("l_shipdate"),
+            MixBuildHasher::default().hash_one("l_shipdate")
+        );
+        assert_ne!(
+            MixBuildHasher::default().hash_one("l_shipdate"),
+            MixBuildHasher::default().hash_one("l_commitdate")
+        );
+        // Consecutive pages land in distinct buckets and control bytes.
+        let low: std::collections::HashSet<u64> = (0..1024).map(|p| h(p) & 1023).collect();
+        let top: std::collections::HashSet<u64> = (0..1024).map(|p| h(p) >> 57).collect();
+        assert!(low.len() > 600 && top.len() > 100, "{} {}", low.len(), top.len());
     }
 
     #[test]

@@ -317,10 +317,14 @@ done
 
 # Malformed numeric values: a value that does not parse exits nonzero
 # and names the flag and the value, instead of running with the default
-# (or, for the sweep limits, with no limit at all).
+# (or, for the sweep limits, with no limit at all). So does a --threads
+# past the most simulated threads one region can tell apart (the
+# writer table packs tid + 1 into 20 bits) — rejected before any
+# region is built.
 for cmd in 'sweep w1 --machine B --n 500 --card 50 --trials 1x' \
            'workload w2 --machine B --card 50 --n 2k' \
            'workload w1 --machine B --n 500 --card 50 --threads two' \
+           'workload w1 --machine B --n 500 --card 50 --threads 1048576' \
            'tpch 1 --sf abc' \
            'sweep w1 --machine B --n 500 --card 50 --trials 1 --max-cells 2x' \
            'sweep w1 --machine B --n 500 --card 50 --trials 1 --watchdog 1e6' \

@@ -88,8 +88,8 @@ use nqp::indexes::IndexKind;
 use nqp::query::plan::{PlanSpec, RunOut, WorkloadPlan};
 use nqp::query::{EngineKind, WorkloadEnv};
 use nqp::sim::{
-    Access, Counters, FaultPlan, MemPolicy, NumaSim, SimError, SimResult, ThreadPlacement,
-    TraceConfig,
+    check_threads, Access, Counters, FaultPlan, MemPolicy, NumaSim, SimError, SimResult,
+    ThreadPlacement, TraceConfig,
 };
 use nqp::serve::calibrate::{calibrate, serve_sizes};
 use nqp::serve::{
@@ -220,6 +220,16 @@ fn machine_arg(flags: &HashMap<String, String>) -> Result<MachineSpec, String> {
 /// parse fails naming the flag, never silently runs with a default.
 fn num_arg<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<Option<T>, String> {
     flags.get(key).map(|s| s.parse().map_err(|_| format!("bad --{key} `{s}`"))).transpose()
+}
+
+/// `--threads`: a number no larger than one region can simulate
+/// ([`nqp::sim::MAX_THREADS`]).
+fn threads_arg(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
+    let threads = num_arg(flags, "threads")?;
+    if let Some(Err(e)) = threads.map(check_threads) {
+        return Err(format!("bad --threads `{}` ({e})", flags["threads"]));
+    }
+    Ok(threads)
 }
 
 /// [`num_arg`] for a count that must be at least 1; `want` completes
@@ -444,7 +454,7 @@ fn cmd_workload(args: &[String]) -> Result<(), String> {
         parse_flags("workload", args, &[CONFIG_FLAGS, PLAN_FLAGS, &["threads", "tier", "engine"]])?;
     let which = pos.first().ok_or("workload needs w1|w2|w3|w4")?;
     let machine = machine_arg(&flags)?;
-    let threads = num_arg(&flags, "threads")?.unwrap_or(machine.total_hw_threads());
+    let threads = threads_arg(&flags)?.unwrap_or(machine.total_hw_threads());
     let cfg = config_from_flags(machine, &flags)?
         .with_tier(single(tier_arg(&flags)?, "--tier policy")?)
         .with_engine(single(engine_arg(&flags)?, "--engine")?);
@@ -511,7 +521,7 @@ fn cmd_hotpath(args: &[String]) -> Result<(), String> {
         parse_flags("hotpath", args, &[CONFIG_FLAGS, &["threads", "reps", "engine", "n", "card"]])?;
     let which = pos.first().map(String::as_str).unwrap_or("w1");
     let machine = machine_arg(&flags)?;
-    let threads: usize = num_arg(&flags, "threads")?.unwrap_or(8);
+    let threads = threads_arg(&flags)?.unwrap_or(8);
     let reps: usize = num_arg(&flags, "reps")?.unwrap_or(3).max(1);
     // `--engine vec` replays the vectorized operators' access stream:
     // direct perfect-hash slot updates and ranged column reads instead
@@ -889,7 +899,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     )?;
     let which = pos.first().ok_or("sweep needs w1|w2|w3|w4|wshift")?;
     let machine = machine_arg(&flags)?;
-    let threads = num_arg(&flags, "threads")?.unwrap_or(machine.total_hw_threads());
+    let threads = threads_arg(&flags)?.unwrap_or(machine.total_hw_threads());
     let trials = num_arg(&flags, "trials")?.unwrap_or(3);
     let jobs = jobs_arg(&flags)?;
     let supervisor = SupervisorPolicy {
@@ -1121,7 +1131,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("serve needs at least one query class (w1, w2, w3, w4)".to_string());
     }
     let machine = machine_arg(&flags)?;
-    let threads = num_arg(&flags, "threads")?.unwrap_or(machine.total_hw_threads());
+    let threads = threads_arg(&flags)?.unwrap_or(machine.total_hw_threads());
     let arrivals = ArrivalSpec::parse(
         flags.get("arrivals").map(String::as_str).unwrap_or("poisson:rate=3"),
     )
