@@ -17,6 +17,18 @@ pub enum EngineError {
         /// The number that was requested.
         qnum: usize,
     },
+    /// A plan named a table the schema does not have.
+    UnknownTable {
+        /// The name that was asked for.
+        table: String,
+    },
+    /// A plan named a column its table does not have.
+    UnknownColumn {
+        /// The table that was searched.
+        table: String,
+        /// The name that was asked for.
+        column: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -27,6 +39,10 @@ impl fmt::Display for EngineError {
             EngineError::UnknownQuery { qnum } => {
                 write!(f, "TPC-H has 22 queries; got Q{qnum}")
             }
+            EngineError::UnknownTable { table } => write!(f, "unknown TPC-H table `{table}`"),
+            EngineError::UnknownColumn { table, column } => {
+                write!(f, "TPC-H table `{table}` has no column `{column}`")
+            }
         }
     }
 }
@@ -36,7 +52,9 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Date(e) => Some(e),
             EngineError::Sim(e) => Some(e),
-            EngineError::UnknownQuery { .. } => None,
+            EngineError::UnknownQuery { .. }
+            | EngineError::UnknownTable { .. }
+            | EngineError::UnknownColumn { .. } => None,
         }
     }
 }

@@ -2,7 +2,7 @@
 //! shadows (hash tables, sorts, materialisation).
 
 use crate::profiles::EngineProfile;
-use crate::storage::TpchDb;
+use crate::storage::{TableShadow, TpchDb};
 use nqp_query::EngineKind;
 use nqp_sim::{Access, NumaSim, SimError, SimResult, VAddr, Worker};
 use nqp_storage::{SimHeap, COLUMN_RUN_WORDS};
@@ -114,6 +114,8 @@ pub fn maybe_materialize(
 /// construction, sub-plans), then every worker scans its partition of
 /// `table`, and `merge` combines the per-thread locals. The simulator
 /// executes workers in order, so worker 0's build is visible to all.
+/// The plan resolves `table` and the column handles `per_row` charges
+/// once, before the phase.
 ///
 /// Fails with the simulator's fault, or with [`SimError::Harness`] if
 /// the build or merge step did not run.
@@ -122,7 +124,7 @@ pub fn scan_phase<B, L, FB, FR, FM, R>(
     heap: &mut SimHeap,
     db: &TpchDb,
     ctx: &QueryCtx,
-    table: &'static str,
+    table: &TableShadow,
     build: FB,
     per_row: FR,
     merge: FM,
@@ -138,13 +140,14 @@ where
         build: Option<B>,
         locals: Vec<L>,
     }
-    let missing = |what: &str| SimError::Harness { what: format!("scan:{table}: {what}") };
+    let name = table.name();
+    let missing = |what: &str| SimError::Harness { what: format!("scan:{name}: {what}") };
     let mut shared = Shared { heap, build: None, locals: Vec::new() };
     let mut build = Some(build);
     let overhead = ctx.profile.row_overhead_cycles;
     let startup = ctx.profile.phase_startup_cycles;
     let engine = ctx.engine;
-    sim.phase_begin(&format!("scan:{table}"));
+    sim.phase_begin(&format!("scan:{name}"));
     sim.try_parallel(ctx.threads, &mut shared, |w, sh| {
         if w.tid() == 0 {
             // Per-phase coordination cost (process pools pay dearly here).
@@ -155,8 +158,7 @@ where
         }
         let Some(b) = sh.build.as_ref() else { return };
         let mut local = L::default();
-        let shadow = db.table(table);
-        let range = shadow.partition(w.tid(), ctx.threads);
+        let range = table.partition(w.tid(), ctx.threads);
         for (i, row) in range.enumerate() {
             match engine {
                 // Per-row interpretation overhead: the classic Volcano
@@ -262,13 +264,13 @@ mod tests {
             &mut heap,
             &db,
             &ctx,
-            "orders",
+            db.table("orders").unwrap(),
             |_, _, _| (),
             |_, _, _, _, _row, local: &mut usize| *local += 1,
             |_, _, _, locals| locals.iter().sum::<usize>(),
         )
         .unwrap();
-        assert_eq!(total, db.table("orders").nrows());
+        assert_eq!(total, db.table("orders").unwrap().nrows());
     }
 
     #[test]
@@ -284,7 +286,7 @@ mod tests {
             &mut heap,
             &db,
             &ctx,
-            "nation",
+            db.table("nation").unwrap(),
             |_, _, _| 42u64,
             |_, _, _, b, _, local: &mut Vec<u64>| local.push(*b),
             |_, _, b, locals| {

@@ -23,6 +23,17 @@ pub(super) fn q01(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let lt = db.table("lineitem")?;
+    let l_shipdate = lt.col("l_shipdate")?;
+    // The six columns every qualifying row aggregates.
+    let aggregated = lt.cols([
+        "l_returnflag",
+        "l_linestatus",
+        "l_quantity",
+        "l_extendedprice",
+        "l_discount",
+        "l_tax",
+    ])?;
     let cutoff = dates::parse("1998-12-01")? - 90;
     type Acc = Map<(u8, u8), [i64; 6]>;
     let locals: Vec<Acc> = scan_phase(
@@ -30,24 +41,16 @@ pub(super) fn q01(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, _, _| ShadowHash::new(w, 8),
         |w, _, db, h, row, local: &mut Acc| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] > cutoff {
                 return;
             }
-            for col in [
-                "l_returnflag",
-                "l_linestatus",
-                "l_quantity",
-                "l_extendedprice",
-                "l_discount",
-                "l_tax",
-            ] {
-                t.charge(w, col, row);
+            for col in aggregated {
+                col.charge(w, row);
             }
             let key = (
                 li.l_returnflag[row].as_bytes()[0],
@@ -111,6 +114,17 @@ pub(super) fn q02(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let rt = db.table("region")?;
+    let r_name = rt.col("r_name")?;
+    let nt = db.table("nation")?;
+    let n_regionkey = nt.col("n_regionkey")?;
+    let st = db.table("supplier")?;
+    let s_nationkey = st.col("s_nationkey")?;
+    let pt = db.table("part")?;
+    let [p_size, p_type] = pt.cols(["p_size", "p_type"])?;
+    let pst = db.table("partsupp")?;
+    let [ps_partkey, ps_suppkey, ps_supplycost] =
+        pst.cols(["ps_partkey", "ps_suppkey", "ps_supplycost"])?;
     struct Built {
         parts: Map<i64, usize>,      // partkey -> part row
         suppliers: Map<i64, usize>,  // suppkey (in EUROPE) -> supplier row
@@ -122,38 +136,34 @@ pub(super) fn q02(
         heap,
         db,
         ctx,
-        "partsupp",
+        pst,
         |w, _, db| {
             // region EUROPE -> nation set
-            let rt = db.table("region");
             let europe: i64 = (0..rt.nrows())
                 .find(|&r| {
-                    rt.charge(w, "r_name", r);
+                    r_name.charge(w, r);
                     db.data.region.r_name[r] == "EUROPE"
                 })
                 .map(|r| db.data.region.r_regionkey[r])
                 .expect("EUROPE exists");
-            let nt = db.table("nation");
             let nations: Set<i64> = (0..nt.nrows())
                 .filter(|&r| {
-                    nt.charge(w, "n_regionkey", r);
+                    n_regionkey.charge(w, r);
                     db.data.nation.n_regionkey[r] == europe
                 })
                 .map(|r| db.data.nation.n_nationkey[r])
                 .collect();
-            let st = db.table("supplier");
             let suppliers: Map<i64, usize> = (0..st.nrows())
                 .filter(|&r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     nations.contains(&db.data.supplier.s_nationkey[r])
                 })
                 .map(|r| (db.data.supplier.s_suppkey[r], r))
                 .collect();
-            let pt = db.table("part");
             let parts: Map<i64, usize> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_size", r);
-                    pt.charge(w, "p_type", r);
+                    p_size.charge(w, r);
+                    p_type.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     db.data.part.p_size[r] == 15
                         && db.data.part.p_type[r].ends_with("BRASS")
@@ -164,21 +174,20 @@ pub(super) fn q02(
             Built { parts, suppliers, shadow }
         },
         |w, _, db, b, row, local: &mut Cand| {
-            let t = db.table("partsupp");
-            t.charge(w, "ps_partkey", row);
+            ps_partkey.charge(w, row);
             let ps = &db.data.partsupp;
             let pk = ps.ps_partkey[row];
             b.shadow.probe(w, pk as u64);
             if !b.parts.contains_key(&pk) {
                 return;
             }
-            t.charge(w, "ps_suppkey", row);
+            ps_suppkey.charge(w, row);
             let sk = ps.ps_suppkey[row];
             b.shadow.probe(w, sk as u64);
             if !b.suppliers.contains_key(&sk) {
                 return;
             }
-            t.charge(w, "ps_supplycost", row);
+            ps_supplycost.charge(w, row);
             local.push((pk, sk, ps.ps_supplycost[row]));
         },
         |_, _, b, locals| (b, locals.into_iter().flatten().collect::<Vec<_>>()),
@@ -232,6 +241,14 @@ pub(super) fn q03(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let ct = db.table("customer")?;
+    let c_mktsegment = ct.col("c_mktsegment")?;
+    let ot = db.table("orders")?;
+    let [o_orderdate, o_custkey, o_orderkey, o_shippriority] =
+        ot.cols(["o_orderdate", "o_custkey", "o_orderkey", "o_shippriority"])?;
+    let lt = db.table("lineitem")?;
+    let [l_orderkey, l_shipdate, l_extendedprice, l_discount] =
+        lt.cols(["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"])?;
     let date = dates::parse("1995-03-15")?;
     // Phase 1: qualifying orders (BUILDING customer, early orderdate).
     type OMap = Map<i64, (i32, i64)>; // orderkey -> (orderdate, shippriority)
@@ -240,12 +257,11 @@ pub(super) fn q03(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |w, _, db| {
-            let ct = db.table("customer");
             let custs: Set<i64> = (0..ct.nrows())
                 .filter(|&r| {
-                    ct.charge(w, "c_mktsegment", r);
+                    c_mktsegment.charge(w, r);
                     db.data.customer.c_mktsegment[r] == "BUILDING"
                 })
                 .map(|r| db.data.customer.c_custkey[r])
@@ -254,17 +270,16 @@ pub(super) fn q03(
             (custs, shadow)
         },
         |w, _, db, (custs, shadow), row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] >= date {
                 return;
             }
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             shadow.probe(w, o.o_custkey[row] as u64);
             if custs.contains(&o.o_custkey[row]) {
-                t.charge(w, "o_orderkey", row);
-                t.charge(w, "o_shippriority", row);
+                o_orderkey.charge(w, row);
+                o_shippriority.charge(w, row);
                 local.insert(o.o_orderkey[row], (o.o_orderdate[row], o.o_shippriority[row]));
             }
         },
@@ -277,7 +292,7 @@ pub(super) fn q03(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, heap, _| {
             // The qualifying orders become this phase's build side.
             let shadow = ShadowHash::new(w, omap.len());
@@ -287,19 +302,18 @@ pub(super) fn q03(
             shadow
         },
         |w, heap, db, shadow, row, local: &mut RMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_orderkey", row);
+            l_orderkey.charge(w, row);
             let li = &db.data.lineitem;
             let ok = li.l_orderkey[row];
             shadow.probe(w, ok as u64);
             let Some(&(odate, _)) = omap.get(&ok) else { return };
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             if li.l_shipdate[row] <= date {
                 return;
             }
             let _ = odate;
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             if !local.contains_key(&ok) {
                 heap.alloc(w, 32); // fresh per-order aggregate state
             }
@@ -340,6 +354,12 @@ pub(super) fn q04(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let ot = db.table("orders")?;
+    let [o_orderdate, o_orderkey, o_orderpriority] =
+        ot.cols(["o_orderdate", "o_orderkey", "o_orderpriority"])?;
+    let lt = db.table("lineitem")?;
+    let [l_commitdate, l_receiptdate, l_orderkey] =
+        lt.cols(["l_commitdate", "l_receiptdate", "l_orderkey"])?;
     let lo = dates::parse("1993-07-01")?;
     let hi = dates::add_months(lo, 3);
     // Phase 1: orderkeys with a commit < receipt lineitem (semi-join side).
@@ -348,15 +368,14 @@ pub(super) fn q04(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, _, _| ShadowHash::new(w, 1024),
         |w, heap, db, shadow, row, local: &mut Set<i64>| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_commitdate", row);
-            t.charge(w, "l_receiptdate", row);
+            l_commitdate.charge(w, row);
+            l_receiptdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_commitdate[row] < li.l_receiptdate[row] {
-                t.charge(w, "l_orderkey", row);
+                l_orderkey.charge(w, row);
                 if local.insert(li.l_orderkey[row]) {
                     shadow.insert(w, heap, li.l_orderkey[row] as u64);
                 }
@@ -371,19 +390,18 @@ pub(super) fn q04(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |w, _, _| ShadowHash::new(w, late.len()),
         |w, _, db, shadow, row, local: &mut Counts| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] < lo || o.o_orderdate[row] >= hi {
                 return;
             }
-            t.charge(w, "o_orderkey", row);
+            o_orderkey.charge(w, row);
             shadow.probe(w, o.o_orderkey[row] as u64);
             if late.contains(&o.o_orderkey[row]) {
-                t.charge(w, "o_orderpriority", row);
+                o_orderpriority.charge(w, row);
                 *local.entry(o.o_orderpriority[row].clone()).or_default() += 1;
             }
         },
@@ -415,6 +433,19 @@ pub(super) fn q05(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let rt = db.table("region")?;
+    let r_name = rt.col("r_name")?;
+    let nt = db.table("nation")?;
+    let n_regionkey = nt.col("n_regionkey")?;
+    let st = db.table("supplier")?;
+    let s_nationkey = st.col("s_nationkey")?;
+    let ct = db.table("customer")?;
+    let c_nationkey = ct.col("c_nationkey")?;
+    let ot = db.table("orders")?;
+    let [o_orderdate, o_custkey, o_orderkey] = ot.cols(["o_orderdate", "o_custkey", "o_orderkey"])?;
+    let lt = db.table("lineitem")?;
+    let [l_orderkey, l_suppkey, l_extendedprice, l_discount] =
+        lt.cols(["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])?;
     let lo = dates::parse("1994-01-01")?;
     let hi = dates::add_years(lo, 1);
     // Phase 1: 1994 orders -> customer nation (ASIA only).
@@ -429,28 +460,25 @@ pub(super) fn q05(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |w, _, db| {
-            let rt = db.table("region");
             let asia_key: i64 = (0..rt.nrows())
                 .find(|&r| {
-                    rt.charge(w, "r_name", r);
+                    r_name.charge(w, r);
                     db.data.region.r_name[r] == "ASIA"
                 })
                 .map(|r| db.data.region.r_regionkey[r])
                 .expect("ASIA exists");
-            let nt = db.table("nation");
             let asia: Set<i64> = (0..nt.nrows())
                 .filter(|&r| {
-                    nt.charge(w, "n_regionkey", r);
+                    n_regionkey.charge(w, r);
                     db.data.nation.n_regionkey[r] == asia_key
                 })
                 .map(|r| db.data.nation.n_nationkey[r])
                 .collect();
-            let ct = db.table("customer");
             let cust_nation: Map<i64, i64> = (0..ct.nrows())
                 .map(|r| {
-                    ct.charge(w, "c_nationkey", r);
+                    c_nationkey.charge(w, r);
                     (db.data.customer.c_custkey[r], db.data.customer.c_nationkey[r])
                 })
                 .collect();
@@ -458,17 +486,16 @@ pub(super) fn q05(
             B1 { cust_nation, asia, shadow }
         },
         |w, _, db, b, row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] < lo || o.o_orderdate[row] >= hi {
                 return;
             }
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             b.shadow.probe(w, o.o_custkey[row] as u64);
             let nk = b.cust_nation[&o.o_custkey[row]];
             if b.asia.contains(&nk) {
-                t.charge(w, "o_orderkey", row);
+                o_orderkey.charge(w, row);
                 local.insert(o.o_orderkey[row], nk);
             }
         },
@@ -481,12 +508,11 @@ pub(super) fn q05(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, heap, db| {
-            let st = db.table("supplier");
             let supp_nation: Map<i64, i64> = (0..st.nrows())
                 .map(|r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     (db.data.supplier.s_suppkey[r], db.data.supplier.s_nationkey[r])
                 })
                 .collect();
@@ -497,18 +523,17 @@ pub(super) fn q05(
             (supp_nation, shadow)
         },
         |w, _, db, (supp_nation, shadow), row, local: &mut RMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_orderkey", row);
+            l_orderkey.charge(w, row);
             let li = &db.data.lineitem;
             shadow.probe(w, li.l_orderkey[row] as u64);
             let Some(&cnk) = omap.get(&li.l_orderkey[row]) else { return };
-            t.charge(w, "l_suppkey", row);
+            l_suppkey.charge(w, row);
             shadow.probe(w, li.l_suppkey[row] as u64);
             if supp_nation[&li.l_suppkey[row]] != cnk {
                 return;
             }
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             *local.entry(cnk).or_default() += rev(li.l_extendedprice[row], li.l_discount[row]);
         },
         |_, _, _, locals| {
@@ -541,6 +566,9 @@ pub(super) fn q06(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let lt = db.table("lineitem")?;
+    let [l_shipdate, l_discount, l_quantity, l_extendedprice] =
+        lt.cols(["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])?;
     let lo = dates::parse("1994-01-01")?;
     let hi = dates::add_years(lo, 1);
     let total: i64 = scan_phase(
@@ -548,22 +576,21 @@ pub(super) fn q06(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |_, _, _| (),
         |w, _, db, _, row, local: &mut i64| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] >= hi {
                 return;
             }
-            t.charge(w, "l_discount", row);
-            t.charge(w, "l_quantity", row);
+            l_discount.charge(w, row);
+            l_quantity.charge(w, row);
             let disc = li.l_discount[row];
             if !(5..=7).contains(&disc) || li.l_quantity[row] >= 24 {
                 return;
             }
-            t.charge(w, "l_extendedprice", row);
+            l_extendedprice.charge(w, row);
             *local += li.l_extendedprice[row] * disc; // 1e-4 dollars
         },
         |_, _, _, locals| locals.into_iter().sum(),
@@ -581,6 +608,15 @@ pub(super) fn q07(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let st = db.table("supplier")?;
+    let s_nationkey = st.col("s_nationkey")?;
+    let ct = db.table("customer")?;
+    let c_nationkey = ct.col("c_nationkey")?;
+    let ot = db.table("orders")?;
+    let [o_custkey, o_orderkey] = ot.cols(["o_custkey", "o_orderkey"])?;
+    let lt = db.table("lineitem")?;
+    let [l_shipdate, l_orderkey, l_suppkey, l_extendedprice, l_discount] =
+        lt.cols(["l_shipdate", "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])?;
     let lo = dates::parse("1995-01-01")?;
     let hi = dates::parse("1996-12-31")?;
     let nation_key = |name: &str| -> i64 {
@@ -600,25 +636,23 @@ pub(super) fn q07(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |w, _, db| {
-            let ct = db.table("customer");
             let cust_nation: Map<i64, i64> = (0..ct.nrows())
                 .map(|r| {
-                    ct.charge(w, "c_nationkey", r);
+                    c_nationkey.charge(w, r);
                     (db.data.customer.c_custkey[r], db.data.customer.c_nationkey[r])
                 })
                 .collect();
             (cust_nation, ShadowHash::new(w, ct.nrows()))
         },
         |w, _, db, (cust_nation, shadow), row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             let o = &db.data.orders;
             shadow.probe(w, o.o_custkey[row] as u64);
             let nk = cust_nation[&o.o_custkey[row]];
             if nk == fr || nk == de {
-                t.charge(w, "o_orderkey", row);
+                o_orderkey.charge(w, row);
                 local.insert(o.o_orderkey[row], nk);
             }
         },
@@ -631,12 +665,11 @@ pub(super) fn q07(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, heap, db| {
-            let st = db.table("supplier");
             let supp_nation: Map<i64, i64> = (0..st.nrows())
                 .map(|r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     (db.data.supplier.s_suppkey[r], db.data.supplier.s_nationkey[r])
                 })
                 .collect();
@@ -647,23 +680,22 @@ pub(super) fn q07(
             (supp_nation, shadow)
         },
         |w, _, db, (supp_nation, shadow), row, local: &mut VMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] > hi {
                 return;
             }
-            t.charge(w, "l_orderkey", row);
+            l_orderkey.charge(w, row);
             shadow.probe(w, li.l_orderkey[row] as u64);
             let Some(&cnk) = omap.get(&li.l_orderkey[row]) else { return };
-            t.charge(w, "l_suppkey", row);
+            l_suppkey.charge(w, row);
             let snk = supp_nation[&li.l_suppkey[row]];
             let pair_ok = (snk == fr && cnk == de) || (snk == de && cnk == fr);
             if !pair_ok {
                 return;
             }
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             let year = dates::year(li.l_shipdate[row]);
             *local.entry((snk, cnk, year)).or_default() +=
                 rev(li.l_extendedprice[row], li.l_discount[row]);
@@ -706,6 +738,21 @@ pub(super) fn q08(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let rt = db.table("region")?;
+    let r_name = rt.col("r_name")?;
+    let nt = db.table("nation")?;
+    let n_regionkey = nt.col("n_regionkey")?;
+    let st = db.table("supplier")?;
+    let s_nationkey = st.col("s_nationkey")?;
+    let ct = db.table("customer")?;
+    let c_nationkey = ct.col("c_nationkey")?;
+    let pt = db.table("part")?;
+    let p_type = pt.col("p_type")?;
+    let ot = db.table("orders")?;
+    let [o_orderdate, o_custkey, o_orderkey] = ot.cols(["o_orderdate", "o_custkey", "o_orderkey"])?;
+    let lt = db.table("lineitem")?;
+    let [l_partkey, l_orderkey, l_suppkey, l_extendedprice, l_discount] =
+        lt.cols(["l_partkey", "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])?;
     let lo = dates::parse("1995-01-01")?;
     let hi = dates::parse("1996-12-31")?;
     let brazil: i64 = db
@@ -723,28 +770,25 @@ pub(super) fn q08(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |w, _, db| {
-            let rt = db.table("region");
             let america: i64 = (0..rt.nrows())
                 .find(|&r| {
-                    rt.charge(w, "r_name", r);
+                    r_name.charge(w, r);
                     db.data.region.r_name[r] == "AMERICA"
                 })
                 .map(|r| db.data.region.r_regionkey[r])
                 .expect("AMERICA exists");
-            let nt = db.table("nation");
             let nations: Set<i64> = (0..nt.nrows())
                 .filter(|&r| {
-                    nt.charge(w, "n_regionkey", r);
+                    n_regionkey.charge(w, r);
                     db.data.nation.n_regionkey[r] == america
                 })
                 .map(|r| db.data.nation.n_nationkey[r])
                 .collect();
-            let ct = db.table("customer");
             let custs: Set<i64> = (0..ct.nrows())
                 .filter(|&r| {
-                    ct.charge(w, "c_nationkey", r);
+                    c_nationkey.charge(w, r);
                     nations.contains(&db.data.customer.c_nationkey[r])
                 })
                 .map(|r| db.data.customer.c_custkey[r])
@@ -752,16 +796,15 @@ pub(super) fn q08(
             (custs, ShadowHash::new(w, ct.nrows()))
         },
         |w, _, db, (custs, shadow), row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] < lo || o.o_orderdate[row] > hi {
                 return;
             }
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             shadow.probe(w, o.o_custkey[row] as u64);
             if custs.contains(&o.o_custkey[row]) {
-                t.charge(w, "o_orderkey", row);
+                o_orderkey.charge(w, row);
                 local.insert(o.o_orderkey[row], dates::year(o.o_orderdate[row]));
             }
         },
@@ -774,20 +817,18 @@ pub(super) fn q08(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, heap, db| {
-            let pt = db.table("part");
             let parts: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_type", r);
+                    p_type.charge(w, r);
                     db.data.part.p_type[r] == "ECONOMY ANODIZED STEEL"
                 })
                 .map(|r| db.data.part.p_partkey[r])
                 .collect();
-            let st = db.table("supplier");
             let supp_nation: Map<i64, i64> = (0..st.nrows())
                 .map(|r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     (db.data.supplier.s_suppkey[r], db.data.supplier.s_nationkey[r])
                 })
                 .collect();
@@ -798,19 +839,18 @@ pub(super) fn q08(
             (parts, supp_nation, shadow)
         },
         |w, _, db, (parts, supp_nation, shadow), row, local: &mut VMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_partkey", row);
+            l_partkey.charge(w, row);
             let li = &db.data.lineitem;
             shadow.probe(w, li.l_partkey[row] as u64);
             if !parts.contains(&li.l_partkey[row]) {
                 return;
             }
-            t.charge(w, "l_orderkey", row);
+            l_orderkey.charge(w, row);
             shadow.probe(w, li.l_orderkey[row] as u64);
             let Some(&year) = omap.get(&li.l_orderkey[row]) else { return };
-            t.charge(w, "l_suppkey", row);
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_suppkey.charge(w, row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             let vol = rev(li.l_extendedprice[row], li.l_discount[row]);
             let e = local.entry(year).or_default();
             if supp_nation[&li.l_suppkey[row]] == brazil {

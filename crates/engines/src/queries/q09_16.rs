@@ -22,6 +22,24 @@ pub(super) fn q09(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let st = db.table("supplier")?;
+    let s_nationkey = st.col("s_nationkey")?;
+    let pt = db.table("part")?;
+    let p_name = pt.col("p_name")?;
+    let pst = db.table("partsupp")?;
+    let [ps_partkey, ps_suppkey, ps_supplycost] =
+        pst.cols(["ps_partkey", "ps_suppkey", "ps_supplycost"])?;
+    let ot = db.table("orders")?;
+    let [o_orderkey, o_orderdate] = ot.cols(["o_orderkey", "o_orderdate"])?;
+    let lt = db.table("lineitem")?;
+    let [l_partkey, l_suppkey, l_orderkey, l_extendedprice, l_discount, l_quantity] = lt.cols([
+        "l_partkey",
+        "l_suppkey",
+        "l_orderkey",
+        "l_extendedprice",
+        "l_discount",
+        "l_quantity",
+    ])?;
     // Phase 1: every order's year.
     type OMap = Map<i64, i32>;
     let omap: OMap = scan_phase(
@@ -29,12 +47,11 @@ pub(super) fn q09(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |_, _, _| (),
         |w, _, db, _, row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderkey", row);
-            t.charge(w, "o_orderdate", row);
+            o_orderkey.charge(w, row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             local.insert(o.o_orderkey[row], dates::year(o.o_orderdate[row]));
         },
@@ -47,32 +64,29 @@ pub(super) fn q09(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, heap, db| {
-            let pt = db.table("part");
             let parts: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_name", r);
+                    p_name.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     db.data.part.p_name[r].contains("green")
                 })
                 .map(|r| db.data.part.p_partkey[r])
                 .collect();
-            let st = db.table("supplier");
             let supp_nation: Map<i64, i64> = (0..st.nrows())
                 .map(|r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     (db.data.supplier.s_suppkey[r], db.data.supplier.s_nationkey[r])
                 })
                 .collect();
-            let pst = db.table("partsupp");
             let mut cost: Map<(i64, i64), i64> = Map::default();
             for r in 0..pst.nrows() {
-                pst.charge(w, "ps_partkey", r);
+                ps_partkey.charge(w, r);
                 let ps = &db.data.partsupp;
                 if parts.contains(&ps.ps_partkey[r]) {
-                    pst.charge(w, "ps_suppkey", r);
-                    pst.charge(w, "ps_supplycost", r);
+                    ps_suppkey.charge(w, r);
+                    ps_supplycost.charge(w, r);
                     cost.insert((ps.ps_partkey[r], ps.ps_suppkey[r]), ps.ps_supplycost[r]);
                 }
             }
@@ -83,17 +97,15 @@ pub(super) fn q09(
             (parts, supp_nation, cost, shadow)
         },
         |w, _, db, (parts, supp_nation, cost, shadow), row, local: &mut PMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_partkey", row);
+            l_partkey.charge(w, row);
             let li = &db.data.lineitem;
             let pk = li.l_partkey[row];
             shadow.probe(w, pk as u64);
             if !parts.contains(&pk) {
                 return;
             }
-            for col in ["l_suppkey", "l_orderkey", "l_extendedprice", "l_discount", "l_quantity"]
-            {
-                t.charge(w, col, row);
+            for col in [l_suppkey, l_orderkey, l_extendedprice, l_discount, l_quantity] {
+                col.charge(w, row);
             }
             let sk = li.l_suppkey[row];
             shadow.probe(w, li.l_orderkey[row] as u64);
@@ -139,6 +151,14 @@ pub(super) fn q10(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let ct = db.table("customer")?;
+    let [c_name, c_acctbal, c_nationkey, c_address, c_phone] =
+        ct.cols(["c_name", "c_acctbal", "c_nationkey", "c_address", "c_phone"])?;
+    let ot = db.table("orders")?;
+    let [o_orderdate, o_orderkey, o_custkey] = ot.cols(["o_orderdate", "o_orderkey", "o_custkey"])?;
+    let lt = db.table("lineitem")?;
+    let [l_returnflag, l_orderkey, l_extendedprice, l_discount] =
+        lt.cols(["l_returnflag", "l_orderkey", "l_extendedprice", "l_discount"])?;
     let lo = dates::parse("1993-10-01")?;
     let hi = dates::add_months(lo, 3);
     // Phase 1: Q4-93 orders -> custkey.
@@ -148,15 +168,14 @@ pub(super) fn q10(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |_, _, _| (),
         |w, _, db, _, row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderdate", row);
+            o_orderdate.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderdate[row] >= lo && o.o_orderdate[row] < hi {
-                t.charge(w, "o_orderkey", row);
-                t.charge(w, "o_custkey", row);
+                o_orderkey.charge(w, row);
+                o_custkey.charge(w, row);
                 local.insert(o.o_orderkey[row], o.o_custkey[row]);
             }
         },
@@ -169,7 +188,7 @@ pub(super) fn q10(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, heap, _| {
             let shadow = ShadowHash::new(w, omap.len());
             for &k in omap.keys() {
@@ -178,17 +197,16 @@ pub(super) fn q10(
             shadow
         },
         |w, heap, db, shadow, row, local: &mut RMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_returnflag", row);
+            l_returnflag.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_returnflag[row] != "R" {
                 return;
             }
-            t.charge(w, "l_orderkey", row);
+            l_orderkey.charge(w, row);
             shadow.probe(w, li.l_orderkey[row] as u64);
             let Some(&ck) = omap.get(&li.l_orderkey[row]) else { return };
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             if !local.contains_key(&ck) {
                 heap.alloc(w, 32); // fresh per-customer aggregate state
             }
@@ -234,10 +252,9 @@ pub(super) fn q10(
     }
     let n = rows.len();
     finish(sim, heap, |w, heap| {
-        let ct = db.table("customer");
         for &r in &entries_out {
-            for col in ["c_name", "c_acctbal", "c_nationkey", "c_address", "c_phone"] {
-                ct.charge(w, col, r);
+            for col in [c_name, c_acctbal, c_nationkey, c_address, c_phone] {
+                col.charge(w, r);
             }
         }
         maybe_materialize(w, heap, &ctx.profile, n, 96);
@@ -253,13 +270,18 @@ pub(super) fn q11(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let st = db.table("supplier")?;
+    let s_nationkey = st.col("s_nationkey")?;
+    let pst = db.table("partsupp")?;
+    let [ps_suppkey, ps_partkey, ps_supplycost, ps_availqty] =
+        pst.cols(["ps_suppkey", "ps_partkey", "ps_supplycost", "ps_availqty"])?;
     type VMap = Map<i64, i64>; // partkey -> value (cents)
     let (values, total) = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "partsupp",
+        pst,
         |w, _, db| {
             let nk: i64 = db
                 .data
@@ -269,10 +291,9 @@ pub(super) fn q11(
                 .position(|n| n == "GERMANY")
                 .map(|r| db.data.nation.n_nationkey[r])
                 .expect("GERMANY exists");
-            let st = db.table("supplier");
             let german: Set<i64> = (0..st.nrows())
                 .filter(|&r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     db.data.supplier.s_nationkey[r] == nk
                 })
                 .map(|r| db.data.supplier.s_suppkey[r])
@@ -280,16 +301,15 @@ pub(super) fn q11(
             (german, ShadowHash::new(w, 1024))
         },
         |w, _, db, (german, shadow), row, local: &mut VMap| {
-            let t = db.table("partsupp");
-            t.charge(w, "ps_suppkey", row);
+            ps_suppkey.charge(w, row);
             let ps = &db.data.partsupp;
             shadow.probe(w, ps.ps_suppkey[row] as u64);
             if !german.contains(&ps.ps_suppkey[row]) {
                 return;
             }
-            t.charge(w, "ps_partkey", row);
-            t.charge(w, "ps_supplycost", row);
-            t.charge(w, "ps_availqty", row);
+            ps_partkey.charge(w, row);
+            ps_supplycost.charge(w, row);
+            ps_availqty.charge(w, row);
             *local.entry(ps.ps_partkey[row]).or_default() +=
                 ps.ps_supplycost[row] * ps.ps_availqty[row];
         },
@@ -326,6 +346,11 @@ pub(super) fn q12(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let ot = db.table("orders")?;
+    let [o_orderkey, o_orderpriority] = ot.cols(["o_orderkey", "o_orderpriority"])?;
+    let lt = db.table("lineitem")?;
+    let [l_shipmode, l_receiptdate, l_commitdate, l_shipdate, l_orderkey] =
+        lt.cols(["l_shipmode", "l_receiptdate", "l_commitdate", "l_shipdate", "l_orderkey"])?;
     let lo = dates::parse("1994-01-01")?;
     let hi = dates::add_years(lo, 1);
     // Phase 1: order priority classes.
@@ -335,12 +360,11 @@ pub(super) fn q12(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |_, _, _| (),
         |w, _, db, _, row, local: &mut OMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderkey", row);
-            t.charge(w, "o_orderpriority", row);
+            o_orderkey.charge(w, row);
+            o_orderpriority.charge(w, row);
             let o = &db.data.orders;
             let high = o.o_orderpriority[row].starts_with("1-")
                 || o.o_orderpriority[row].starts_with("2-");
@@ -355,7 +379,7 @@ pub(super) fn q12(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, heap, _| {
             let shadow = ShadowHash::new(w, omap.len());
             for &k in omap.keys() {
@@ -364,15 +388,14 @@ pub(super) fn q12(
             shadow
         },
         |w, _, db, shadow, row, local: &mut CMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipmode", row);
+            l_shipmode.charge(w, row);
             let li = &db.data.lineitem;
             let mode = &li.l_shipmode[row];
             if mode != "MAIL" && mode != "SHIP" {
                 return;
             }
-            for col in ["l_receiptdate", "l_commitdate", "l_shipdate", "l_orderkey"] {
-                t.charge(w, col, row);
+            for col in [l_receiptdate, l_commitdate, l_shipdate, l_orderkey] {
+                col.charge(w, row);
             }
             let ok = li.l_receiptdate[row] >= lo
                 && li.l_receiptdate[row] < hi
@@ -423,6 +446,10 @@ pub(super) fn q13(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let ct = db.table("customer")?;
+    let c_custkey = ct.col("c_custkey")?;
+    let ot = db.table("orders")?;
+    let [o_comment, o_custkey] = ot.cols(["o_comment", "o_custkey"])?;
     // Phase 1: orders per customer (filtered).
     type CMap = Map<i64, i64>;
     let per_cust: CMap = scan_phase(
@@ -430,11 +457,10 @@ pub(super) fn q13(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |_, _, _| (),
         |w, heap, db, _, row, local: &mut CMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_comment", row);
+            o_comment.charge(w, row);
             w.compute(LIKE_CYCLES);
             let o = &db.data.orders;
             let c = &o.o_comment[row];
@@ -443,7 +469,7 @@ pub(super) fn q13(
                     return;
                 }
             }
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             if !local.contains_key(&o.o_custkey[row]) {
                 heap.alloc(w, 32); // fresh per-customer counter
             }
@@ -466,7 +492,7 @@ pub(super) fn q13(
         heap,
         db,
         ctx,
-        "customer",
+        ct,
         |w, heap, _| {
             let shadow = ShadowHash::new(w, per_cust.len());
             for &k in per_cust.keys() {
@@ -475,8 +501,7 @@ pub(super) fn q13(
             shadow
         },
         |w, _, db, shadow, row, local: &mut HMap| {
-            let t = db.table("customer");
-            t.charge(w, "c_custkey", row);
+            c_custkey.charge(w, row);
             let ck = db.data.customer.c_custkey[row];
             shadow.probe(w, ck as u64);
             let count = per_cust.get(&ck).copied().unwrap_or(0);
@@ -509,6 +534,11 @@ pub(super) fn q14(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let pt = db.table("part")?;
+    let p_type = pt.col("p_type")?;
+    let lt = db.table("lineitem")?;
+    let [l_shipdate, l_partkey, l_extendedprice, l_discount] =
+        lt.cols(["l_shipdate", "l_partkey", "l_extendedprice", "l_discount"])?;
     let lo = dates::parse("1995-09-01")?;
     let hi = dates::add_months(lo, 1);
     let (promo, total) = scan_phase(
@@ -516,12 +546,11 @@ pub(super) fn q14(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, _, db| {
-            let pt = db.table("part");
             let promo_parts: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_type", r);
+                    p_type.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     db.data.part.p_type[r].starts_with("PROMO")
                 })
@@ -530,15 +559,14 @@ pub(super) fn q14(
             (promo_parts, ShadowHash::new(w, 4096))
         },
         |w, _, db, (promo_parts, shadow), row, local: &mut (i64, i64)| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] >= hi {
                 return;
             }
-            t.charge(w, "l_partkey", row);
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_partkey.charge(w, row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             shadow.probe(w, li.l_partkey[row] as u64);
             let r = rev(li.l_extendedprice[row], li.l_discount[row]);
             if promo_parts.contains(&li.l_partkey[row]) {
@@ -566,6 +594,11 @@ pub(super) fn q15(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let st = db.table("supplier")?;
+    let [s_name, s_address, s_phone] = st.cols(["s_name", "s_address", "s_phone"])?;
+    let lt = db.table("lineitem")?;
+    let [l_shipdate, l_suppkey, l_extendedprice, l_discount] =
+        lt.cols(["l_shipdate", "l_suppkey", "l_extendedprice", "l_discount"])?;
     let lo = dates::parse("1996-01-01")?;
     let hi = dates::add_months(lo, 3);
     type RMap = Map<i64, i64>;
@@ -574,18 +607,17 @@ pub(super) fn q15(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, _, _| ShadowHash::new(w, 1024),
         |w, heap, db, shadow, row, local: &mut RMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] >= hi {
                 return;
             }
-            t.charge(w, "l_suppkey", row);
-            t.charge(w, "l_extendedprice", row);
-            t.charge(w, "l_discount", row);
+            l_suppkey.charge(w, row);
+            l_extendedprice.charge(w, row);
+            l_discount.charge(w, row);
             let key = li.l_suppkey[row];
             if local.contains_key(&key) {
                 shadow.update(w, key as u64);
@@ -630,10 +662,9 @@ pub(super) fn q15(
     }
     rows.sort();
     finish(sim, heap, |w, heap| {
-        let st = db.table("supplier");
         for &sr in &out_rows {
-            for col in ["s_name", "s_address", "s_phone"] {
-                st.charge(w, col, sr);
+            for col in [s_name, s_address, s_phone] {
+                col.charge(w, sr);
             }
         }
         maybe_materialize(w, heap, &ctx.profile, by_supp.len(), 16);
@@ -650,6 +681,12 @@ pub(super) fn q16(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let st = db.table("supplier")?;
+    let s_comment = st.col("s_comment")?;
+    let pt = db.table("part")?;
+    let [p_brand, p_type, p_size] = pt.cols(["p_brand", "p_type", "p_size"])?;
+    let pst = db.table("partsupp")?;
+    let [ps_partkey, ps_suppkey] = pst.cols(["ps_partkey", "ps_suppkey"])?;
     const SIZES: [i64; 8] = [49, 14, 23, 45, 19, 3, 36, 9];
     type GMap = Map<(String, String, i64), Set<i64>>;
     let groups: GMap = scan_phase(
@@ -657,14 +694,13 @@ pub(super) fn q16(
         heap,
         db,
         ctx,
-        "partsupp",
+        pst,
         |w, _, db| {
-            let pt = db.table("part");
             let parts: Map<i64, usize> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_brand", r);
-                    pt.charge(w, "p_type", r);
-                    pt.charge(w, "p_size", r);
+                    p_brand.charge(w, r);
+                    p_type.charge(w, r);
+                    p_size.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     let p = &db.data.part;
                     p.p_brand[r] != "Brand#45"
@@ -673,10 +709,9 @@ pub(super) fn q16(
                 })
                 .map(|r| (db.data.part.p_partkey[r], r))
                 .collect();
-            let st = db.table("supplier");
             let complainers: Set<i64> = (0..st.nrows())
                 .filter(|&r| {
-                    st.charge(w, "s_comment", r);
+                    s_comment.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     let c = &db.data.supplier.s_comment[r];
                     c.find("Customer")
@@ -687,12 +722,11 @@ pub(super) fn q16(
             (parts, complainers, ShadowHash::new(w, 4096))
         },
         |w, _, db, (parts, complainers, shadow), row, local: &mut GMap| {
-            let t = db.table("partsupp");
-            t.charge(w, "ps_partkey", row);
+            ps_partkey.charge(w, row);
             let ps = &db.data.partsupp;
             shadow.probe(w, ps.ps_partkey[row] as u64);
             let Some(&pr) = parts.get(&ps.ps_partkey[row]) else { return };
-            t.charge(w, "ps_suppkey", row);
+            ps_suppkey.charge(w, row);
             if complainers.contains(&ps.ps_suppkey[row]) {
                 return;
             }

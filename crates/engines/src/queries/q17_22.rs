@@ -18,19 +18,23 @@ pub(super) fn q17(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let pt = db.table("part")?;
+    let [p_brand, p_container] = pt.cols(["p_brand", "p_container"])?;
+    let lt = db.table("lineitem")?;
+    let [l_partkey, l_quantity, l_extendedprice] =
+        lt.cols(["l_partkey", "l_quantity", "l_extendedprice"])?;
     type Stats = Map<i64, (i64, i64, Vec<(i64, i64)>)>; // pk -> (sum qty, count, [(qty, price)])
     let stats: Stats = scan_phase(
         sim,
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, _, db| {
-            let pt = db.table("part");
             let parts: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_brand", r);
-                    pt.charge(w, "p_container", r);
+                    p_brand.charge(w, r);
+                    p_container.charge(w, r);
                     let p = &db.data.part;
                     p.p_brand[r] == "Brand#23" && p.p_container[r] == "MED BOX"
                 })
@@ -39,15 +43,14 @@ pub(super) fn q17(
             (parts, ShadowHash::new(w, 1024))
         },
         |w, _, db, (parts, shadow), row, local: &mut Stats| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_partkey", row);
+            l_partkey.charge(w, row);
             let li = &db.data.lineitem;
             shadow.probe(w, li.l_partkey[row] as u64);
             if !parts.contains(&li.l_partkey[row]) {
                 return;
             }
-            t.charge(w, "l_quantity", row);
-            t.charge(w, "l_extendedprice", row);
+            l_quantity.charge(w, row);
+            l_extendedprice.charge(w, row);
             let e = local.entry(li.l_partkey[row]).or_default();
             e.0 += li.l_quantity[row];
             e.1 += 1;
@@ -90,6 +93,13 @@ pub(super) fn q18(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let ct = db.table("customer")?;
+    let c_name = ct.col("c_name")?;
+    let ot = db.table("orders")?;
+    let [o_orderkey, o_custkey, o_orderdate, o_totalprice] =
+        ot.cols(["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])?;
+    let lt = db.table("lineitem")?;
+    let [l_orderkey, l_quantity] = lt.cols(["l_orderkey", "l_quantity"])?;
     // Phase 1: total quantity per order.
     type QMap = Map<i64, i64>;
     let qty: QMap = scan_phase(
@@ -97,12 +107,11 @@ pub(super) fn q18(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, _, _| ShadowHash::new(w, 4096),
         |w, heap, db, shadow, row, local: &mut QMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_orderkey", row);
-            t.charge(w, "l_quantity", row);
+            l_orderkey.charge(w, row);
+            l_quantity.charge(w, row);
             let li = &db.data.lineitem;
             let key = li.l_orderkey[row];
             if local.contains_key(&key) {
@@ -131,7 +140,7 @@ pub(super) fn q18(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |w, heap, db| {
             let shadow = ShadowHash::new(w, big.len());
             for &k in big.keys() {
@@ -148,16 +157,15 @@ pub(super) fn q18(
             (shadow, ckey_to_row)
         },
         |w, _, db, (shadow, ckey_to_row), row, local: &mut Out| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderkey", row);
+            o_orderkey.charge(w, row);
             let o = &db.data.orders;
             shadow.probe(w, o.o_orderkey[row] as u64);
             let Some(&q) = big.get(&o.o_orderkey[row]) else { return };
-            for col in ["o_custkey", "o_orderdate", "o_totalprice"] {
-                t.charge(w, col, row);
+            for col in [o_custkey, o_orderdate, o_totalprice] {
+                col.charge(w, row);
             }
             let cr = ckey_to_row[&o.o_custkey[row]];
-            db.table("customer").charge(w, "c_name", cr);
+            c_name.charge(w, cr);
             local.push(vec![
                 s(db.data.customer.c_name[cr].clone()),
                 i(o.o_custkey[row]),
@@ -193,6 +201,17 @@ pub(super) fn q19(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let pt = db.table("part")?;
+    let [p_brand, p_container, p_size] = pt.cols(["p_brand", "p_container", "p_size"])?;
+    let lt = db.table("lineitem")?;
+    let [l_shipmode, l_shipinstruct, l_partkey, l_quantity, l_extendedprice, l_discount] = lt.cols([
+        "l_shipmode",
+        "l_shipinstruct",
+        "l_partkey",
+        "l_quantity",
+        "l_extendedprice",
+        "l_discount",
+    ])?;
     struct PartInfo {
         brand: String,
         container: String,
@@ -203,14 +222,13 @@ pub(super) fn q19(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, _, db| {
-            let pt = db.table("part");
             let parts: Map<i64, PartInfo> = (0..pt.nrows())
                 .map(|r| {
-                    pt.charge(w, "p_brand", r);
-                    pt.charge(w, "p_container", r);
-                    pt.charge(w, "p_size", r);
+                    p_brand.charge(w, r);
+                    p_container.charge(w, r);
+                    p_size.charge(w, r);
                     let p = &db.data.part;
                     (
                         p.p_partkey[r],
@@ -222,12 +240,11 @@ pub(super) fn q19(
                     )
                 })
                 .collect();
-            (parts, ShadowHash::new(w, db.table("part").nrows()))
+            (parts, ShadowHash::new(w, pt.nrows()))
         },
         |w, _, db, (parts, shadow), row, local: &mut i64| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipmode", row);
-            t.charge(w, "l_shipinstruct", row);
+            l_shipmode.charge(w, row);
+            l_shipinstruct.charge(w, row);
             let li = &db.data.lineitem;
             let mode = &li.l_shipmode[row];
             if (mode != "AIR" && mode != "REG AIR")
@@ -235,8 +252,8 @@ pub(super) fn q19(
             {
                 return;
             }
-            t.charge(w, "l_partkey", row);
-            t.charge(w, "l_quantity", row);
+            l_partkey.charge(w, row);
+            l_quantity.charge(w, row);
             shadow.probe(w, li.l_partkey[row] as u64);
             let p = &parts[&li.l_partkey[row]];
             let q = li.l_quantity[row];
@@ -256,8 +273,8 @@ pub(super) fn q19(
                     && (20..=30).contains(&q)
                     && (1..=15).contains(&p.size));
             if hit {
-                t.charge(w, "l_extendedprice", row);
-                t.charge(w, "l_discount", row);
+                l_extendedprice.charge(w, row);
+                l_discount.charge(w, row);
                 *local += li.l_extendedprice[row] * (100 - li.l_discount[row]) / 100;
             }
         },
@@ -277,6 +294,16 @@ pub(super) fn q20(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let st = db.table("supplier")?;
+    let s_nationkey = st.col("s_nationkey")?;
+    let pt = db.table("part")?;
+    let p_name = pt.col("p_name")?;
+    let pst = db.table("partsupp")?;
+    let [ps_suppkey, ps_partkey, ps_availqty] =
+        pst.cols(["ps_suppkey", "ps_partkey", "ps_availqty"])?;
+    let lt = db.table("lineitem")?;
+    let [l_shipdate, l_partkey, l_suppkey, l_quantity] =
+        lt.cols(["l_shipdate", "l_partkey", "l_suppkey", "l_quantity"])?;
     let lo = dates::parse("1994-01-01")?;
     let hi = dates::add_years(lo, 1);
     // Phase 1: 1994 shipped quantity per (part, supplier) for forest parts.
@@ -286,12 +313,11 @@ pub(super) fn q20(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, _, db| {
-            let pt = db.table("part");
             let forest: Set<i64> = (0..pt.nrows())
                 .filter(|&r| {
-                    pt.charge(w, "p_name", r);
+                    p_name.charge(w, r);
                     w.compute(LIKE_CYCLES);
                     db.data.part.p_name[r].starts_with("forest")
                 })
@@ -300,19 +326,18 @@ pub(super) fn q20(
             (forest, ShadowHash::new(w, 1024))
         },
         |w, _, db, (forest, shadow), row, local: &mut SMap| {
-            let t = db.table("lineitem");
-            t.charge(w, "l_shipdate", row);
+            l_shipdate.charge(w, row);
             let li = &db.data.lineitem;
             if li.l_shipdate[row] < lo || li.l_shipdate[row] >= hi {
                 return;
             }
-            t.charge(w, "l_partkey", row);
+            l_partkey.charge(w, row);
             shadow.probe(w, li.l_partkey[row] as u64);
             if !forest.contains(&li.l_partkey[row]) {
                 return;
             }
-            t.charge(w, "l_suppkey", row);
-            t.charge(w, "l_quantity", row);
+            l_suppkey.charge(w, row);
+            l_quantity.charge(w, row);
             *local
                 .entry((li.l_partkey[row], li.l_suppkey[row]))
                 .or_default() += li.l_quantity[row];
@@ -334,7 +359,7 @@ pub(super) fn q20(
         heap,
         db,
         ctx,
-        "partsupp",
+        pst,
         |w, heap, db| {
             let nk: i64 = db
                 .data
@@ -344,10 +369,9 @@ pub(super) fn q20(
                 .position(|n| n == "CANADA")
                 .map(|r| db.data.nation.n_nationkey[r])
                 .expect("CANADA exists");
-            let st = db.table("supplier");
             let canada: Set<i64> = (0..st.nrows())
                 .filter(|&r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     db.data.supplier.s_nationkey[r] == nk
                 })
                 .map(|r| db.data.supplier.s_suppkey[r])
@@ -359,14 +383,13 @@ pub(super) fn q20(
             (canada, shadow)
         },
         |w, _, db, (canada, shadow), row, local: &mut Supps| {
-            let t = db.table("partsupp");
-            t.charge(w, "ps_suppkey", row);
+            ps_suppkey.charge(w, row);
             let ps = &db.data.partsupp;
             if !canada.contains(&ps.ps_suppkey[row]) {
                 return;
             }
-            t.charge(w, "ps_partkey", row);
-            t.charge(w, "ps_availqty", row);
+            ps_partkey.charge(w, row);
+            ps_availqty.charge(w, row);
             let key = (ps.ps_partkey[row], ps.ps_suppkey[row]);
             shadow.probe(w, (key.0 as u64) << 32 | key.1 as u64);
             let Some(&q) = shipped.get(&key) else { return };
@@ -412,6 +435,13 @@ pub(super) fn q21(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let st = db.table("supplier")?;
+    let s_nationkey = st.col("s_nationkey")?;
+    let ot = db.table("orders")?;
+    let [o_orderstatus, o_orderkey] = ot.cols(["o_orderstatus", "o_orderkey"])?;
+    let lt = db.table("lineitem")?;
+    let [l_orderkey, l_suppkey, l_receiptdate, l_commitdate] =
+        lt.cols(["l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"])?;
     // Phase 1: per order, the distinct suppliers and the late suppliers.
     #[derive(Default, Clone)]
     struct OrderInfo {
@@ -424,12 +454,11 @@ pub(super) fn q21(
         heap,
         db,
         ctx,
-        "lineitem",
+        lt,
         |w, _, _| ShadowHash::new(w, 4096),
         |w, heap, db, shadow, row, local: &mut OMap| {
-            let t = db.table("lineitem");
-            for col in ["l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"] {
-                t.charge(w, col, row);
+            for col in [l_orderkey, l_suppkey, l_receiptdate, l_commitdate] {
+                col.charge(w, row);
             }
             let li = &db.data.lineitem;
             let key = li.l_orderkey[row];
@@ -475,7 +504,7 @@ pub(super) fn q21(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |w, heap, db| {
             let nk: i64 = db
                 .data
@@ -485,10 +514,9 @@ pub(super) fn q21(
                 .position(|n| n == "SAUDI ARABIA")
                 .map(|r| db.data.nation.n_nationkey[r])
                 .expect("SAUDI ARABIA exists");
-            let st = db.table("supplier");
             let saudi: Set<i64> = (0..st.nrows())
                 .filter(|&r| {
-                    st.charge(w, "s_nationkey", r);
+                    s_nationkey.charge(w, r);
                     db.data.supplier.s_nationkey[r] == nk
                 })
                 .map(|r| db.data.supplier.s_suppkey[r])
@@ -500,13 +528,12 @@ pub(super) fn q21(
             (saudi, shadow)
         },
         |w, _, db, (saudi, shadow), row, local: &mut WMap| {
-            let t = db.table("orders");
-            t.charge(w, "o_orderstatus", row);
+            o_orderstatus.charge(w, row);
             let o = &db.data.orders;
             if o.o_orderstatus[row] != "F" {
                 return;
             }
-            t.charge(w, "o_orderkey", row);
+            o_orderkey.charge(w, row);
             shadow.probe(w, o.o_orderkey[row] as u64);
             let Some(info) = per_order.get(&o.o_orderkey[row]) else { return };
             if info.late.len() != 1 || info.supps.len() < 2 {
@@ -557,6 +584,10 @@ pub(super) fn q22(
     db: &TpchDb,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>, EngineError> {
+    let ct = db.table("customer")?;
+    let [c_phone, c_acctbal, c_custkey] = ct.cols(["c_phone", "c_acctbal", "c_custkey"])?;
+    let ot = db.table("orders")?;
+    let o_custkey = ot.col("o_custkey")?;
     const CODES: [&str; 7] = ["13", "31", "23", "29", "30", "18", "17"];
     // Phase 1: custkeys that have orders (anti-join side).
     let has_orders: Set<i64> = scan_phase(
@@ -564,11 +595,10 @@ pub(super) fn q22(
         heap,
         db,
         ctx,
-        "orders",
+        ot,
         |w, _, _| ShadowHash::new(w, 4096),
         |w, heap, db, shadow, row, local: &mut Set<i64>| {
-            let t = db.table("orders");
-            t.charge(w, "o_custkey", row);
+            o_custkey.charge(w, row);
             let ck = db.data.orders.o_custkey[row];
             if local.insert(ck) {
                 shadow.insert(w, heap, ck as u64);
@@ -584,24 +614,23 @@ pub(super) fn q22(
         heap,
         db,
         ctx,
-        "customer",
+        ct,
         |w, _, _| ShadowHash::new(w, has_orders.len()),
         |w, _, db, shadow, row, local: &mut Loc| {
-            let t = db.table("customer");
-            t.charge(w, "c_phone", row);
+            c_phone.charge(w, row);
             w.compute(LIKE_CYCLES);
             let c = &db.data.customer;
             let code = &c.c_phone[row][0..2];
             if !CODES.contains(&code) {
                 return;
             }
-            t.charge(w, "c_acctbal", row);
+            c_acctbal.charge(w, row);
             let bal = c.c_acctbal[row];
             if bal > 0 {
                 local.1 += bal;
                 local.2 += 1;
             }
-            t.charge(w, "c_custkey", row);
+            c_custkey.charge(w, row);
             shadow.probe(w, c.c_custkey[row] as u64);
             if !has_orders.contains(&c.c_custkey[row]) {
                 local.0.push((code.to_string(), c.c_custkey[row], bal));

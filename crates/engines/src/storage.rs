@@ -7,11 +7,11 @@
 //! dense array of just that column. That difference is the layout term
 //! of the engine profiles.
 
+use crate::error::EngineError;
 use crate::profiles::Layout;
 use nqp_datagen::tpch::TpchData;
-use nqp_sim::{Access, MixBuildHasher, NumaSim, SimResult, VAddr, Worker};
+use nqp_sim::{Access, NumaSim, SimResult, VAddr, Worker};
 use nqp_storage::SimHeap;
-use std::collections::HashMap;
 
 /// `(column name, width in bytes)` per table, in schema order. Strings
 /// are shadowed at 16 bytes (pointer + length/prefix), dates at 4,
@@ -108,37 +108,67 @@ const SCHEMAS: &[(&str, &[(&str, u64)])] = &[
     ),
 ];
 
-/// Table and column shadows keyed by name. Every query charges a cell
-/// through two of these lookups, so they hash with the cheap
-/// deterministic [`MixBuildHasher`] instead of SipHash.
-type NameMap<V> = HashMap<&'static str, V, MixBuildHasher>;
+/// A resolved column: where each cell of one column sits in simulated
+/// memory. Resolve it once per query with [`TableShadow::col`]; charging
+/// a cell is then a multiply-add and a touch.
+#[derive(Debug, Clone, Copy)]
+pub struct ColShadow {
+    /// Address of row 0's cell.
+    base: VAddr,
+    /// Bytes between consecutive rows' cells: the column width in a
+    /// column store, the tuple width in a row store.
+    stride: u64,
+    /// Bytes the cell occupies.
+    width: u64,
+}
+
+impl ColShadow {
+    /// Charge the cost of reading this column of `row`.
+    #[inline]
+    pub fn charge(self, w: &mut Worker<'_>, row: usize) {
+        self.touch(w, row, Access::Read);
+    }
+
+    #[inline]
+    fn touch(self, w: &mut Worker<'_>, row: usize, access: Access) {
+        w.touch(self.base + row as u64 * self.stride, self.width, access);
+    }
+}
 
 /// The storage shadow of one table.
 #[derive(Debug)]
 pub struct TableShadow {
-    layout: Layout,
+    name: &'static str,
     nrows: usize,
-    /// Row layout: tuple width. Column layout: unused.
-    row_bytes: u64,
-    /// Row layout: tuple base. Column layout: unused.
-    row_base: VAddr,
-    /// Per column: `(offset within row | column base, width)`.
-    cols: NameMap<(VAddr, u64)>,
+    /// Every column in schema order.
+    cols: Vec<(&'static str, ColShadow)>,
 }
 
 impl TableShadow {
-    /// Charge the cost of reading `col` of `row`.
-    #[inline]
-    pub fn charge(&self, w: &mut Worker<'_>, col: &str, row: usize) {
-        let &(pos, width) = self
-            .cols
-            .get(col)
-            .unwrap_or_else(|| panic!("unknown column {col}"));
-        let addr = match self.layout {
-            Layout::Column => pos + row as u64 * width,
-            Layout::Row => self.row_base + row as u64 * self.row_bytes + pos,
-        };
-        w.touch(addr, width, Access::Read);
+    /// The table's name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The handle of column `name`; an unknown name is a typed error.
+    pub fn col(&self, name: &str) -> Result<ColShadow, EngineError> {
+        self.cols
+            .iter()
+            .find(|&&(cname, _)| cname == name)
+            .map(|&(_, col)| col)
+            .ok_or_else(|| EngineError::UnknownColumn {
+                table: self.name.to_string(),
+                column: name.to_string(),
+            })
+    }
+
+    /// The handles of several columns at once, in the order asked.
+    pub fn cols<const N: usize>(&self, names: [&str; N]) -> Result<[ColShadow; N], EngineError> {
+        let mut out = [ColShadow { base: 0, stride: 0, width: 0 }; N];
+        for (slot, name) in out.iter_mut().zip(names) {
+            *slot = self.col(name)?;
+        }
+        Ok(out)
     }
 
     /// Rows in the table.
@@ -160,7 +190,8 @@ pub struct TpchDb {
     /// The generated data (exact values for query evaluation), shared
     /// with every other system booted from the same data.
     pub data: TpchData,
-    tables: NameMap<TableShadow>,
+    /// Every table in [`SCHEMAS`] order.
+    tables: Vec<TableShadow>,
 }
 
 impl TpchDb {
@@ -175,23 +206,23 @@ impl TpchDb {
         layout: Layout,
         threads: usize,
     ) -> SimResult<Self> {
-        let row_count = |name: &str| -> usize {
-            match name {
-                "region" => data.region.r_regionkey.len(),
-                "nation" => data.nation.n_nationkey.len(),
-                "supplier" => data.supplier.s_suppkey.len(),
-                "customer" => data.customer.c_custkey.len(),
-                "part" => data.part.p_partkey.len(),
-                "partsupp" => data.partsupp.ps_partkey.len(),
-                "orders" => data.orders.o_orderkey.len(),
-                "lineitem" => data.lineitem.l_orderkey.len(),
-                other => panic!("unknown table {other}"),
-            }
-        };
-        let mut tables = NameMap::default();
-        for &(name, schema) in SCHEMAS {
-            let nrows = row_count(name);
-            let shadow = match layout {
+        // Rows per table, in `SCHEMAS` order.
+        let row_counts = [
+            data.region.r_regionkey.len(),
+            data.nation.n_nationkey.len(),
+            data.supplier.s_suppkey.len(),
+            data.customer.c_custkey.len(),
+            data.part.p_partkey.len(),
+            data.partsupp.ps_partkey.len(),
+            data.orders.o_orderkey.len(),
+            data.lineitem.l_orderkey.len(),
+        ];
+        let mut tables = Vec::with_capacity(SCHEMAS.len());
+        // Per table, the spans the load writes for each row: the whole
+        // tuple in a row store, every column's cell in a column store.
+        let mut fills = Vec::with_capacity(SCHEMAS.len());
+        for (&(name, schema), nrows) in SCHEMAS.iter().zip(row_counts) {
+            let (cols, fill) = match layout {
                 Layout::Row => {
                     // Row stores read tuples through a shared buffer
                     // pool whose pages are faulted by whichever backend
@@ -204,66 +235,55 @@ impl TpchDb {
                         *base = w.map_pages_shared((nrows as u64 * row_bytes).max(1));
                     })?;
                     let mut off = 0;
-                    let cols = schema
+                    let cols: Vec<_> = schema
                         .iter()
-                        .map(|&(cname, wd)| {
-                            let entry = (cname, (off, wd));
-                            off += wd;
-                            entry
+                        .map(|&(cname, width)| {
+                            let col = ColShadow { base: base + off, stride: row_bytes, width };
+                            off += width;
+                            (cname, col)
                         })
                         .collect();
-                    TableShadow { layout, nrows, row_bytes, row_base: base, cols }
+                    (cols, vec![ColShadow { base, stride: row_bytes, width: row_bytes }])
                 }
                 Layout::Column => {
-                    let mut cols = NameMap::default();
-                    for &(cname, wd) in schema {
+                    let mut cols = Vec::with_capacity(schema.len());
+                    for &(cname, width) in schema {
                         let mut base = 0;
                         sim.try_serial(&mut base, |w, base| {
-                            *base = w.map_pages((nrows as u64 * wd).max(1));
+                            *base = w.map_pages((nrows as u64 * width).max(1));
                         })?;
-                        cols.insert(cname, (base, wd));
+                        cols.push((cname, ColShadow { base, stride: width, width }));
                     }
-                    TableShadow { layout, nrows, row_bytes: 0, row_base: 0, cols }
+                    let fill = cols.iter().map(|&(_, col)| col).collect();
+                    (cols, fill)
                 }
             };
-            tables.insert(name, shadow);
+            tables.push(TableShadow { name, nrows, cols });
+            fills.push(fill);
         }
-        let db = TpchDb { data: data.clone(), tables };
         // Fault everything in, partitioned across the workers. Each
         // worker writes only its own contiguous row range, so the load
         // shards across host threads (`SimConfig::shards`) with
         // deterministic epoch merges — byte-identical at any shard
         // count, same as the W1–W4 relation loaders.
-        for &(name, schema) in SCHEMAS {
-            let shadow = &db.tables[name];
-            // Each column's `(base, width)` in schema order, resolved once
-            // per table instead of once per cell.
-            let cols: Vec<(u64, u64)> =
-                schema.iter().map(|&(cname, _)| shadow.cols[cname]).collect();
+        for (shadow, fill) in tables.iter().zip(&fills) {
             sim.try_parallel_sharded(threads, shadow, |w, shadow| {
                 for row in shadow.partition(w.tid(), threads) {
-                    match layout {
-                        Layout::Row => {
-                            let addr = shadow.row_base + row as u64 * shadow.row_bytes;
-                            w.touch(addr, shadow.row_bytes, Access::Write);
-                        }
-                        Layout::Column => {
-                            for &(base, wd) in &cols {
-                                w.touch(base + row as u64 * wd, wd, Access::Write);
-                            }
-                        }
+                    for span in fill {
+                        span.touch(w, row, Access::Write);
                     }
                 }
             })?;
         }
-        Ok(db)
+        Ok(TpchDb { data: data.clone(), tables })
     }
 
-    /// The shadow of `name`.
-    pub fn table(&self, name: &str) -> &TableShadow {
+    /// The shadow of table `name`; an unknown name is a typed error.
+    pub fn table(&self, name: &str) -> Result<&TableShadow, EngineError> {
         self.tables
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown table {name}"))
+            .iter()
+            .find(|t| t.name == name)
+            .ok_or_else(|| EngineError::UnknownTable { table: name.to_string() })
     }
 }
 
@@ -288,21 +308,22 @@ mod tests {
     fn all_eight_tables_load() {
         let (_, db) = setup(Layout::Column);
         for &(name, _) in SCHEMAS {
-            assert!(db.table(name).nrows() > 0, "{name} empty");
+            assert!(db.table(name).unwrap().nrows() > 0, "{name} empty");
         }
-        assert_eq!(db.table("region").nrows(), 5);
-        assert_eq!(db.table("nation").nrows(), 25);
+        assert_eq!(db.table("region").unwrap().nrows(), 5);
+        assert_eq!(db.table("nation").unwrap().nrows(), 25);
     }
 
     #[test]
     fn row_scans_cost_more_than_column_scans() {
         let cost = |layout| {
             let (mut sim, db) = setup(layout);
+            let li = db.table("lineitem").unwrap();
+            let shipdate = li.col("l_shipdate").unwrap();
             let before = sim.now_cycles();
             sim.try_serial(&mut (), |w, _| {
-                let li = db.table("lineitem");
                 for row in 0..li.nrows() {
-                    li.charge(w, "l_shipdate", row);
+                    shipdate.charge(w, row);
                 }
             }).unwrap();
             sim.now_cycles() - before
@@ -316,16 +337,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown column")]
-    fn unknown_column_panics() {
-        let (mut sim, db) = setup(Layout::Column);
-        sim.try_serial(&mut (), |w, _| db.table("orders").charge(w, "nope", 0)).unwrap();
+    fn handles_address_cells_with_the_layout_stride() {
+        // Row store: a column's cells sit one tuple apart, at the
+        // column's offset in the tuple. Column store: they are dense.
+        let (_, rows) = setup(Layout::Row);
+        let orders = rows.table("orders").unwrap();
+        let [key, cust, date] = orders.cols(["o_orderkey", "o_custkey", "o_orderdate"]).unwrap();
+        let tuple: u64 = SCHEMAS[6].1.iter().map(|&(_, wd)| wd).sum();
+        assert_eq!(SCHEMAS[6].0, "orders");
+        assert_eq!((key.stride, key.width), (tuple, 8));
+        assert_eq!(cust.base, key.base + 8);
+        assert_eq!(date.base, key.base + 8 + 8 + 16 + 8);
+        let (_, cols) = setup(Layout::Column);
+        let date = cols.table("orders").unwrap().col("o_orderdate").unwrap();
+        assert_eq!((date.stride, date.width), (4, 4));
+    }
+
+    #[test]
+    fn unknown_table_is_a_typed_error() {
+        let (_, db) = setup(Layout::Column);
+        let err = db.table("nope").expect_err("no such table");
+        assert_eq!(err, EngineError::UnknownTable { table: "nope".into() });
+        assert!(err.to_string().contains("nope"), "{err}");
+    }
+
+    #[test]
+    fn unknown_column_is_a_typed_error() {
+        let (_, db) = setup(Layout::Row);
+        let orders = db.table("orders").unwrap();
+        let expect = EngineError::UnknownColumn { table: "orders".into(), column: "nope".into() };
+        assert_eq!(orders.col("nope").expect_err("no such column"), expect);
+        // A column of another table is unknown here too, and `cols`
+        // fails on the first bad name.
+        let err = orders.cols(["o_orderkey", "l_orderkey"]).expect_err("lineitem's column");
+        assert_eq!(
+            err,
+            EngineError::UnknownColumn { table: "orders".into(), column: "l_orderkey".into() }
+        );
+        assert!(expect.to_string().contains("orders"), "{expect}");
     }
 
     #[test]
     fn partitions_tile_rows() {
         let (_, db) = setup(Layout::Column);
-        let li = db.table("lineitem");
+        let li = db.table("lineitem").unwrap();
         let mut total = 0;
         for tid in 0..5 {
             total += li.partition(tid, 5).len();

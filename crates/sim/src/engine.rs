@@ -58,6 +58,10 @@ const MMAP_SYSCALL_CYCLES: u64 = 800;
 /// Per-thread L1 size in cache lines (32 KB).
 const L1_LINES: u64 = 512;
 
+/// Lines past a detected sequential stream whose model-table slots are
+/// prefetched on the host (a host-side hint; no model effect).
+const STREAM_LOOKAHEAD: u64 = 4;
+
 /// Words `read_u64_run`/`write_u64_run` move through the byte store per
 /// call (a stack buffer of 256 bytes).
 const RUN_CHUNK_WORDS: usize = 32;
@@ -1350,6 +1354,7 @@ fn make_worker<'a>(
         sched,
         next_sched_at: 0,
         next_scan_at: 0,
+        horizon: 0,
         core_since: 0,
         core_time: Vec::new(),
         tlb4,
@@ -1390,6 +1395,7 @@ fn make_worker<'a>(
     } else {
         u64::MAX
     };
+    w.horizon = w.event_horizon();
     w
 }
 
@@ -1777,6 +1783,11 @@ pub struct Worker<'a> {
     sched: ThreadSchedule,
     next_sched_at: u64,
     next_scan_at: u64,
+    /// The earliest of `next_sched_at`, `next_preempt_at`,
+    /// `next_scan_at` and the budget limit: below it no event is due,
+    /// so `check_events` is one compare. Only `make_worker` and
+    /// `check_events_slow` write the event fields, and both refresh it.
+    horizon: u64,
     core_since: u64,
     core_time: Vec<(CoreId, u64)>,
     tlb4: Tlb,
@@ -2053,6 +2064,23 @@ impl<'a> Worker<'a> {
         }
     }
 
+    /// Prefetch the LLC tag slots and writer-table slots of the
+    /// [`STREAM_LOOKAHEAD`] lines after `line`. Called on an L1 miss
+    /// whose previous line is still in L1 — a sequential stream, which
+    /// will index those slots next, possibly through separate `touch`
+    /// calls that `touch_run`'s one-line prefetch cannot see ahead of.
+    /// A pure host hint: it reads and writes no model state, so it
+    /// cannot change a result. Random probes rarely find their previous
+    /// line in L1, so they seldom pay for it.
+    #[inline]
+    fn stream_lookahead(&self, line: u64) {
+        for ahead in line + 1..=line + STREAM_LOOKAHEAD {
+            self.caches.prefetch(self.node, ahead);
+            let slot = (mix_line(ahead) as usize) & (WRITER_TABLE_SLOTS - 1);
+            crate::mix::prefetch(self.writer_table.slot(slot));
+        }
+    }
+
     /// The per-line reference model (`SimConfig::reference_model`): the
     /// oracle the page-granular fast path is differentially tested
     /// against. [`Worker::touch_line_fast`] must stay bit-identical to
@@ -2246,6 +2274,9 @@ impl<'a> Worker<'a> {
         // read-dominated scans and probe chains.
         let line = line_addr / LINE;
         let l1_hit = self.l1.access(line);
+        if !l1_hit && self.l1.contains(line.wrapping_sub(1)) {
+            self.stream_lookahead(line);
+        }
         if access == Access::Write {
             let mixed = mix_line(line);
             let slot = (mixed as usize) & (WRITER_TABLE_SLOTS - 1);
@@ -2703,8 +2734,40 @@ impl<'a> Worker<'a> {
         self.trace.push(at, tid, event);
     }
 
+    /// Run the scheduling, preemption, AutoNUMA-scan and budget events
+    /// the thread clock has reached. Below the event horizon none is
+    /// due, so the common case is one compare.
     #[inline]
     fn check_events(&mut self) {
+        if self.clock >= self.horizon {
+            self.check_events_slow();
+        } else {
+            debug_assert!(!self.event_due(), "an event is due below the horizon");
+        }
+    }
+
+    /// The earliest cycle at which `check_events` has anything to do.
+    fn event_horizon(&self) -> u64 {
+        self.next_sched_at
+            .min(self.next_preempt_at)
+            .min(self.next_scan_at)
+            .min(self.budget_limit.unwrap_or(u64::MAX))
+    }
+
+    /// Whether any rung of the `check_events_slow` ladder would fire
+    /// now: the condition the horizon compare stands in for. (The ladder
+    /// itself can leave a rung due — a preemption's cycles can carry the
+    /// clock past the next migration — which the next check runs, as it
+    /// always has.)
+    fn event_due(&self) -> bool {
+        self.clock >= self.next_sched_at
+            || self.clock >= self.next_preempt_at
+            || self.clock >= self.next_scan_at
+            || self.budget_limit.is_some_and(|limit| self.clock >= limit && self.fault.is_none())
+    }
+
+    #[inline(never)]
+    fn check_events_slow(&mut self) {
         while self.clock >= self.next_sched_at {
             // OS load balancer migrates this thread.
             self.core_time.push((self.core, self.clock - self.core_since));
@@ -2760,6 +2823,7 @@ impl<'a> Worker<'a> {
                 });
             }
         }
+        self.horizon = self.event_horizon();
     }
 
     fn finish(mut self) -> ThreadOutcome {

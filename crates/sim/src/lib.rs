@@ -69,7 +69,6 @@ pub use engine::{check_threads, Access, NumaSim, Worker, MAX_THREADS};
 pub use error::{SimError, SimResult};
 pub use fault::{ActiveFaults, FaultEvent, FaultKind, FaultPlan};
 pub use lock::LockId;
-pub use mix::{MixBuildHasher, MixHasher};
 pub use mem::{VAddr, HUGE_PAGE, LINE, PAGES_PER_HUGE, SMALL_PAGE};
 pub use metrics::{Bottleneck, Counters, RegionStats};
 pub use tlb::Tlb;

@@ -50,6 +50,18 @@ impl Tlb {
         }
     }
 
+    /// Whether `page_number` is resident. Only reads: unlike
+    /// [`Tlb::access`] a miss inserts nothing, so asking never changes
+    /// a later outcome.
+    #[inline]
+    pub fn contains(&self, page_number: u64) -> bool {
+        if self.tags.is_empty() {
+            return false;
+        }
+        let slot = (mix(page_number) & self.mask) as usize;
+        self.valid[slot] && self.tags[slot] == page_number
+    }
+
     /// Drop all translations (context switch / migration / shootdown).
     pub fn flush(&mut self) {
         self.valid.fill(false);
@@ -116,6 +128,30 @@ mod tests {
         tlb.flush();
         assert_eq!(tlb.occupied(), 0);
         assert!(!tlb.access(u64::MAX), "flush forgets the sentinel page too");
+    }
+
+    #[test]
+    fn contains_only_reads() {
+        // Interleave `contains` into an access stream with collisions
+        // (64 slots, 512 pages) and compare against a twin that never
+        // asks: occupancy and every later outcome must match.
+        let mut asked = Tlb::new(64);
+        let mut plain = Tlb::new(64);
+        assert!(!Tlb::new(0).contains(1));
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let page = x % 512;
+            let before = asked.occupied();
+            let resident = asked.contains(page);
+            assert_eq!(asked.occupied(), before, "contains changed occupancy");
+            let hit = asked.access(page);
+            assert_eq!(hit, resident, "contains disagreed with the next access");
+            assert_eq!(hit, plain.access(page), "asking changed an outcome");
+            assert_eq!(asked.occupied(), plain.occupied());
+        }
     }
 
     #[test]

@@ -301,6 +301,22 @@ done
 ("$CLI" workload w1 --machine B --n 500 --card 50 --engine bogus 2>&1 || true) \
   | grep -q '`bogus`'
 
+# TPC-H engine gate (DESIGN.md §4e): `tpch` builds its simulator
+# through the same host options as the grid commands, so the per-line
+# reference model (NQP_REFERENCE=1) and --shards must both leave its
+# stdout — latency cycles and result rows — byte-identical, on a column
+# store and a row store.
+for spec in 'monetdb 3' 'monetdb 18' 'postgresql 9' 'postgresql 21'; do
+  read -r sys q <<< "$spec"
+  QARGS=(tpch "$q" --system "$sys" --sf 0.002)
+  "$CLI" "${QARGS[@]}" > "$SMOKE/tpch-fast.txt"
+  NQP_REFERENCE=1 "$CLI" "${QARGS[@]}" > "$SMOKE/tpch-ref.txt"
+  "$CLI" "${QARGS[@]}" --shards 2 > "$SMOKE/tpch-shards.txt"
+  grep -q "cycles" "$SMOKE/tpch-fast.txt"
+  diff "$SMOKE/tpch-fast.txt" "$SMOKE/tpch-ref.txt"
+  diff "$SMOKE/tpch-fast.txt" "$SMOKE/tpch-shards.txt"
+done
+
 # Unknown flags: every subcommand exits nonzero on a flag it never
 # reads and names it, instead of running with a default.
 for cmd in 'workload w1 --machine B --n 500 --card 50 --thraeds 2' \

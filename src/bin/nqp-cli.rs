@@ -26,7 +26,7 @@
 //! nqp-cli hotpath w1|w3 [--machine A|B|C] [--threads N] [--n N] [--card N] [--reps K]
 //!                [--engine tuple|vec]
 //! nqp-cli trace FILE [--chrome OUT] [--csv OUT] [--decisions OUT] [--report]
-//! nqp-cli tpch QNUM [--system NAME] [--sf F] [--tuned] [--engine tuple|vec]
+//! nqp-cli tpch QNUM [--system NAME] [--sf F] [--tuned] [--engine tuple|vec] [--shards N]
 //! ```
 //!
 //! `--faults` takes the deterministic fault-plan grammar of
@@ -88,8 +88,8 @@ use nqp::indexes::IndexKind;
 use nqp::query::plan::{PlanSpec, RunOut, WorkloadPlan};
 use nqp::query::{EngineKind, WorkloadEnv};
 use nqp::sim::{
-    check_threads, Access, Counters, FaultPlan, MemPolicy, NumaSim, SimError, SimResult,
-    ThreadPlacement, TraceConfig,
+    check_threads, Access, Counters, FaultPlan, MemPolicy, NumaSim, SimConfig, SimError,
+    SimResult, ThreadPlacement, TraceConfig,
 };
 use nqp::serve::calibrate::{calibrate, serve_sizes};
 use nqp::serve::{
@@ -161,7 +161,7 @@ const USAGE: &str = "usage:
                 [--engine tuple|vec] [--policy ...] [--autonuma on|off] [--thp on|off]   # NQP_REFERENCE=1 for the oracle
   nqp-cli trace <FILE.trace> [--chrome OUT.json] [--csv OUT.csv] [--decisions OUT.csv] [--report]
   nqp-cli tpch <1..22> [--system monetdb|postgresql|mysql|dbmsx|quickstep] [--sf 0.005] [--tuned]
-                [--engine tuple|vec]
+                [--engine tuple|vec] [--shards N]   # NQP_REFERENCE=1 for the oracle
   (every command rejects flags it does not read; see the README for the full option lists)";
 
 /// Flags [`machine_arg`] and [`config_from_flags`] read.
@@ -393,21 +393,32 @@ fn config_from_flags(
     if let Some(cycles) = num_arg(flags, "trial-budget")? {
         cfg = cfg.with_trial_budget(cycles);
     }
+    cfg.sim = host_options(cfg.sim, flags)?;
+    Ok(cfg)
+}
+
+/// Apply the options that choose how the host runs a simulation but
+/// never what it reports: `--shards` and `NQP_REFERENCE`. Every command
+/// that builds a simulator goes through here.
+fn host_options(
+    mut sim: SimConfig,
+    flags: &HashMap<String, String>,
+) -> Result<SimConfig, String> {
     // --shards N spreads one trial's simulated workers over N host
     // threads. Results are byte-identical for every shard count (the
     // check.sh gate), so — like --jobs — it is excluded from grid
     // fingerprints and never changes what a sweep reports.
     if let Some(shards) = count_arg(flags, "shards", "want an integer")? {
-        cfg.sim = cfg.sim.with_shards(shards);
+        sim = sim.with_shards(shards);
     }
     // NQP_REFERENCE=1 runs the per-line reference model instead of the
     // page-granular fast path. Both produce bit-identical results (an
     // invariant scripts/check.sh pins), so this is an env var rather
     // than a grid flag: it must never change what a sweep reports.
     if std::env::var("NQP_REFERENCE").is_ok_and(|v| v != "0" && !v.is_empty()) {
-        cfg.sim = cfg.sim.with_reference_model(true);
+        sim = sim.with_reference_model(true);
     }
-    Ok(cfg)
+    Ok(sim)
 }
 
 fn counters_summary(c: &Counters) -> String {
@@ -1349,7 +1360,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 
 fn cmd_tpch(args: &[String]) -> Result<(), String> {
     let (pos, flags) =
-        parse_flags("tpch", args, &[&["sf", "system", "machine", "engine", "tuned"]])?;
+        parse_flags("tpch", args, &[&["sf", "system", "machine", "engine", "tuned", "shards"]])?;
     let qnum: usize = pos
         .first()
         .and_then(|s| s.parse().ok())
@@ -1371,7 +1382,8 @@ fn cmd_tpch(args: &[String]) -> Result<(), String> {
     } else {
         WorkloadEnv::os_default(machine)
     };
-    let env = env.with_engine(engine);
+    let mut env = env.with_engine(engine);
+    env.sim = host_options(env.sim, &flags)?;
     let data = TpchData::generate(sf, 42);
     let mut db = DbSystem::boot(system, &env, &data);
     db.try_run(qnum).map_err(|e| e.to_string())?;

@@ -9,7 +9,8 @@
 //! binary with `NQP_REFERENCE=1` flipping the model.
 
 use nqp::sim::{
-    Access, FaultKind, FaultPlan, NumaSim, SimConfig, ThreadPlacement, TraceConfig, SMALL_PAGE,
+    Access, FaultKind, FaultPlan, NumaSim, SimConfig, ThreadPlacement, TraceConfig, LINE,
+    SMALL_PAGE,
 };
 use nqp::topology::machines;
 use proptest::prelude::*;
@@ -54,8 +55,9 @@ fn config(idx: usize) -> SimConfig {
 
 /// Interpret the op program inside a worker. Every worker starts with
 /// one 16-page arena and grows/shrinks a local region list, so maps,
-/// unmaps, ranged touches, typed reads/writes, RMWs, and DMA bursts
-/// interleave — with addresses perturbed per thread.
+/// unmaps, ranged touches, typed reads/writes, RMWs, DMA bursts and
+/// interleaved line-by-line streams mix — with addresses perturbed per
+/// thread.
 fn run_ops(w: &mut nqp::sim::Worker<'_>, ops: &[Op]) {
     let mut regions: Vec<(u64, u64)> = vec![(w.map_pages(SMALL_PAGE * 16), SMALL_PAGE * 16)];
     let salt = w.tid() as u64 * 0x9e37_79b9;
@@ -63,7 +65,7 @@ fn run_ops(w: &mut nqp::sim::Worker<'_>, ops: &[Op]) {
         let (base, bytes) = regions[(a.wrapping_add(salt) % regions.len() as u64) as usize];
         // Keep 640 bytes of headroom so multi-word accesses stay mapped.
         let off = b.wrapping_add(salt) % (bytes - 640);
-        match op % 7 {
+        match op % 8 {
             0 => w.touch(base + off, a % 600 + 1, Access::Read),
             1 => w.touch(base + off, b % 600 + 1, Access::Write),
             2 => {
@@ -86,8 +88,26 @@ fn run_ops(w: &mut nqp::sim::Worker<'_>, ops: &[Op]) {
                     w.dma_lines(base + off, b % 32 + 1);
                 }
             }
-            _ => {
+            6 => {
                 w.write_u64_run(base + (off & !7), &[a, b, a ^ b]);
+            }
+            _ => {
+                // Interleaved streams: 2–3 cursors each advance one line
+                // per step with single-line touches, crossing page
+                // boundaries, so the stream lookahead fires and the
+                // other cursors' lines land between its steps.
+                let lines = bytes / LINE;
+                let len = (a % 96 + 16).min(lines / 2);
+                let cursors = 2 + (a / 96) % 2;
+                let cell = (a >> 8) % 8 * 8;
+                for step in 0..len {
+                    for c in 0..cursors {
+                        let start = (b >> (c * 16)) % (lines - len);
+                        let access =
+                            if (b >> (48 + c)) & 1 == 1 { Access::Write } else { Access::Read };
+                        w.touch(base + (start + step) * LINE + cell, 8, access);
+                    }
+                }
             }
         }
         if w.fault().is_some() {
