@@ -10,7 +10,11 @@ cargo build --release --examples --offline
 # compile both so an API change cannot silently break them.
 cargo build --release --offline -p nqp-bench --benches
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# The root's default-members span the whole workspace, so this runs
+# every crate's unit tests and the root's integration tests.
 cargo test -q --offline
+# perfbench is its own workspace: its statistics tests run separately.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # The simulator, the experiment runner, and the trace subsystem are the
 # fallible substrate everything else leans on: no unwrap()/expect() may
@@ -336,9 +340,14 @@ done
 # (or, for the sweep limits, with no limit at all). So does a --threads
 # past the most simulated threads one region can tell apart (the
 # writer table packs tid + 1 into 20 bits) — rejected before any
-# region is built.
+# region is built — and a zero input size or a scale factor that is
+# not finite and positive, rejected before any data is generated.
 for cmd in 'sweep w1 --machine B --n 500 --card 50 --trials 1x' \
            'workload w2 --machine B --card 50 --n 2k' \
+           'workload w1 --machine B --card 50 --n 0' \
+           'workload w1 --machine B --n 500 --card 0' \
+           'tpch 1 --sf 0' \
+           'tpch 1 --sf inf' \
            'workload w1 --machine B --n 500 --card 50 --threads two' \
            'workload w1 --machine B --n 500 --card 50 --threads 1048576' \
            'tpch 1 --sf abc' \

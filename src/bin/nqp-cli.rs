@@ -23,8 +23,6 @@
 //!                [--configs both|os-default|tuned] [--tier SPEC] [--engine tuple|vec]
 //!                [--jobs N] [--shards N] [--journal PATH | --resume PATH] [--max-cells N]
 //!                [--csv FILE] [--json FILE] [--trace-dir DIR]   # full list: `help`
-//! nqp-cli hotpath w1|w3 [--machine A|B|C] [--threads N] [--n N] [--card N] [--reps K]
-//!                [--engine tuple|vec]
 //! nqp-cli trace FILE [--chrome OUT] [--csv OUT] [--decisions OUT] [--report]
 //! nqp-cli tpch QNUM [--system NAME] [--sf F] [--tuned] [--engine tuple|vec] [--shards N]
 //! ```
@@ -88,8 +86,8 @@ use nqp::indexes::IndexKind;
 use nqp::query::plan::{PlanSpec, RunOut, WorkloadPlan};
 use nqp::query::{EngineKind, WorkloadEnv};
 use nqp::sim::{
-    check_threads, Access, Counters, FaultPlan, MemPolicy, NumaSim, SimConfig, SimError,
-    SimResult, ThreadPlacement, TraceConfig,
+    check_threads, Counters, FaultPlan, MemPolicy, SimConfig, SimError, SimResult,
+    ThreadPlacement, TraceConfig,
 };
 use nqp::serve::calibrate::{calibrate, serve_sizes};
 use nqp::serve::{
@@ -117,7 +115,6 @@ fn main() -> ExitCode {
         "compare" => cmd_compare(&args[1..]),
         "sweep" => cmd_sweep(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
-        "hotpath" => cmd_hotpath(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
         "tpch" => cmd_tpch(&args[1..]),
         "help" | "--help" | "-h" => {
@@ -157,8 +154,6 @@ const USAGE: &str = "usage:
                 [--csv FILE] [--json FILE] [--trace-dir DIR]
                 (arrivals: poisson:rate=R | burst:rate=R,x=M,on=A,off=B | diurnal:rate=R,x=M,period=P)
                 (tier: none | lru-epoch[:idle=N,budget=N] | hot-watermark[:dwm=N,pwm=N,budget=N])
-  nqp-cli hotpath <w1|w3> [--machine A|B|C] [--threads N] [--n N] [--card N] [--reps K]
-                [--engine tuple|vec] [--policy ...] [--autonuma on|off] [--thp on|off]   # NQP_REFERENCE=1 for the oracle
   nqp-cli trace <FILE.trace> [--chrome OUT.json] [--csv OUT.csv] [--decisions OUT.csv] [--report]
   nqp-cli tpch <1..22> [--system monetdb|postgresql|mysql|dbmsx|quickstep] [--sf 0.005] [--tuned]
                 [--engine tuple|vec] [--shards N]   # NQP_REFERENCE=1 for the oracle
@@ -433,7 +428,8 @@ fn counters_summary(c: &Counters) -> String {
 }
 
 /// The workload inputs `--n`, `--card`, `--index` and `--seed` ask
-/// for; unset sizes take the workload's defaults.
+/// for; unset sizes take the workload's defaults, and a zero size is
+/// refused here, once, for every command that generates a workload.
 fn plan_spec(flags: &HashMap<String, String>) -> Result<PlanSpec, String> {
     let index = match flags.get("index").map(String::as_str).unwrap_or("B+tree") {
         "art" | "ART" => IndexKind::Art,
@@ -443,8 +439,8 @@ fn plan_spec(flags: &HashMap<String, String>) -> Result<PlanSpec, String> {
         other => return Err(format!("unknown index `{other}`")),
     };
     Ok(PlanSpec {
-        n: num_arg(flags, "n")?,
-        card: num_arg(flags, "card")?,
+        n: count_arg(flags, "n", "need a size")?,
+        card: count_arg(flags, "card", "need a cardinality")?,
         index,
         seed: num_arg(flags, "seed")?.unwrap_or(42),
     })
@@ -511,254 +507,6 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let d = run_plan(&plan, &default, threads)?.cycles;
     let t = run_plan(&plan, &tuned, threads)?.cycles;
     println!("{which}: os-default {d} cycles, tuned {t} cycles -> {:.2}x", d as f64 / t as f64);
-    Ok(())
-}
-
-/// `hotpath`: a microbenchmark of the simulator's memory-hierarchy hot
-/// loop (`Worker::touch` and the page-granular fast path behind it),
-/// replaying a deterministic access stream shaped like a workload's
-/// inner loop — W1's scan + hash-scattered upserts, or W3's build +
-/// probe — without the host-side operator logic (hash walks, sorts,
-/// `Vec` traffic) that dilutes and noises full-workload timings.
-///
-/// The stream is identical regardless of `reference_model`, so running
-/// it twice — plain and under `NQP_REFERENCE=1` — times the fast path
-/// against the per-line oracle on the same simulated work; the final
-/// `cycles=` value must match between the two (scripts/bench.sh checks
-/// this). Prints wall-ns (best of `--reps`) plus a machine-readable
-/// `hotpath_ns=` line.
-fn cmd_hotpath(args: &[String]) -> Result<(), String> {
-    let (pos, flags) =
-        parse_flags("hotpath", args, &[CONFIG_FLAGS, &["threads", "reps", "engine", "n", "card"]])?;
-    let which = pos.first().map(String::as_str).unwrap_or("w1");
-    let machine = machine_arg(&flags)?;
-    let threads = threads_arg(&flags)?.unwrap_or(8);
-    let reps: usize = num_arg(&flags, "reps")?.unwrap_or(3).max(1);
-    // `--engine vec` replays the vectorized operators' access stream:
-    // direct perfect-hash slot updates and ranged column reads instead
-    // of hash + directory walk + chain entries. Fewer simulator calls
-    // per tuple is exactly where the vectorized path's host wall-time
-    // win comes from, and this microbench isolates it
-    // (scripts/bench.sh `vector_speedup` times both engines here).
-    let engine = single(engine_arg(&flags)?, "--engine")?;
-    let cfg = config_from_flags(machine, &flags)?;
-    let model = if cfg.sim.reference_model { "reference" } else { "fast" };
-    let seed = cfg.sim.seed;
-
-    // Partition `count` items across `threads` like TupleArray::partition.
-    let slice = |count: u64, tid: usize| -> (u64, u64) {
-        let t = threads as u64;
-        (count * tid as u64 / t, count * (tid as u64 + 1) / t)
-    };
-    let lcg =
-        |x: u64| x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-    let page_up = |b: u64| b.div_ceil(4096) * 4096;
-
-    let mut sim = NumaSim::new(cfg.sim.clone());
-    let (best_ns, lines_per_rep, label) = match which {
-        "w1" => {
-            let n: u64 = num_arg(&flags, "n")?.unwrap_or(1_000_000);
-            let card: u64 = num_arg(&flags, "card")?.unwrap_or(n / 10).max(1);
-            // Input tuples, hash directory, entry/chain heap — the three
-            // address spaces W1's build loop bounces between.
-            let mut bases = (0u64, 0u64, 0u64);
-            sim.try_serial(&mut bases, |w, b| {
-                b.0 = w.map_pages(page_up(n * 16));
-                b.1 = w.map_pages(page_up(card * 2 * 8));
-                b.2 = w.map_pages(page_up(n * 24));
-            })
-            .map_err(|e| e.to_string())?;
-            let (input, dir, heap) = bases;
-            let dir_slots = card * 2;
-            let mut best = u64::MAX;
-            for _ in 0..reps {
-                let t = std::time::Instant::now();
-                // Scan: the batched input read of the build loop
-                // (32 tuples = 512 B per ranged touch).
-                sim.try_parallel(threads, &mut (), |w, _| {
-                    let (start, end) = slice(n, w.tid());
-                    let mut i = start;
-                    while i < end {
-                        let k = (end - i).min(32);
-                        w.touch(input + i * 16, k * 16, Access::Read);
-                        i += k;
-                    }
-                })
-                .map_err(|e| e.to_string())?;
-                // Build. Tuple: per tuple one hash charge, one
-                // directory read, one entry read, one entry write —
-                // W1's upsert + chain push shape. Vec: one direct
-                // perfect-hash slot update per tuple, nothing else.
-                sim.try_parallel(threads, &mut (), |w, _| {
-                    let (start, end) = slice(n, w.tid());
-                    let mut x = seed ^ (0x9e37 + w.tid() as u64);
-                    match engine {
-                        EngineKind::Tuple => {
-                            for _ in start..end {
-                                x = lcg(x);
-                                w.compute(6);
-                                w.touch(dir + (x >> 33) % dir_slots * 8, 8, Access::Read);
-                                x = lcg(x);
-                                let e = heap + (x >> 33) % n * 24;
-                                w.touch(e, 24, Access::Read);
-                                w.touch(e + 8, 16, Access::Write);
-                            }
-                        }
-                        EngineKind::Vectorized => {
-                            for _ in start..end {
-                                x = lcg(x);
-                                w.touch(dir + (x >> 33) % dir_slots * 8, 8, Access::Write);
-                            }
-                        }
-                    }
-                })
-                .map_err(|e| e.to_string())?;
-                // Finalize. Tuple: sequential entry walk + one chain
-                // hop each. Vec: ranged 32-word reads over the slot
-                // array — the batched finalize scan.
-                sim.try_parallel(threads, &mut (), |w, _| {
-                    match engine {
-                        EngineKind::Tuple => {
-                            let (start, end) = slice(n, w.tid());
-                            let mut x = seed ^ (0x51ed + w.tid() as u64);
-                            for i in start..end {
-                                w.touch(heap + i * 24, 24, Access::Read);
-                                x = lcg(x);
-                                w.touch(heap + (x >> 33) % n * 8, 8, Access::Read);
-                            }
-                        }
-                        EngineKind::Vectorized => {
-                            let (start, end) = slice(dir_slots, w.tid());
-                            let mut i = start;
-                            while i < end {
-                                let k = (end - i).min(32);
-                                w.touch(dir + i * 8, k * 8, Access::Read);
-                                i += k;
-                            }
-                        }
-                    }
-                })
-                .map_err(|e| e.to_string())?;
-                best = best.min(t.elapsed().as_nanos() as u64);
-            }
-            let lines = match engine {
-                // scan n/4 + build ~4n + finalize ~3n lines, roughly.
-                EngineKind::Tuple => n * 7 + n / 4,
-                // scan n/4 + build n slot lines + finalize slots/8.
-                EngineKind::Vectorized => n + n / 4 + dir_slots / 8,
-            };
-            (best, lines, format!("w1 n={n} card={card}"))
-        }
-        "w3" => {
-            let r: u64 = num_arg(&flags, "n")?.unwrap_or(200_000);
-            let s_len = r * 16;
-            let mut bases = (0u64, 0u64, 0u64, 0u64);
-            sim.try_serial(&mut bases, |w, b| {
-                b.0 = w.map_pages(page_up(r * 16));
-                b.1 = w.map_pages(page_up(s_len * 16));
-                b.2 = w.map_pages(page_up(r * 2 * 8));
-                b.3 = w.map_pages(page_up(r * 24));
-            })
-            .map_err(|e| e.to_string())?;
-            let (r_arr, s_arr, dir, heap) = bases;
-            let dir_slots = r * 2;
-            let mut best = u64::MAX;
-            for _ in 0..reps {
-                let t = std::time::Instant::now();
-                // Build: scan R, insert each tuple. Tuple: hash charge +
-                // directory read + entry write. Vec: direct tag + payload
-                // slot writes, no hash and no directory indirection.
-                sim.try_parallel(threads, &mut (), |w, _| {
-                    let (start, end) = slice(r, w.tid());
-                    let mut x = seed ^ (0xb10c + w.tid() as u64);
-                    let mut i = start;
-                    while i < end {
-                        let k = (end - i).min(32);
-                        w.touch(r_arr + i * 16, k * 16, Access::Read);
-                        for _ in 0..k {
-                            x = lcg(x);
-                            match engine {
-                                EngineKind::Tuple => {
-                                    w.compute(6);
-                                    w.touch(dir + (x >> 33) % dir_slots * 8, 8, Access::Read);
-                                    x = lcg(x);
-                                    w.touch(heap + (x >> 33) % r * 24, 24, Access::Write);
-                                }
-                                EngineKind::Vectorized => {
-                                    let s = (x >> 33) % r;
-                                    w.touch(dir + s * 8, 8, Access::Write);
-                                    w.touch(heap + s * 8, 8, Access::Write);
-                                }
-                            }
-                        }
-                        i += k;
-                    }
-                })
-                .map_err(|e| e.to_string())?;
-                // Probe: scan S, look each tuple up. Tuple: hash charge +
-                // directory read + entry read per tuple. Vec: ranged key
-                // and value column reads per 32, then one tag read and
-                // one payload gather per tuple.
-                sim.try_parallel(threads, &mut (), |w, _| {
-                    let (start, end) = slice(s_len, w.tid());
-                    let mut x = seed ^ (0x9406 + w.tid() as u64);
-                    let mut i = start;
-                    while i < end {
-                        let k = (end - i).min(32);
-                        match engine {
-                            EngineKind::Tuple => {
-                                w.touch(s_arr + i * 16, k * 16, Access::Read);
-                                for _ in 0..k {
-                                    x = lcg(x);
-                                    w.compute(6);
-                                    w.touch(dir + (x >> 33) % dir_slots * 8, 8, Access::Read);
-                                    x = lcg(x);
-                                    w.touch(heap + (x >> 33) % r * 24, 24, Access::Read);
-                                }
-                            }
-                            EngineKind::Vectorized => {
-                                // Key column run, per-lane tag checks,
-                                // value column run, payload gathers.
-                                w.touch(s_arr + i * 8, k * 8, Access::Read);
-                                let x0 = x;
-                                for _ in 0..k {
-                                    x = lcg(x);
-                                    w.touch(dir + (x >> 33) % r * 8, 8, Access::Read);
-                                }
-                                w.touch(s_arr + s_len * 8 + i * 8, k * 8, Access::Read);
-                                x = x0;
-                                for _ in 0..k {
-                                    x = lcg(x);
-                                    w.touch(heap + (x >> 33) % r * 8, 8, Access::Read);
-                                }
-                            }
-                        }
-                        i += k;
-                    }
-                })
-                .map_err(|e| e.to_string())?;
-                best = best.min(t.elapsed().as_nanos() as u64);
-            }
-            let lines = match engine {
-                EngineKind::Tuple => r * 5 + s_len * 4,
-                EngineKind::Vectorized => r * 3 + s_len * 5 / 2,
-            };
-            (best, lines, format!("w3 r={r}"))
-        }
-        other => return Err(format!("hotpath needs w1 or w3, got `{other}`")),
-    };
-    let cycles = sim.now_cycles();
-    println!(
-        "hotpath {label} machine={} threads={threads} model={model} engine={} reps={reps}",
-        cfg.sim.machine.name,
-        engine.as_str()
-    );
-    println!(
-        "  best {:.1} ms  (~{:.0} ns per simulated line)",
-        best_ns as f64 / 1e6,
-        best_ns as f64 / lines_per_rep as f64
-    );
-    println!("hotpath_ns={best_ns} lines={lines_per_rep} cycles={cycles}");
     Ok(())
 }
 
@@ -1366,7 +1114,10 @@ fn cmd_tpch(args: &[String]) -> Result<(), String> {
         .and_then(|s| s.parse().ok())
         .filter(|q| (1..=22).contains(q))
         .ok_or("tpch needs a query number 1..22")?;
-    let sf = num_arg(&flags, "sf")?.unwrap_or(0.005);
+    let sf: f64 = num_arg(&flags, "sf")?.unwrap_or(0.005);
+    if !(sf.is_finite() && sf > 0.0) {
+        return Err(format!("bad --sf `{}` (need a finite scale factor > 0)", flags["sf"]));
+    }
     let system = match flags.get("system").map(String::as_str).unwrap_or("monetdb") {
         "monetdb" => SystemKind::MonetDbLike,
         "postgresql" | "postgres" => SystemKind::PostgresLike,

@@ -218,34 +218,3 @@ fn sweep_artifacts_identical_under_reference_model() {
     assert_eq!(fast.2.len(), 4, "expected 2 configs x 2 trials of trace artifacts");
     assert_eq!(fast.2, reference.2, "trace artifacts diverge between models");
 }
-
-/// The `hotpath` microbench subcommand reports the same model cycles
-/// under both paths — the number bench.sh cross-checks before it
-/// publishes a speedup.
-#[test]
-fn hotpath_microbench_cycles_identical() {
-    let run = |reference: bool| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_nqp-cli"));
-        cmd.args([
-            "hotpath", "w1", "--machine", "B", "--threads", "4", "--n", "40000", "--card",
-            "4000", "--reps", "1",
-        ]);
-        if reference {
-            cmd.env("NQP_REFERENCE", "1");
-        }
-        let out = cmd.output().unwrap();
-        assert!(out.status.success(), "hotpath failed (reference={reference}): {out:?}");
-        let text = String::from_utf8(out.stdout).unwrap();
-        let last = text.lines().last().unwrap().to_string();
-        let field = |k: &str| {
-            last.split_whitespace()
-                .find_map(|t| t.strip_prefix(k))
-                .unwrap_or_else(|| panic!("missing `{k}` in `{last}`"))
-                .to_string()
-        };
-        (field("cycles="), field("lines="))
-    };
-    let fast = run(false);
-    let reference = run(true);
-    assert_eq!(fast, reference, "hotpath cycles/lines diverge between models");
-}
