@@ -207,32 +207,17 @@ pub fn finish(
     Ok(())
 }
 
-/// FNV-1a hasher with a fixed seed: map iteration order — and therefore
-/// the charged access sequences of the query plans — is identical across
-/// runs, keeping query latencies deterministic.
-#[derive(Default)]
-pub struct DetHasher(u64);
+/// Deterministic hash map used by every query plan, keyed through the
+/// simulator's word-at-a-time mixer ([`nqp_sim::MixBuildHasher`]: one
+/// multiply per 8-byte word, no per-process seed). Iteration order is
+/// fixed across runs but is not a defined order: a plan that charges
+/// the model while iterating a map must iterate its keys sorted (or
+/// allocate addresses that do not depend on the order), so the hasher
+/// moves host time only.
+pub type Map<K, V> = std::collections::HashMap<K, V, nqp_sim::MixBuildHasher>;
 
-impl std::hash::Hasher for DetHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-/// Deterministic hash map used by every query plan.
-pub type Map<K, V> =
-    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<DetHasher>>;
-
-/// Deterministic hash set used by every query plan.
-pub type Set<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<DetHasher>>;
+/// Deterministic hash set used by every query plan (see [`Map`]).
+pub type Set<K> = std::collections::HashSet<K, nqp_sim::MixBuildHasher>;
 
 #[cfg(test)]
 mod tests {

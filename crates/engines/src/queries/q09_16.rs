@@ -647,8 +647,13 @@ pub(super) fn q15(
         .enumerate()
         .map(|(r, &k)| (k, r))
         .collect();
+    // Suppliers tied on `max_rev` are charged below in supplier-key
+    // order, not in `by_supp`'s hash order.
+    let mut top: Vec<(i64, i64)> =
+        by_supp.iter().filter(|&(_, &r)| r == max_rev).map(|(&k, &v)| (k, v)).collect();
+    top.sort_unstable();
     let mut out_rows = Vec::new();
-    for (&sk, &r) in by_supp.iter().filter(|&(_, &r)| r == max_rev).map(|(k, v)| (k, v)).collect::<Vec<_>>() {
+    for (sk, r) in top {
         let sr = skey_to_row[&sk];
         let sup = &db.data.supplier;
         out_rows.push(sr);

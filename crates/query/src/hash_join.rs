@@ -9,7 +9,7 @@
 use crate::hash_table::HashTable;
 use crate::runner::WorkloadEnv;
 use nqp_datagen::JoinDataset;
-use nqp_sim::{Counters, NumaSim, SimError, SimResult};
+use nqp_sim::{Access, Counters, NumaSim, SimError, SimResult};
 use nqp_storage::{SimHeap, TupleArray};
 
 /// Result of one hash-join run.
@@ -80,6 +80,7 @@ pub fn try_run_hash_join_on(env: &WorkloadEnv, data: &JoinDataset) -> SimResult<
         while i < range.end {
             let n = (range.end - i).min(batch.len());
             r_arr.read_run(w, i, &mut batch[..n]);
+            table.prefetch_batch(w, batch[..n].iter().map(|&(key, _)| key), Access::Write);
             for &(key, payload) in &batch[..n] {
                 table.upsert(w, heap, key, payload, |_, _| {});
             }
@@ -99,13 +100,15 @@ pub fn try_run_hash_join_on(env: &WorkloadEnv, data: &JoinDataset) -> SimResult<
         let mut local_matches = 0u64;
         let mut local_sum = 0u64;
         // Tuple-at-once probe scan: the probe side streams through bulk
-        // ranged reads; each hit costs one entry-at-once chain read.
+        // ranged reads; each hit costs one entry-at-once chain read. The
+        // batch's heads and first entries are host-prefetched first.
         let range = s_arr.partition(w.tid(), threads);
         let mut batch = [(0u64, 0u64); 32];
         let mut i = range.start;
         while i < range.end {
             let n = (range.end - i).min(batch.len());
             s_arr.read_run(w, i, &mut batch[..n]);
+            table.prefetch_batch(w, batch[..n].iter().map(|&(key, _)| key), Access::Read);
             for &(key, s_payload) in &batch[..n] {
                 if let Some(r_payload) = table.get(w, key) {
                     local_matches += 1;

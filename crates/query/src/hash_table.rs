@@ -9,7 +9,7 @@
 //! the placement pathology (and Interleave's cure) that Figure 5
 //! measures.
 
-use nqp_sim::{LockId, NumaSim, VAddr, Worker};
+use nqp_sim::{Access, LockId, NumaSim, VAddr, Worker};
 use nqp_storage::SimHeap;
 
 /// Entry layout: `[key: u64][payload: u64][next: u64]`.
@@ -114,6 +114,21 @@ impl HashTable {
             entry = next;
         }
         None
+    }
+
+    /// Group-prefetch the probes of `keys` before any of them is charged
+    /// (host hints only; see [`Worker::prefetch_group`]): their bucket
+    /// heads, then the first chain entries those point to. `access` is
+    /// the intent of the calls that follow — `Read` before `get`/`find`,
+    /// `Write` before `upsert`, whose head store then finds its
+    /// writer-table slot fetched too.
+    pub fn prefetch_batch(
+        &self,
+        w: &Worker<'_>,
+        keys: impl Iterator<Item = u64> + Clone,
+        access: Access,
+    ) {
+        w.prefetch_group(keys.map(|key| self.dir + self.bucket_of(key) * 8), access);
     }
 
     /// Insert-or-update under the stripe lock: if `key` exists, its

@@ -28,7 +28,7 @@ use crate::inl_join::InlOutcome;
 use crate::runner::WorkloadEnv;
 use nqp_datagen::{JoinDataset, Record};
 use nqp_indexes::{build_index, IndexKind};
-use nqp_sim::{NumaSim, SimError, SimResult};
+use nqp_sim::{Access, NumaSim, SimError, SimResult};
 use nqp_storage::{Chain, ColumnArray, ColumnTable, SimHeap, COLUMN_RUN_WORDS};
 
 /// Cost charged per comparison while sorting a group's values (median);
@@ -227,6 +227,11 @@ pub(crate) fn try_run_aggregation_vec(
         while i < srange.end {
             let n = (srange.end - i).min(COLUMN_RUN_WORDS);
             slots.read_run(w, i, &mut buf[..n]);
+            if kind == AggKind::HolisticMedian {
+                // Host hints: the run's chain heads, then their second
+                // nodes, before the walks below charge them in order.
+                w.prefetch_group(buf[..n].iter().copied().filter(|&h| h != 0), Access::Read);
+            }
             for (j, &slot) in buf[..n].iter().enumerate() {
                 if slot == 0 {
                     continue;

@@ -1491,6 +1491,14 @@ impl MemLink<'_> {
     }
 
     #[inline]
+    fn prefetch_bytes(&self, addr: VAddr) {
+        match self {
+            MemLink::Direct(m) => m.prefetch_bytes(addr),
+            MemLink::Shard(v) => v.prefetch_bytes(addr),
+        }
+    }
+
+    #[inline]
     fn write_bytes(&mut self, addr: VAddr, data: &[u8]) {
         match self {
             MemLink::Direct(m) => m.write_bytes(addr, data),
@@ -2017,6 +2025,65 @@ impl<'a> Worker<'a> {
             }
         } else {
             self.touch_run(first, last, access);
+        }
+    }
+
+    /// Group-prefetch hint for a later access to `addr`: issues host
+    /// prefetches for the line's LLC tag slot, its writer-table slot (on
+    /// `Access::Write`), its page-table entry and the stored bytes. An
+    /// operator holding a batch of independent addresses calls this for
+    /// the whole batch before charging any of them, so the host misses
+    /// of the batch overlap (group prefetching, Chen et al., ICDE 2004).
+    ///
+    /// Charges nothing and writes nothing: no clock, counter, heat note,
+    /// trace event or uWalk change, so any program computes the same
+    /// cycles and counters with or without it (DESIGN.md §4e). Safe on
+    /// any address, mapped or not, and a no-op on a poisoned worker.
+    #[inline]
+    pub fn prefetch(&self, addr: VAddr, access: Access) {
+        if self.fault.is_some() {
+            return;
+        }
+        self.prefetch_line(addr / LINE * LINE, access);
+        self.memory.prefetch_bytes(addr);
+    }
+
+    /// Second-level group-prefetch hint: read the `u64` stored at `addr`
+    /// on the host, without charging, and [`Worker::prefetch`] the
+    /// address it holds when that is nonzero — a bucket head's chain
+    /// entry, a slot's chain node. Best after a `prefetch` pass over the
+    /// same batch has pulled `addr`'s bytes in.
+    ///
+    /// The stored value is used only as a prefetch target and never
+    /// returned, so it cannot reach a plan: like `prefetch`, this moves
+    /// host time only. Safe on any address (unwritten bytes read as
+    /// zero, so nothing is followed), a no-op on a poisoned worker.
+    #[inline]
+    pub fn prefetch_deref(&self, addr: VAddr, access: Access) {
+        if self.fault.is_some() || addr > VAddr::MAX - 8 {
+            return;
+        }
+        let mut buf = [0u8; 8];
+        self.memory.read_bytes(addr, &mut buf);
+        let target = u64::from_le_bytes(buf);
+        if target != 0 {
+            self.prefetch(target, access);
+        }
+    }
+
+    /// Group prefetch of a batch of independent addresses: one
+    /// [`Worker::prefetch`] pass over all of `addrs`, then one
+    /// [`Worker::prefetch_deref`] pass, so the first-level misses of the
+    /// whole batch overlap and have landed before their stored pointers
+    /// are read. Call it before the charging loop over the same batch;
+    /// like both hints, it charges and writes nothing.
+    #[inline]
+    pub fn prefetch_group(&self, addrs: impl Iterator<Item = VAddr> + Clone, access: Access) {
+        for addr in addrs.clone() {
+            self.prefetch(addr, access);
+        }
+        for addr in addrs {
+            self.prefetch_deref(addr, access);
         }
     }
 
@@ -3744,6 +3811,104 @@ mod tests {
             assert!(sim.caches == caches, "shards={shards}: LLCs moved");
             assert!(sim.writer_table == writer, "shards={shards}: writer table moved");
             assert!(sim.memory == memory, "shards={shards}: memory moved");
+        }
+    }
+
+    // ---- group-prefetch hints ----------------------------------------
+
+    /// Hint every kind of address: null, unmapped (just past the
+    /// mapping, far past it, and at the top of the address space),
+    /// mapped but never written, and written — `base` holds a pointer to
+    /// an unmapped address, `base + 8` a pointer to `base`. Asserts the
+    /// hints leave the worker's clock and counters where they were.
+    fn hint_everywhere(w: &Worker<'_>, base: VAddr) {
+        let before = (w.clock(), w.thread_counters());
+        let addrs = [
+            0,
+            base,
+            base + 8,
+            base + 3 * SMALL_PAGE,
+            base + 4 * SMALL_PAGE,
+            base + (1 << 40),
+            VAddr::MAX - 8,
+            VAddr::MAX,
+        ];
+        for access in [Access::Read, Access::Write] {
+            for addr in addrs {
+                w.prefetch(addr, access);
+                w.prefetch_deref(addr, access);
+            }
+            w.prefetch_group(addrs.into_iter(), access);
+        }
+        assert_eq!((w.clock(), w.thread_counters()), before, "a hint charged");
+    }
+
+    /// A simulator with four pages mapped at `base`, the first written
+    /// with two pointers (see [`hint_everywhere`]).
+    fn hint_sim(shards: usize) -> (NumaSim, VAddr) {
+        let mut sim = NumaSim::new(quiet_cfg(machines::machine_b()).with_shards(shards));
+        let mut base = 0;
+        sim.try_serial(&mut base, |w, base| {
+            *base = w.map_pages(4 * SMALL_PAGE);
+            w.write_u64(*base, *base + (1 << 40));
+            w.write_u64(*base + 8, *base);
+        })
+        .unwrap();
+        (sim, base)
+    }
+
+    #[test]
+    fn prefetch_hints_charge_and_change_nothing_on_either_link() {
+        // `sharded`: the shard-view link (`try_parallel_sharded`, 1 and
+        // 2 host shards) or the direct link (`try_parallel`).
+        for (shards, sharded) in [(1, false), (1, true), (2, true)] {
+            let run = |hints: bool| {
+                let (mut sim, base) = hint_sim(shards);
+                let body = |w: &mut Worker<'_>| {
+                    if hints {
+                        hint_everywhere(w, base);
+                    }
+                    let held = w.read_u64(base + 8);
+                    w.touch(base + 3 * SMALL_PAGE, LINE, Access::Read);
+                    if hints {
+                        hint_everywhere(w, base);
+                    }
+                    held
+                };
+                let held = if sharded {
+                    sim.try_parallel_sharded(2, &(), |w, ()| body(w)).unwrap().1
+                } else {
+                    let mut held = Vec::new();
+                    sim.try_parallel(2, &mut held, |w, held| held.push(body(w))).unwrap();
+                    held
+                };
+                assert_eq!(held, vec![base; 2], "shards={shards} sharded={sharded}");
+                sim
+            };
+            let (plain, hinted) = (run(false), run(true));
+            let tag = format!("shards={shards} sharded={sharded}");
+            assert_eq!(hinted.now_cycles(), plain.now_cycles(), "{tag}: cycles");
+            assert_eq!(hinted.counters(), plain.counters(), "{tag}: counters");
+            assert!(hinted.memory == plain.memory, "{tag}: memory");
+            assert!(hinted.caches == plain.caches, "{tag}: LLCs");
+            assert!(hinted.writer_table == plain.writer_table, "{tag}: writer table");
+        }
+    }
+
+    #[test]
+    fn prefetch_hints_on_a_poisoned_worker_are_no_ops() {
+        for (shards, sharded) in [(1, false), (2, true)] {
+            let (mut sim, base) = hint_sim(shards);
+            let body = |w: &mut Worker<'_>| {
+                w.fail(SimError::Harness { what: "injected".into() });
+                hint_everywhere(w, base);
+            };
+            let out = if sharded {
+                sim.try_parallel_sharded(2, &(), |w, ()| body(w)).map(|_| ())
+            } else {
+                sim.try_parallel(2, &mut (), |w, ()| body(w)).map(|_| ())
+            };
+            assert!(matches!(out, Err(SimError::Harness { .. })), "shards={shards}");
         }
     }
 }

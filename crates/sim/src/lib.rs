@@ -71,6 +71,7 @@ pub use fault::{ActiveFaults, FaultEvent, FaultKind, FaultPlan};
 pub use lock::LockId;
 pub use mem::{VAddr, HUGE_PAGE, LINE, PAGES_PER_HUGE, SMALL_PAGE};
 pub use metrics::{Bottleneck, Counters, RegionStats};
+pub use mix::{MixBuildHasher, MixHasher};
 pub use tlb::Tlb;
 pub use trace::{
     EpochSample, PhaseSpan, TraceConfig, TraceEvent, TraceLog, TraceRecord, NO_TID,

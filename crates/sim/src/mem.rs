@@ -722,6 +722,14 @@ impl Memory {
         self.data.read(addr, out);
     }
 
+    /// Prefetch the host cache line holding the stored byte at `addr`.
+    /// A pure latency hint: never-written and unmapped addresses hold no
+    /// bytes and issue nothing.
+    #[inline]
+    pub fn prefetch_bytes(&self, addr: VAddr) {
+        self.data.prefetch(addr);
+    }
+
     /// 4 KB pages of host memory holding written bytes.
     pub fn data_pages(&self) -> u64 {
         self.data.len() as u64
@@ -822,6 +830,17 @@ impl PageStore {
                 None => dst.fill(0),
             }
         });
+    }
+
+    /// Prefetch the pool line holding the byte at `addr`; `false` when
+    /// its page was never written (nothing is stored to fetch).
+    #[inline]
+    fn prefetch(&self, addr: VAddr) -> bool {
+        let Some(i) = self.slot((addr / SMALL_PAGE) as usize) else {
+            return false;
+        };
+        crate::mix::prefetch(&self.pool(i)[(addr % SMALL_PAGE) as usize]);
+        true
     }
 
     /// Store `data` at `addr`. Zeros written to a never-written page
@@ -1138,6 +1157,15 @@ impl<'a> ShardMemView<'a> {
         self.base.prefetch_page(addr);
     }
 
+    /// Host prefetch hint for the stored byte at `addr`: the overlay
+    /// page when this worker wrote it, else the frozen base page.
+    #[inline]
+    pub fn prefetch_bytes(&self, addr: VAddr) {
+        if !self.data.prefetch(addr) {
+            self.base.data.prefetch(addr);
+        }
+    }
+
     /// Write raw bytes into the copy-on-write overlay.
     #[inline]
     pub fn write_bytes(&mut self, addr: VAddr, data: &[u8]) {
@@ -1399,6 +1427,27 @@ mod tests {
         let mut buf = [0u8; 5];
         m.read_bytes(a + 9, &mut buf);
         assert_eq!(buf, [0, 1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn byte_prefetch_finds_overlay_then_base_and_skips_unwritten_pages() {
+        let mut m = mem();
+        let a = m.map(3 * SMALL_PAGE, MemPolicy::FirstTouch, 0, false).unwrap();
+        m.write_bytes(a, &[7]);
+        let before = m.clone();
+        assert!(m.data.prefetch(a + 100), "written page");
+        assert!(!m.data.prefetch(a + SMALL_PAGE), "mapped, never written");
+        assert!(!m.data.prefetch(0) && !m.data.prefetch(VAddr::MAX), "unmapped");
+        let mut view = ShardMemView::new(&m);
+        view.write_bytes(a + SMALL_PAGE, &[9]);
+        assert!(view.data.prefetch(a + SMALL_PAGE), "overlay page");
+        assert!(!view.data.prefetch(a), "base-only page falls through");
+        for addr in [0, a, a + SMALL_PAGE, a + 2 * SMALL_PAGE, VAddr::MAX] {
+            m.prefetch_bytes(addr);
+            view.prefetch_bytes(addr);
+        }
+        drop(view);
+        assert!(m == before, "a byte prefetch changed memory");
     }
 
     #[test]

@@ -22,13 +22,14 @@ pub(crate) const fn xor_mul_shift(mut x: u64, pre: u32, mult: u64, post: u32) ->
 }
 
 /// A cheap deterministic hasher for host-side maps keyed by integers
-/// or short byte strings (the per-worker page heat map): one
-/// multiply per 8-byte word and one finalization round, where std's
-/// `RandomState` runs SipHash with a per-process seed. Only host time
-/// depends on it — every map it keys is either sorted before use or
-/// only looked up — so it cannot move a model result.
+/// or short byte strings (the per-worker page heat map, the query
+/// plans' maps): one multiply per 8-byte word and one finalization
+/// round, where std's `RandomState` runs SipHash with a per-process
+/// seed. Only host time depends on it — every map it keys is either
+/// sorted before use, only looked up, or iterated where the order
+/// cannot reach a charge — so it cannot move a model result.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct MixHasher(u64);
+pub struct MixHasher(u64);
 
 impl std::hash::Hasher for MixHasher {
     #[inline]
@@ -52,7 +53,7 @@ impl std::hash::Hasher for MixHasher {
 }
 
 /// `HashMap`/`HashSet` builder for [`MixHasher`].
-pub(crate) type MixBuildHasher = std::hash::BuildHasherDefault<MixHasher>;
+pub type MixBuildHasher = std::hash::BuildHasherDefault<MixHasher>;
 
 /// Hint the host CPU to pull `r`'s cache line closer.
 ///

@@ -202,13 +202,25 @@ diff "$SMOKE/afull.txt" "$SMOKE/aresumed.txt"
 # reconstruct the crossed grid itself.
 TARGS=(sweep w3 --machine machine_b_cxl --threads 4 --n 6000 --trials 2
        --tier none+hot-watermark:pwm=2)
-"$CLI" "${TARGS[@]}" --csv "$SMOKE/ta.csv" > "$SMOKE/tfull.txt"
+"$CLI" "${TARGS[@]}" --csv "$SMOKE/ta.csv" --trace-dir "$SMOKE/ttrace" > "$SMOKE/tfull.txt"
 "$CLI" "${TARGS[@]}" --journal "$SMOKE/tj.jsonl" --max-cells 2 > /dev/null 2> "$SMOKE/tpart.err"
 grep -q "interrupted" "$SMOKE/tpart.err"
 "$CLI" "${TARGS[@]}" --resume "$SMOKE/tj.jsonl" --csv "$SMOKE/tb.csv" > "$SMOKE/tresumed.txt" 2> /dev/null
 diff "$SMOKE/tfull.txt" "$SMOKE/tresumed.txt"
 diff "$SMOKE/ta.csv" "$SMOKE/tb.csv"
 grep -q "tier=hot-watermark" "$SMOKE/tfull.txt"
+# The same grid is the tiered-join path (slow-tier writes, the tier
+# daemon, group-prefetched probes), so the fast-path and sharded gates
+# apply to it too: the reference model (NQP_REFERENCE=1) and --shards 2
+# must leave stdout, CSV and every trace artifact of the fast-path run
+# above (--trace-dir does not change its stdout) byte-identical.
+NQP_REFERENCE=1 "$CLI" "${TARGS[@]}" --csv "$SMOKE/tt-ref.csv" --trace-dir "$SMOKE/tt-ref" > "$SMOKE/tt-ref.txt"
+"$CLI" "${TARGS[@]}" --shards 2 --csv "$SMOKE/tt-s2.csv" --trace-dir "$SMOKE/tt-s2" > "$SMOKE/tt-s2.txt"
+for side in ref s2; do
+  diff "$SMOKE/tfull.txt" "$SMOKE/tt-$side.txt"
+  diff "$SMOKE/ta.csv" "$SMOKE/tt-$side.csv"
+  diff -r "$SMOKE/ttrace" "$SMOKE/tt-$side"
+done
 
 # Malformed --tier specs and unknown machines are typed BadSpec errors:
 # nonzero exit, the flag and token named — never a panic.

@@ -55,17 +55,28 @@ fn config(idx: usize) -> SimConfig {
 
 /// Interpret the op program inside a worker. Every worker starts with
 /// one 16-page arena and grows/shrinks a local region list, so maps,
-/// unmaps, ranged touches, typed reads/writes, RMWs, DMA bursts and
-/// interleaved line-by-line streams mix — with addresses perturbed per
-/// thread.
-fn run_ops(w: &mut nqp::sim::Worker<'_>, ops: &[Op]) {
+/// unmaps, ranged touches, typed reads/writes, RMWs, DMA bursts,
+/// interleaved line-by-line streams and batched probes mix — with
+/// addresses perturbed per thread. With `hints`, group-prefetch hints
+/// are interleaved everywhere: `prefetch` / `prefetch_deref` before
+/// each op on its address and on the raw operand words (mostly unmapped
+/// addresses), and `prefetch_group` over the batched probe's slots.
+/// Hints must not change anything the program observes.
+fn run_ops(w: &mut nqp::sim::Worker<'_>, ops: &[Op], hints: bool) {
     let mut regions: Vec<(u64, u64)> = vec![(w.map_pages(SMALL_PAGE * 16), SMALL_PAGE * 16)];
     let salt = w.tid() as u64 * 0x9e37_79b9;
     for &(op, a, b) in ops {
         let (base, bytes) = regions[(a.wrapping_add(salt) % regions.len() as u64) as usize];
         // Keep 640 bytes of headroom so multi-word accesses stay mapped.
         let off = b.wrapping_add(salt) % (bytes - 640);
-        match op % 8 {
+        if hints {
+            let access = if op & 1 == 1 { Access::Write } else { Access::Read };
+            w.prefetch(base + off, access);
+            w.prefetch_deref(base + (off & !7), access);
+            w.prefetch(a, access);
+            w.prefetch_deref(b, access);
+        }
+        match op % 9 {
             0 => w.touch(base + off, a % 600 + 1, Access::Read),
             1 => w.touch(base + off, b % 600 + 1, Access::Write),
             2 => {
@@ -90,6 +101,19 @@ fn run_ops(w: &mut nqp::sim::Worker<'_>, ops: &[Op]) {
             }
             6 => {
                 w.write_u64_run(base + (off & !7), &[a, b, a ^ b]);
+            }
+            7 => {
+                // Batched probe: eight independent slots, hinted as a
+                // group (heads, then what they hold), then charged in
+                // order; the last slot is written with what was read.
+                let slots: Vec<u64> = (0..8u32)
+                    .map(|k| base + (b.rotate_left(k * 7).wrapping_add(salt) % (bytes - 640) & !7))
+                    .collect();
+                if hints {
+                    w.prefetch_group(slots.iter().copied(), Access::Read);
+                }
+                let sum = slots.iter().fold(a, |acc, &slot| acc.wrapping_add(w.read_u64(slot)));
+                w.write_u64(slots[7], sum);
             }
             _ => {
                 // Interleaved streams: 2–3 cursors each advance one line
@@ -128,12 +152,13 @@ fn observe(
     threads: usize,
     ops: &[Op],
     reference: bool,
+    hints: bool,
 ) -> (u64, nqp::sim::Counters, Vec<(u64, nqp::sim::Counters)>, Option<nqp::sim::TraceLog>) {
     let mut sim = NumaSim::new(cfg.with_reference_model(reference));
     let mut stats = Vec::new();
     let mut shared = ops.to_vec();
     for _ in 0..2 {
-        let s = sim.try_parallel(threads, &mut shared, |w, ops| run_ops(w, ops))
+        let s = sim.try_parallel(threads, &mut shared, |w, ops| run_ops(w, ops, hints))
             .expect("fault-free region");
         stats.push((s.elapsed_cycles, s.counters));
     }
@@ -154,12 +179,29 @@ proptest! {
         cfg_idx in 0usize..4,
         threads in 1usize..5,
     ) {
-        let fast = observe(config(cfg_idx), threads, &ops, false);
-        let reference = observe(config(cfg_idx), threads, &ops, true);
+        let fast = observe(config(cfg_idx), threads, &ops, false, false);
+        let reference = observe(config(cfg_idx), threads, &ops, true, false);
         prop_assert_eq!(fast.0, reference.0, "final clock diverges");
         prop_assert_eq!(fast.1, reference.1, "counters diverge");
         prop_assert_eq!(fast.2, reference.2, "per-region stats diverge");
         prop_assert_eq!(fast.3, reference.3, "trace logs diverge");
+    }
+
+    /// Group-prefetch hints are pure: the same program with hints
+    /// interleaved (batched probes included) produces the cycles,
+    /// counters, per-region stats and trace log of the program without
+    /// them, on the fast path and on the reference model alike.
+    #[test]
+    fn prefetch_hints_change_nothing(
+        ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..80),
+        cfg_idx in 0usize..4,
+        threads in 1usize..5,
+    ) {
+        let plain = observe(config(cfg_idx), threads, &ops, false, false);
+        let hinted = observe(config(cfg_idx), threads, &ops, false, true);
+        let hinted_reference = observe(config(cfg_idx), threads, &ops, true, true);
+        prop_assert_eq!(&hinted, &plain, "hints moved the fast path");
+        prop_assert_eq!(&hinted_reference, &plain, "hinted reference diverges from the fast path");
     }
 }
 

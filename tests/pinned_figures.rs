@@ -1,6 +1,6 @@
 //! Pinned model figures: the deterministic headline numbers of the
 //! sweep, serve, online-advisor and tiering studies that EXPERIMENTS.md
-//! quotes.
+//! quotes, plus a digest of every TPC-H query's cycles and counters.
 //!
 //! Every figure here is a model-cycle or model-counter value, a pure
 //! function of the cost model, the presets and the seed — host speed,
@@ -16,9 +16,11 @@
 //! this test's failure message.
 
 use nqp::core::{advisor_contender, cross_grid, preset_configs, TuningConfig};
+use nqp::datagen::tpch::TpchData;
+use nqp::engines::{DbSystem, SystemKind, QUERY_COUNT};
 use nqp::indexes::IndexKind;
 use nqp::query::plan::{PlanSpec, WorkloadPlan};
-use nqp::query::EngineKind;
+use nqp::query::{EngineKind, WorkloadEnv};
 use nqp::sim::{Counters, MemPolicy};
 use nqp::tier::TierSpec;
 use nqp::topology::{machines, MachineSpec};
@@ -164,4 +166,41 @@ fn serve_burst_tail_and_shed() {
     let want = [("os-default (+flags)", 9_609_033, 4, 146), ("tuned (+flags)", 7_660_859, 1, 146)]
         .map(|(name, p99, shed, arrivals)| (name.to_string(), p99, shed, arrivals));
     assert_eq!(got, want, "serve p99/shed moved; got {got:?}\n{text}");
+}
+
+/// Q1–Q22 on all five engine profiles at SF 0.004, machine B OS
+/// defaults, 4 threads: FNV-1a over the `Debug` rendering of each
+/// system's per-query `(latency_cycles, cumulative counters)`. A plan
+/// whose charges follow host map order (rather than a defined order)
+/// moves this digest when the plans' hasher changes.
+#[test]
+fn tpch_queries_on_every_profile() {
+    let fnv = |text: &str| {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let data = TpchData::generate(0.004, 42);
+    let env = WorkloadEnv::os_default(machine("B")).with_threads(4);
+    let got: Vec<(SystemKind, u64)> = SystemKind::ALL
+        .into_iter()
+        .map(|system| {
+            let mut db = DbSystem::boot(system, &env, &data);
+            let runs: Vec<(u64, Counters)> = (1..=QUERY_COUNT)
+                .map(|q| {
+                    let out = db.try_run(q).expect("a fault-free query");
+                    (out.latency_cycles, db.counters())
+                })
+                .collect();
+            (system, fnv(&format!("{runs:?}")))
+        })
+        .collect();
+    let want = [
+        (SystemKind::MonetDbLike, 0xd825_2712_f08a_e227),
+        (SystemKind::PostgresLike, 0x4bd8_9419_a4d3_73f5),
+        (SystemKind::MySqlLike, 0xbc0d_8a3f_3b2e_41bb),
+        (SystemKind::DbmsX, 0x870d_caa3_574a_84fe),
+        (SystemKind::QuickstepLike, 0x1a11_0e08_2c84_f917),
+    ];
+    assert_eq!(got, want, "TPC-H cycles or counters moved; got {got:#x?}");
 }
