@@ -28,7 +28,9 @@ use crate::config::{MemPolicy, SimConfig};
 use crate::error::{SimError, SimResult};
 use crate::fault::{ActiveFaults, FaultPlan};
 use crate::lock::{resolve_waits, LockId, LockTable, ThreadLockUse};
-use crate::mem::{MemDelta, Memory, ShardMemView, TouchResolution, VAddr, LINE, SMALL_PAGE};
+use crate::mem::{
+    tlb_tag, MemDelta, Memory, PageTable, ShardMemView, TouchResolution, VAddr, LINE, SMALL_PAGE,
+};
 use crate::mix::MixBuildHasher;
 use crate::metrics::{Bottleneck, Counters, RegionStats};
 use crate::sched::{plan_region, ThreadSchedule};
@@ -354,11 +356,7 @@ impl NumaSim {
         let schedules = std::mem::take(&mut setup.schedules);
         let mut finished: Vec<ThreadOutcome2> = Vec::with_capacity(threads);
         for (tid, sched) in schedules.into_iter().enumerate() {
-            let (tlb4, tlb2) = std::mem::replace(
-                &mut self.tlbs[tid],
-                (Tlb::new(0), Tlb::new(0)),
-            );
-            let l1 = std::mem::replace(&mut self.l1s[tid], Tlb::new(0));
+            let seat = self.take_seat(tid, sched);
             let trace = match self.trace.as_deref_mut() {
                 Some(t) => TraceLink::Live(t),
                 None => TraceLink::Off,
@@ -367,11 +365,7 @@ impl NumaSim {
                 &self.cfg,
                 &self.link_paths,
                 &setup,
-                tid,
-                sched,
-                tlb4,
-                tlb2,
-                l1,
+                seat,
                 MemLink::Direct(&mut self.memory),
                 CacheLink::Direct(&mut self.caches),
                 WriterLink::Direct(&mut self.writer_table),
@@ -381,14 +375,8 @@ impl NumaSim {
             );
             f(&mut w, shared);
             let outcome = w.finish();
-            self.tlbs[tid] = (outcome.tlb4, outcome.tlb2);
-            self.l1s[tid] = outcome.l1;
-            if setup.unpinned {
-                let mut sched = outcome.sched;
-                sched.rebase(outcome.stats.clock);
-                self.sched_plans[tid] = sched;
-            }
-            finished.push(outcome.stats);
+            let (stats, _) = self.return_seat(tid, setup.unpinned, outcome);
+            finished.push(stats);
         }
 
         if let Some(e) = self.region_fault(&finished) {
@@ -452,15 +440,11 @@ impl NumaSim {
 
         // Pull per-thread host state out so seats can move across host
         // threads; restored from the outcomes below.
-        let mut seats: Vec<Seat> = Vec::with_capacity(threads);
-        for (tid, sched) in schedules.into_iter().enumerate() {
-            let (tlb4, tlb2) = std::mem::replace(
-                &mut self.tlbs[tid],
-                (Tlb::new(0), Tlb::new(0)),
-            );
-            let l1 = std::mem::replace(&mut self.l1s[tid], Tlb::new(0));
-            seats.push((tid, sched, tlb4, tlb2, l1));
-        }
+        let seats: Vec<Seat> = schedules
+            .into_iter()
+            .enumerate()
+            .map(|(tid, sched)| self.take_seat(tid, sched))
+            .collect();
         // Contiguous balanced tid chunks, one per host shard; collecting
         // results in shard order is collecting them in ascending-tid
         // order.
@@ -486,7 +470,7 @@ impl NumaSim {
             // touches that node (only the last toucher's survives the
             // merge).
             let mut last_toucher: Vec<Option<usize>> = vec![None; arena.caches.len()];
-            for (tid, sched, tlb4, tlb2, l1) in chunk {
+            for seat in chunk {
                 let trace = if trace_on {
                     TraceLink::Buffer(Vec::new())
                 } else {
@@ -497,11 +481,7 @@ impl NumaSim {
                     cfg,
                     link_paths,
                     setup_ref,
-                    tid,
-                    sched,
-                    tlb4,
-                    tlb2,
-                    l1,
+                    seat,
                     MemLink::Shard(ShardMemView::new(memory)),
                     caches,
                     writer,
@@ -586,14 +566,7 @@ impl NumaSim {
         let mut deltas: Vec<ShardDelta> = Vec::with_capacity(threads);
         let mut returns: Vec<R> = Vec::with_capacity(threads);
         for (tid, (outcome, r)) in outcomes.into_iter().enumerate() {
-            let ThreadOutcome { stats, tlb4, tlb2, l1, sched, shard } = outcome;
-            self.tlbs[tid] = (tlb4, tlb2);
-            self.l1s[tid] = l1;
-            if setup.unpinned {
-                let mut sched = sched;
-                sched.rebase(stats.clock);
-                self.sched_plans[tid] = sched;
-            }
+            let (stats, shard) = self.return_seat(tid, setup.unpinned, outcome);
             match shard {
                 Some(delta) => deltas.push(delta),
                 // Unreachable by construction (every seat runs behind
@@ -645,6 +618,35 @@ impl NumaSim {
         let stats = self.resolve(setup.region, finished, setup.total_cores, &setup.active);
         self.run_hook(setup.region, &stats, &setup.active, &heat)?;
         Ok((stats, returns))
+    }
+
+    /// Take `tid`'s TLBs and L1 out of the simulator into a seat for
+    /// one region worker; [`NumaSim::return_seat`] puts them back. Shared
+    /// by the serial and sharded paths, like [`make_worker`].
+    fn take_seat(&mut self, tid: usize, sched: ThreadSchedule) -> Seat {
+        let (tlb4, tlb2) = std::mem::replace(&mut self.tlbs[tid], (Tlb::new(0), Tlb::new(0)));
+        let l1 = std::mem::replace(&mut self.l1s[tid], Tlb::new(0));
+        (tid, sched, tlb4, tlb2, l1)
+    }
+
+    /// Restore a finished worker's TLBs and L1 to `tid` and, when the
+    /// region's threads are unpinned, carry its schedule forward from
+    /// its clock. Returns the worker's stats and its merge delta (a
+    /// sharded worker's only).
+    fn return_seat(
+        &mut self,
+        tid: usize,
+        unpinned: bool,
+        outcome: ThreadOutcome,
+    ) -> (ThreadOutcome2, Option<ShardDelta>) {
+        let ThreadOutcome { stats, tlb4, tlb2, l1, mut sched, shard } = outcome;
+        self.tlbs[tid] = (tlb4, tlb2);
+        self.l1s[tid] = l1;
+        if unpinned {
+            sched.rebase(stats.clock);
+            self.sched_plans[tid] = sched;
+        }
+        (stats, shard)
     }
 
     /// Region fault precedence, shared by the serial and sharded paths.
@@ -1299,8 +1301,9 @@ struct ThreadOutcome {
     shard: Option<ShardDelta>,
 }
 
-/// A seat is the per-logical-thread host state a sharded region moves
-/// onto whichever host thread runs that worker.
+/// A seat is one logical thread's host state, handed to its region
+/// worker and back; a sharded region moves it onto whichever host
+/// thread runs that worker.
 type Seat = (usize, ThreadSchedule, Tlb, Tlb, Tlb);
 
 /// Region prologue products shared by the serial and sharded paths.
@@ -1328,11 +1331,7 @@ fn make_worker<'a>(
     cfg: &'a SimConfig,
     link_paths: &'a Vec<Vec<Vec<u16>>>,
     setup: &'a RegionSetup,
-    tid: usize,
-    sched: ThreadSchedule,
-    tlb4: Tlb,
-    tlb2: Tlb,
-    l1: Tlb,
+    seat: Seat,
     memory: MemLink<'a>,
     caches: CacheLink<'a>,
     writer_table: WriterLink<'a>,
@@ -1340,6 +1339,7 @@ fn make_worker<'a>(
     num_links: usize,
     sim_now: u64,
 ) -> Worker<'a> {
+    let (tid, sched, tlb4, tlb2, l1) = seat;
     let core = sched.initial_core();
     let node = cfg.machine.node_of_core(core);
     let mut w = Worker {
@@ -1403,8 +1403,10 @@ fn make_worker<'a>(
 
 /// Worker handle on simulated memory: direct mutable access on the
 /// serial path, an isolated copy-on-write view on the sharded path.
-/// The forwarding methods mirror [`Memory`]'s signatures exactly so
-/// `Worker` bodies compile unchanged against either.
+/// Each operation is one match whose arms call the same rule — a
+/// [`PageTable`] default method, or the byte store's one read rule —
+/// over either store, so the two paths cannot drift apart; only the
+/// copy-on-write `write_bytes` differs, and mapping is serial-only.
 enum MemLink<'a> {
     Direct(&'a mut Memory),
     Shard(ShardMemView<'a>),
@@ -1471,14 +1473,6 @@ impl MemLink<'_> {
         match self {
             MemLink::Direct(m) => m.hint_fault_due(addr, epoch),
             MemLink::Shard(v) => v.hint_fault_due(addr, epoch),
-        }
-    }
-
-    #[inline]
-    fn tlb_tag(&self, addr: VAddr, huge: bool) -> u64 {
-        match self {
-            MemLink::Direct(m) => m.tlb_tag(addr, huge),
-            MemLink::Shard(v) => v.tlb_tag(addr, huge),
         }
     }
 
@@ -2200,7 +2194,7 @@ impl<'a> Worker<'a> {
         }
 
         // TLB.
-        let tag = self.memory.tlb_tag(line_addr, res.huge);
+        let tag = tlb_tag(line_addr, res.huge);
         let (hit, walk) = if res.huge {
             (self.tlb2.access(tag), costs.walk_2m_cycles)
         } else {
@@ -2416,7 +2410,7 @@ impl<'a> Worker<'a> {
         if self.uwalk.tlb_ok {
             self.counters.tlb_hits += 1;
         } else {
-            let tag = self.memory.tlb_tag(line_addr, huge);
+            let tag = tlb_tag(line_addr, huge);
             let (hit, walk) = if huge {
                 (self.tlb2.access(tag), costs.walk_2m_cycles)
             } else {

@@ -4,6 +4,7 @@
 use crate::config::MemPolicy;
 use crate::error::{SimError, SimResult};
 use nqp_topology::{MachineSpec, NodeId};
+use std::ops::Range;
 
 /// Small (default) page size: 4 KB.
 pub const SMALL_PAGE: u64 = 4096;
@@ -86,20 +87,38 @@ pub struct Memory {
     /// Next unmapped virtual address (bump-allocated address space).
     next: VAddr,
     node_used_pages: Vec<u64>,
-    /// Per-node page budget: slow-tier nodes (CXL expanders, NVM banks)
-    /// are usually far larger than the DRAM nodes in front of them.
-    node_capacity_pages: Vec<u64>,
+    nodes: Nodes,
     /// Which nodes hold slow-tier memory (`MemTier::SlowTier`), for the
     /// tier daemon's promote/demote page walks.
     slow_node: Vec<bool>,
     /// Round-robin cursor for the Interleave policy.
     interleave_cursor: usize,
     num_nodes: usize,
+}
+
+/// The region facts every placement reads. They change only in serial
+/// code (a node going offline), so a sharded region's views read the
+/// base's.
+#[derive(Debug)]
+#[cfg_attr(test, derive(Clone, PartialEq))]
+pub(crate) struct Nodes {
     /// Nearest-node fallback orders, precomputed per node.
     fallback: Vec<Vec<NodeId>>,
     /// Nodes whose memory controller is offline (node-outage fault).
     /// Offline nodes hold no pages and are skipped by every placement.
     offline: Vec<bool>,
+    /// Per-node page budget: slow-tier nodes (CXL expanders, NVM banks)
+    /// are usually far larger than the DRAM nodes in front of them.
+    capacity_pages: Vec<u64>,
+}
+
+impl Nodes {
+    /// Whether `node` has room for `unit_pages` more pages when `used`
+    /// pages per node are taken (offline or not: callers check that).
+    #[inline]
+    fn fits(&self, used: &[u64], node: NodeId, unit_pages: u64) -> bool {
+        used[node] + unit_pages <= self.capacity_pages[node]
+    }
 }
 
 impl Memory {
@@ -115,14 +134,16 @@ impl Memory {
             // Leave page 0 unmapped so address 0 acts as null.
             next: SMALL_PAGE,
             node_used_pages: vec![0; num_nodes],
-            node_capacity_pages: (0..num_nodes)
-                .map(|n| machine.mem_bytes_of_node(n) / SMALL_PAGE)
-                .collect(),
+            nodes: Nodes {
+                fallback,
+                offline: vec![false; num_nodes],
+                capacity_pages: (0..num_nodes)
+                    .map(|n| machine.mem_bytes_of_node(n) / SMALL_PAGE)
+                    .collect(),
+            },
             slow_node: (0..num_nodes).map(|n| machine.is_slow_tier(n)).collect(),
             interleave_cursor: 0,
             num_nodes,
-            fallback,
-            offline: vec![false; num_nodes],
         }
     }
 
@@ -268,10 +289,10 @@ impl Memory {
             MemPolicy::Bind(b) => {
                 // Strict membind: the bound node or failure, no fallback.
                 let node = b.min(self.num_nodes - 1);
-                if self.offline[node] {
+                if self.nodes.offline[node] {
                     return Err(SimError::NodeOffline { node });
                 }
-                if self.node_used_pages[node] + unit_pages > self.node_capacity_pages[node] {
+                if !self.nodes.fits(&self.node_used_pages, node, unit_pages) {
                     return Err(SimError::OutOfMemory {
                         node,
                         requested_pages: unit_pages,
@@ -293,170 +314,12 @@ impl Memory {
         Ok(Some(node))
     }
 
-    /// Nearest *live* node to `desired` (zone order) with room for
-    /// `unit_pages` more pages; `None` when every live node is full — the
-    /// model of a real kernel OOM.
-    fn node_with_space(&self, desired: NodeId, unit_pages: u64) -> Option<NodeId> {
-        self.fallback[desired].iter().copied().find(|&n| {
-            !self.offline[n]
-                && self.node_used_pages[n] + unit_pages <= self.node_capacity_pages[n]
-        })
-    }
-
-    /// Resolve a touch by `toucher_node` at `addr`: performs First Touch
-    /// assignment and minor-fault bookkeeping, returns where the access is
-    /// served from. Does **not** apply AutoNUMA (the engine layers that on
-    /// top so it can charge migration costs).
-    ///
-    /// Fails with [`SimError::InvalidMapping`] on touches outside any live
-    /// mapping (previously a `debug_assert!` that silently mis-resolved in
-    /// release builds) and [`SimError::OutOfMemory`] when a deferred
-    /// First-Touch assignment finds every node full.
     /// Prefetch the host cache line holding `addr`'s page-table entry.
     /// A pure latency hint; resolves nothing and mutates nothing.
     #[inline]
     pub fn prefetch_page(&self, addr: VAddr) {
         if let Some(e) = self.pages.get((addr / SMALL_PAGE) as usize) {
             crate::mix::prefetch(e);
-        }
-    }
-
-    #[inline]
-    pub fn resolve_touch(
-        &mut self,
-        addr: VAddr,
-        toucher_node: NodeId,
-    ) -> SimResult<TouchResolution> {
-        let page = (addr / SMALL_PAGE) as usize;
-        let e = *self
-            .pages
-            .get(page)
-            .filter(|e| e.mapped)
-            .ok_or(SimError::InvalidMapping { addr })?;
-        if e.faulted {
-            return Ok(TouchResolution {
-                node: e.node as NodeId,
-                faulted: false,
-                huge: e.huge,
-                fault_pages: 0,
-            });
-        }
-        // Fault path: assign a node if First Touch deferred it, then mark
-        // the fault unit (whole huge frame, or one small page) as faulted.
-        let node = if e.node == NO_NODE {
-            let unit = if e.huge { PAGES_PER_HUGE } else { 1 };
-            let n = self.node_with_space(toucher_node, unit).ok_or(
-                SimError::OutOfMemory { node: toucher_node, requested_pages: unit },
-            )?;
-            self.node_used_pages[n] += unit;
-            n
-        } else {
-            e.node as NodeId
-        };
-        let (start, count) = if e.huge {
-            let start = page - page % PAGES_PER_HUGE as usize;
-            (start, PAGES_PER_HUGE as usize)
-        } else {
-            (page, 1)
-        };
-        for p in start..start + count {
-            self.pages[p].node = node as u8;
-            self.pages[p].faulted = true;
-        }
-        Ok(TouchResolution { node, faulted: true, huge: e.huge, fault_pages: count as u64 })
-    }
-
-    /// AutoNUMA bookkeeping for one touch. Returns `(migrated_pages,
-    /// blocked)`: the number of 4 KB pages migrated to `toucher_node`
-    /// (0 when no migration fired), and whether a migration *wanted* to
-    /// fire but was blocked by `allow_migrate = false` (an injected
-    /// migration failure — the engine charges partial kernel cost and
-    /// counts it).
-    ///
-    /// Pages accumulate `remote_hits` on remote touches by a *consistent*
-    /// remote node (the kernel's two-reference rule); reaching
-    /// `threshold` migrates the page (or its whole huge frame) to the
-    /// toucher. A local touch clears the count. Pages shared by many
-    /// nodes keep resetting the rule, but the ones that do trip it
-    /// bounce back and forth — the §III-D2 limitations.
-    #[inline]
-    pub fn autonuma_touch(
-        &mut self,
-        addr: VAddr,
-        toucher_node: NodeId,
-        threshold: u32,
-        allow_migrate: bool,
-    ) -> (u64, bool) {
-        let page = (addr / SMALL_PAGE) as usize;
-        if self.offline.get(toucher_node).copied().unwrap_or(false) {
-            // Defensive: never migrate pages onto a dead node.
-            return (0, false);
-        }
-        let e = &mut self.pages[page];
-        e.sharers |= 1u8 << (toucher_node & 7);
-        if e.node as NodeId == toucher_node {
-            e.remote_hits = 0;
-            return (0, false);
-        }
-        // Shared-page detection: pages observed from three or more nodes
-        // are left in place (migrating them would only ping-pong).
-        if e.sharers.count_ones() >= 3 {
-            return (0, false);
-        }
-        if e.last_remote as NodeId == toucher_node {
-            e.remote_hits = e.remote_hits.saturating_add(1);
-        } else {
-            e.last_remote = toucher_node as u8;
-            e.remote_hits = 1;
-        }
-        if (e.remote_hits as u32) < threshold {
-            return (0, false);
-        }
-        if !allow_migrate {
-            // The migration attempt fails (injected fault): reset the hit
-            // count as the kernel would after an isolate_lru failure, but
-            // leave the page where it is.
-            e.remote_hits = 0;
-            return (0, true);
-        }
-        // Migrate the placement unit to the toucher.
-        let (start, count) = if e.huge {
-            let start = page - page % PAGES_PER_HUGE as usize;
-            (start, PAGES_PER_HUGE as usize)
-        } else {
-            (page, 1)
-        };
-        let full = self.node_used_pages[toucher_node] + count as u64
-            > self.node_capacity_pages[toucher_node];
-        if full {
-            // migrate_pages fails when the target node cannot allocate;
-            // reset the hit count like the isolate_lru-failure path.
-            // Matters only on tier machines with deliberately tiny DRAM
-            // nodes — Table II capacities are never approached.
-            self.pages[page].remote_hits = 0;
-            return (0, false);
-        }
-        let old = self.pages[page].node as usize;
-        self.node_used_pages[old] -= count as u64;
-        self.node_used_pages[toucher_node] += count as u64;
-        for p in start..start + count {
-            self.pages[p].node = toucher_node as u8;
-            self.pages[p].remote_hits = 0;
-        }
-        (count as u64, false)
-    }
-
-    /// Record a NUMA-hinting fault opportunity: returns `true` (and
-    /// advances the page's epoch) when the page has not faulted in scan
-    /// epoch `epoch` yet — i.e. the toucher must pay the hint fault.
-    #[inline]
-    pub fn hint_fault_due(&mut self, addr: VAddr, epoch: u8) -> bool {
-        let e = &mut self.pages[(addr / SMALL_PAGE) as usize];
-        if e.hint_epoch == epoch {
-            false
-        } else {
-            e.hint_epoch = epoch;
-            true
         }
     }
 
@@ -487,7 +350,7 @@ impl Memory {
 
     /// Whether `node`'s memory controller has been taken offline.
     pub fn is_node_offline(&self, node: NodeId) -> bool {
-        self.offline.get(node).copied().unwrap_or(false)
+        self.nodes.offline.get(node).copied().unwrap_or(false)
     }
 
     /// Take `node` offline and evacuate every page it holds to the
@@ -506,16 +369,16 @@ impl Memory {
                 what: format!("offline of nonexistent node {node}"),
             });
         }
-        if self.offline[node] {
+        if self.nodes.offline[node] {
             return Ok(0);
         }
-        let live = self.offline.iter().filter(|&&dead| !dead).count();
+        let live = self.nodes.offline.iter().filter(|&&dead| !dead).count();
         if live <= 1 {
             return Err(SimError::NodeOffline { node });
         }
         // Flag first so placement fallbacks skip the dead node while its
         // pages are rehomed.
-        self.offline[node] = true;
+        self.nodes.offline[node] = true;
         let mut moved = 0u64;
         let mut p = 0usize;
         while p < self.pages.len() {
@@ -526,24 +389,13 @@ impl Memory {
             }
             // Huge mappings are 2 MB-aligned, so a frame's first page is
             // always reached before its tail: evacuate the whole unit.
-            let (start, unit) = if e.huge {
-                let start = p - p % PAGES_PER_HUGE as usize;
-                (start, PAGES_PER_HUGE as usize)
-            } else {
-                (p, 1)
-            };
-            let target = self.node_with_space(node, unit as u64).ok_or(
-                SimError::OutOfMemory { node, requested_pages: unit as u64 },
-            )?;
-            self.node_used_pages[node] -= unit as u64;
-            self.node_used_pages[target] += unit as u64;
-            for q in start..start + unit {
-                self.pages[q].node = target as u8;
-                self.pages[q].remote_hits = 0;
-                self.pages[q].last_remote = NO_NODE;
-            }
-            moved += unit as u64;
-            p = start + unit;
+            let unit = placement_unit(p, e.huge);
+            let n = unit.len() as u64;
+            let target = self
+                .node_with_space(node, n)
+                .ok_or(SimError::OutOfMemory { node, requested_pages: n })?;
+            p = unit.end;
+            moved += self.move_unit(unit, node, target);
         }
         Ok(moved)
     }
@@ -566,7 +418,7 @@ impl Memory {
     /// as kernel migration traffic.
     pub fn rehome_pages(&mut self, policy: MemPolicy, max_pages: u64) -> u64 {
         let live: Vec<NodeId> =
-            (0..self.num_nodes).filter(|&n| !self.offline[n]).collect();
+            (0..self.num_nodes).filter(|&n| !self.nodes.offline[n]).collect();
         if live.is_empty() {
             return 0;
         }
@@ -584,13 +436,8 @@ impl Memory {
             }
             // Huge mappings are 2 MB-aligned, so a frame's first page is
             // always reached before its tail: move the whole unit.
-            let (start, unit) = if e.huge {
-                let start = p - p % PAGES_PER_HUGE as usize;
-                (start, PAGES_PER_HUGE as usize)
-            } else {
-                (p, 1)
-            };
-            p = start + unit;
+            let unit = placement_unit(p, e.huge);
+            p = unit.end;
             let target = match policy {
                 MemPolicy::Interleave => {
                     // Advance the cursor for every unit, moved or not,
@@ -603,23 +450,16 @@ impl Memory {
                 MemPolicy::Preferred(n) | MemPolicy::Bind(n) => n,
                 MemPolicy::FirstTouch | MemPolicy::Localalloc => return moved,
             };
+            let n = unit.len() as u64;
             if target >= self.num_nodes
-                || self.offline[target]
+                || self.nodes.offline[target]
                 || e.node as usize == target
-                || moved + unit as u64 > max_pages
-                || self.node_used_pages[target] + unit as u64
-                    > self.node_capacity_pages[target]
+                || moved + n > max_pages
+                || !self.nodes.fits(&self.node_used_pages, target, n)
             {
                 continue;
             }
-            self.node_used_pages[e.node as usize] -= unit as u64;
-            self.node_used_pages[target] += unit as u64;
-            for q in start..start + unit {
-                self.pages[q].node = target as u8;
-                self.pages[q].remote_hits = 0;
-                self.pages[q].last_remote = NO_NODE;
-            }
-            moved += unit as u64;
+            moved += self.move_unit(unit, e.node as NodeId, target);
         }
         moved
     }
@@ -643,7 +483,7 @@ impl Memory {
     /// as migration traffic and counts promotions/demotions.
     pub fn retier_pages(&mut self, pages: &[u64], to_slow: bool, max_pages: u64) -> u64 {
         let targets: Vec<NodeId> = (0..self.num_nodes)
-            .filter(|&n| !self.offline[n] && self.slow_node[n] == to_slow)
+            .filter(|&n| !self.nodes.offline[n] && self.slow_node[n] == to_slow)
             .collect();
         if targets.is_empty() {
             return 0;
@@ -661,13 +501,9 @@ impl Memory {
             {
                 continue;
             }
-            let (start, unit) = if e.huge {
-                let start = p - p % PAGES_PER_HUGE as usize;
-                (start, PAGES_PER_HUGE as usize)
-            } else {
-                (p, 1)
-            };
-            if moved + unit as u64 > max_pages {
+            let unit = placement_unit(p, e.huge);
+            let n = unit.len() as u64;
+            if moved + n > max_pages {
                 continue;
             }
             // Deal the unit to the next tier node with room. The cursor
@@ -675,36 +511,31 @@ impl Memory {
             // starves the rest of the rotation.
             let target = (0..targets.len())
                 .map(|i| targets[(cursor + i) % targets.len()])
-                .find(|&t| {
-                    self.node_used_pages[t] + unit as u64 <= self.node_capacity_pages[t]
-                });
+                .find(|&t| self.nodes.fits(&self.node_used_pages, t, n));
             let Some(target) = target else { continue };
             cursor += 1;
-            self.node_used_pages[e.node as usize] -= unit as u64;
-            self.node_used_pages[target] += unit as u64;
-            for q in start..start + unit {
-                self.pages[q].node = target as u8;
-                self.pages[q].remote_hits = 0;
-                self.pages[q].last_remote = NO_NODE;
-            }
-            moved += unit as u64;
+            moved += self.move_unit(unit, e.node as NodeId, target);
         }
         moved
+    }
+
+    /// Re-home placement unit `unit` from `from` to `to`, resetting its
+    /// AutoNUMA reference state; returns the 4 KB pages moved.
+    fn move_unit(&mut self, unit: Range<usize>, from: NodeId, to: NodeId) -> u64 {
+        let n = unit.len() as u64;
+        self.node_used_pages[from] -= n;
+        self.node_used_pages[to] += n;
+        for e in &mut self.pages[unit] {
+            e.node = to as u8;
+            e.remote_hits = 0;
+            e.last_remote = NO_NODE;
+        }
+        n
     }
 
     /// Whether `node` holds slow-tier memory.
     pub fn is_slow_node(&self, node: NodeId) -> bool {
         self.slow_node.get(node).copied().unwrap_or(false)
-    }
-
-    /// The TLB tag for `addr`: huge frames translate at 2 MB granularity.
-    #[inline]
-    pub fn tlb_tag(&self, addr: VAddr, huge: bool) -> u64 {
-        if huge {
-            addr / HUGE_PAGE
-        } else {
-            addr / SMALL_PAGE
-        }
     }
 
     // ---- byte store --------------------------------------------------
@@ -715,11 +546,10 @@ impl Memory {
         self.data.write(addr, data);
     }
 
-    /// Read raw bytes at `addr`. Reads of never-written memory return
-    /// zeroes, like fresh anonymous mappings.
+    /// Read raw bytes at `addr` (see [`PageStore::read`]).
     #[inline]
     pub fn read_bytes(&self, addr: VAddr, out: &mut [u8]) {
-        self.data.read(addr, out);
+        self.data.read(None, addr, out);
     }
 
     /// Prefetch the host cache line holding the stored byte at `addr`.
@@ -738,6 +568,228 @@ impl Memory {
     /// Total mapped address space handed out so far, in bytes.
     pub fn mapped_high_water(&self) -> u64 {
         self.next
+    }
+}
+
+// ---- page-table rules ------------------------------------------------
+
+/// A page-entry store the page-table rules run over: the canonical
+/// [`Memory`], or a sharded worker's copy-on-write [`ShardMemView`] of
+/// it. Each rule is written once, as a default method here — as the
+/// LLC's hit/insert rule is written once over [`crate::cache::Tags`] —
+/// so serial and sharded regions apply the same placement, fault,
+/// AutoNUMA and capacity rules by construction.
+pub(crate) trait PageTable {
+    /// The entry of 4 KB page `page`; `None` past the page table's end.
+    fn entry(&self, page: usize) -> Option<PageEntry>;
+
+    /// Overwrite the entry of `page`, which lies inside the page table.
+    fn set_entry(&mut self, page: usize, e: PageEntry);
+
+    /// Pages assigned to each node, as this store counts them.
+    fn used(&self) -> &[u64];
+
+    /// The same counts, for a rule that assigns or moves pages.
+    fn used_mut(&mut self) -> &mut [u64];
+
+    /// The region facts placement reads.
+    fn nodes(&self) -> &Nodes;
+
+    /// Nearest *live* node to `desired` (zone order) with room for
+    /// `unit_pages` more pages; `None` when every live node is full — the
+    /// model of a real kernel OOM.
+    fn node_with_space(&self, desired: NodeId, unit_pages: u64) -> Option<NodeId> {
+        let (nodes, used) = (self.nodes(), self.used());
+        nodes.fallback[desired]
+            .iter()
+            .copied()
+            .find(|&n| !nodes.offline[n] && nodes.fits(used, n, unit_pages))
+    }
+
+    /// Resolve a touch by `toucher_node` at `addr`: performs First Touch
+    /// assignment and minor-fault bookkeeping, returns where the access is
+    /// served from. Does **not** apply AutoNUMA (the engine layers that on
+    /// top so it can charge migration costs).
+    ///
+    /// Fails with [`SimError::InvalidMapping`] on touches outside any live
+    /// mapping and [`SimError::OutOfMemory`] when a deferred First-Touch
+    /// assignment finds every node full.
+    #[inline]
+    fn resolve_touch(&mut self, addr: VAddr, toucher_node: NodeId) -> SimResult<TouchResolution> {
+        let page = (addr / SMALL_PAGE) as usize;
+        let e = self
+            .entry(page)
+            .filter(|e| e.mapped)
+            .ok_or(SimError::InvalidMapping { addr })?;
+        if e.faulted {
+            return Ok(TouchResolution {
+                node: e.node as NodeId,
+                faulted: false,
+                huge: e.huge,
+                fault_pages: 0,
+            });
+        }
+        // Fault path: assign a node if First Touch deferred it, then mark
+        // the fault unit (whole huge frame, or one small page) as faulted.
+        let unit = placement_unit(page, e.huge);
+        let count = unit.len() as u64;
+        let node = if e.node == NO_NODE {
+            let n = self.node_with_space(toucher_node, count).ok_or(
+                SimError::OutOfMemory { node: toucher_node, requested_pages: count },
+            )?;
+            self.used_mut()[n] += count;
+            n
+        } else {
+            e.node as NodeId
+        };
+        for p in unit {
+            let mut pe = self.entry(p).unwrap_or(PageEntry::UNMAPPED);
+            pe.node = node as u8;
+            pe.faulted = true;
+            self.set_entry(p, pe);
+        }
+        Ok(TouchResolution { node, faulted: true, huge: e.huge, fault_pages: count })
+    }
+
+    /// AutoNUMA bookkeeping for one touch. Returns `(migrated_pages,
+    /// blocked)`: the number of 4 KB pages migrated to `toucher_node`
+    /// (0 when no migration fired), and whether a migration *wanted* to
+    /// fire but was blocked by `allow_migrate = false` (an injected
+    /// migration failure — the engine charges partial kernel cost and
+    /// counts it).
+    ///
+    /// Pages accumulate `remote_hits` on remote touches by a *consistent*
+    /// remote node (the kernel's two-reference rule); reaching
+    /// `threshold` migrates the page (or its whole huge frame) to the
+    /// toucher. A local touch clears the count. Pages shared by many
+    /// nodes keep resetting the rule, but the ones that do trip it
+    /// bounce back and forth — the §III-D2 limitations.
+    #[inline]
+    fn autonuma_touch(
+        &mut self,
+        addr: VAddr,
+        toucher_node: NodeId,
+        threshold: u32,
+        allow_migrate: bool,
+    ) -> (u64, bool) {
+        if self.nodes().offline.get(toucher_node).copied().unwrap_or(false) {
+            // Defensive: never migrate pages onto a dead node.
+            return (0, false);
+        }
+        let page = (addr / SMALL_PAGE) as usize;
+        let Some(mut e) = self.entry(page) else { return (0, false) };
+        e.sharers |= 1u8 << (toucher_node & 7);
+        if e.node as NodeId == toucher_node {
+            e.remote_hits = 0;
+            self.set_entry(page, e);
+            return (0, false);
+        }
+        // Shared-page detection: pages observed from three or more nodes
+        // are left in place (migrating them would only ping-pong).
+        if e.sharers.count_ones() >= 3 {
+            self.set_entry(page, e);
+            return (0, false);
+        }
+        if e.last_remote as NodeId == toucher_node {
+            e.remote_hits = e.remote_hits.saturating_add(1);
+        } else {
+            e.last_remote = toucher_node as u8;
+            e.remote_hits = 1;
+        }
+        if (e.remote_hits as u32) < threshold {
+            self.set_entry(page, e);
+            return (0, false);
+        }
+        let unit = placement_unit(page, e.huge);
+        let count = unit.len() as u64;
+        // An injected migration failure resets the hit count as the
+        // kernel would after an isolate_lru failure, and leaves the page
+        // where it is. So does a full target node: migrate_pages fails
+        // when the target cannot allocate. That matters only on tier
+        // machines with deliberately tiny DRAM nodes (Table II capacities
+        // are never approached), in serial and sharded regions alike.
+        let full = !self.nodes().fits(self.used(), toucher_node, count);
+        if !allow_migrate || full {
+            e.remote_hits = 0;
+            self.set_entry(page, e);
+            return (0, !allow_migrate);
+        }
+        // Migrate the placement unit to the toucher.
+        self.set_entry(page, e);
+        let used = self.used_mut();
+        used[e.node as usize] -= count;
+        used[toucher_node] += count;
+        for p in unit {
+            let mut pe = self.entry(p).unwrap_or(PageEntry::UNMAPPED);
+            pe.node = toucher_node as u8;
+            pe.remote_hits = 0;
+            self.set_entry(p, pe);
+        }
+        (count, false)
+    }
+
+    /// Record a NUMA-hinting fault opportunity: returns `true` (and
+    /// advances the page's epoch) when the page has not faulted in scan
+    /// epoch `epoch` yet — i.e. the toucher must pay the hint fault.
+    #[inline]
+    fn hint_fault_due(&mut self, addr: VAddr, epoch: u8) -> bool {
+        let page = (addr / SMALL_PAGE) as usize;
+        let Some(mut e) = self.entry(page) else { return false };
+        if e.hint_epoch == epoch {
+            return false;
+        }
+        e.hint_epoch = epoch;
+        self.set_entry(page, e);
+        true
+    }
+}
+
+impl PageTable for Memory {
+    #[inline]
+    fn entry(&self, page: usize) -> Option<PageEntry> {
+        self.pages.get(page).copied()
+    }
+
+    #[inline]
+    fn set_entry(&mut self, page: usize, e: PageEntry) {
+        self.pages[page] = e;
+    }
+
+    #[inline]
+    fn used(&self) -> &[u64] {
+        &self.node_used_pages
+    }
+
+    #[inline]
+    fn used_mut(&mut self) -> &mut [u64] {
+        &mut self.node_used_pages
+    }
+
+    #[inline]
+    fn nodes(&self) -> &Nodes {
+        &self.nodes
+    }
+}
+
+/// The pages of the placement unit holding `page`: its whole 2 MB frame
+/// when `huge`, else the one small page.
+#[inline]
+fn placement_unit(page: usize, huge: bool) -> Range<usize> {
+    if huge {
+        let start = page - page % PAGES_PER_HUGE as usize;
+        start..start + PAGES_PER_HUGE as usize
+    } else {
+        page..page + 1
+    }
+}
+
+/// The TLB tag for `addr`: huge frames translate at 2 MB granularity.
+#[inline]
+pub(crate) fn tlb_tag(addr: VAddr, huge: bool) -> u64 {
+    if huge {
+        addr / HUGE_PAGE
+    } else {
+        addr / SMALL_PAGE
     }
 }
 
@@ -820,12 +872,16 @@ impl PageStore {
         self.owners.iter().enumerate().map(|(i, &pidx)| (pidx, self.pool(i)))
     }
 
-    /// Copy the bytes at `addr` into `out`.
+    /// The byte store's one read rule: copy the bytes at `addr` into
+    /// `out`, each page's from this store when it holds the page, else
+    /// from `base` (the frozen store under a sharded worker's overlay),
+    /// else zeros — never-written memory reads as zeros, like a fresh
+    /// anonymous mapping.
     #[inline]
-    fn read(&self, addr: VAddr, out: &mut [u8]) {
+    fn read(&self, base: Option<&PageStore>, addr: VAddr, out: &mut [u8]) {
         for_each_page(addr, out.len(), |pidx, in_page, range| {
             let dst = &mut out[range];
-            match self.page(pidx) {
+            match self.page(pidx).or_else(|| base?.page(pidx)) {
                 Some(p) => dst.copy_from_slice(&p[in_page..in_page + dst.len()]),
                 None => dst.fill(0),
             }
@@ -932,7 +988,9 @@ fn next_bit(mask: &WriteMask, from: usize, set: bool) -> usize {
 
 /// Per-worker isolated view of [`Memory`] for sharded parallel regions.
 ///
-/// Reads fall through to the frozen region-start base; every mutation —
+/// The view is a second [`PageTable`] store, so it runs the very rules
+/// the serial path runs. Reads fall through to the frozen region-start
+/// base; every mutation —
 /// first-touch assignment, AutoNUMA reference state and migrations,
 /// hint-fault epochs, data-plane writes — lands in a private overlay.
 /// The worker therefore observes exactly `frozen base + its own
@@ -955,7 +1013,8 @@ pub struct ShardMemView<'a> {
     /// Overlaid page entries in first-write order (the merge order).
     page_entries: Vec<(usize, PageEntry)>,
     /// Private capacity snapshot: region-start counts plus this
-    /// worker's own assignments (used by first-touch OOM checks).
+    /// worker's own assignments and migrations (the capacity checks of
+    /// first touch and AutoNUMA read it).
     node_used_pages: Vec<u64>,
     /// Copy-on-write data pages, cloned from the base on first write.
     data: PageStore,
@@ -992,162 +1051,6 @@ impl<'a> ShardMemView<'a> {
     #[must_use]
     pub fn into_delta(self) -> MemDelta {
         MemDelta { pages: self.page_entries, data: self.data, written: self.written }
-    }
-
-    #[inline]
-    fn entry(&self, page: usize) -> Option<PageEntry> {
-        let slot = *self.page_slot.get(page)?;
-        if slot == u32::MAX {
-            self.base.pages.get(page).copied()
-        } else {
-            Some(self.page_entries[slot as usize].1)
-        }
-    }
-
-    #[inline]
-    fn set_entry(&mut self, page: usize, e: PageEntry) {
-        let slot = self.page_slot[page];
-        if slot == u32::MAX {
-            self.page_slot[page] = self.page_entries.len() as u32;
-            self.page_entries.push((page, e));
-        } else {
-            self.page_entries[slot as usize].1 = e;
-        }
-    }
-
-    /// Mirror of [`Memory::node_with_space`] against the private
-    /// capacity snapshot (offline flags and fallback orders are
-    /// region-start facts shared with the base).
-    fn node_with_space(&self, desired: NodeId, unit_pages: u64) -> Option<NodeId> {
-        self.base.fallback[desired].iter().copied().find(|&n| {
-            !self.base.offline[n]
-                && self.node_used_pages[n] + unit_pages
-                    <= self.base.node_capacity_pages[n]
-        })
-    }
-
-    /// Mirror of [`Memory::resolve_touch`] over the overlay.
-    #[inline]
-    pub fn resolve_touch(
-        &mut self,
-        addr: VAddr,
-        toucher_node: NodeId,
-    ) -> SimResult<TouchResolution> {
-        let page = (addr / SMALL_PAGE) as usize;
-        let e = self
-            .entry(page)
-            .filter(|e| e.mapped)
-            .ok_or(SimError::InvalidMapping { addr })?;
-        if e.faulted {
-            return Ok(TouchResolution {
-                node: e.node as NodeId,
-                faulted: false,
-                huge: e.huge,
-                fault_pages: 0,
-            });
-        }
-        let node = if e.node == NO_NODE {
-            let unit = if e.huge { PAGES_PER_HUGE } else { 1 };
-            let n = self.node_with_space(toucher_node, unit).ok_or(
-                SimError::OutOfMemory { node: toucher_node, requested_pages: unit },
-            )?;
-            self.node_used_pages[n] += unit;
-            n
-        } else {
-            e.node as NodeId
-        };
-        let (start, count) = if e.huge {
-            let start = page - page % PAGES_PER_HUGE as usize;
-            (start, PAGES_PER_HUGE as usize)
-        } else {
-            (page, 1)
-        };
-        for p in start..start + count {
-            let mut pe = self.entry(p).unwrap_or(PageEntry::UNMAPPED);
-            pe.node = node as u8;
-            pe.faulted = true;
-            self.set_entry(p, pe);
-        }
-        Ok(TouchResolution { node, faulted: true, huge: e.huge, fault_pages: count as u64 })
-    }
-
-    /// Mirror of [`Memory::autonuma_touch`] over the overlay.
-    #[inline]
-    pub fn autonuma_touch(
-        &mut self,
-        addr: VAddr,
-        toucher_node: NodeId,
-        threshold: u32,
-        allow_migrate: bool,
-    ) -> (u64, bool) {
-        let page = (addr / SMALL_PAGE) as usize;
-        if self.base.offline.get(toucher_node).copied().unwrap_or(false) {
-            return (0, false);
-        }
-        let Some(mut e) = self.entry(page) else { return (0, false) };
-        e.sharers |= 1u8 << (toucher_node & 7);
-        if e.node as NodeId == toucher_node {
-            e.remote_hits = 0;
-            self.set_entry(page, e);
-            return (0, false);
-        }
-        if e.sharers.count_ones() >= 3 {
-            self.set_entry(page, e);
-            return (0, false);
-        }
-        if e.last_remote as NodeId == toucher_node {
-            e.remote_hits = e.remote_hits.saturating_add(1);
-        } else {
-            e.last_remote = toucher_node as u8;
-            e.remote_hits = 1;
-        }
-        if (e.remote_hits as u32) < threshold {
-            self.set_entry(page, e);
-            return (0, false);
-        }
-        if !allow_migrate {
-            e.remote_hits = 0;
-            self.set_entry(page, e);
-            return (0, true);
-        }
-        self.set_entry(page, e);
-        let (start, count) = if e.huge {
-            let start = page - page % PAGES_PER_HUGE as usize;
-            (start, PAGES_PER_HUGE as usize)
-        } else {
-            (page, 1)
-        };
-        let old = e.node as usize;
-        self.node_used_pages[old] -= count as u64;
-        self.node_used_pages[toucher_node] += count as u64;
-        for p in start..start + count {
-            let mut pe = self.entry(p).unwrap_or(PageEntry::UNMAPPED);
-            pe.node = toucher_node as u8;
-            pe.remote_hits = 0;
-            self.set_entry(p, pe);
-        }
-        (count as u64, false)
-    }
-
-    /// Mirror of [`Memory::hint_fault_due`] over the overlay.
-    #[inline]
-    pub fn hint_fault_due(&mut self, addr: VAddr, epoch: u8) -> bool {
-        let page = (addr / SMALL_PAGE) as usize;
-        let Some(mut e) = self.entry(page) else { return false };
-        if e.hint_epoch == epoch {
-            false
-        } else {
-            e.hint_epoch = epoch;
-            self.set_entry(page, e);
-            true
-        }
-    }
-
-    /// Mirror of [`Memory::tlb_tag`] (a pure address computation).
-    #[inline]
-    #[must_use]
-    pub fn tlb_tag(&self, addr: VAddr, huge: bool) -> u64 {
-        self.base.tlb_tag(addr, huge)
     }
 
     /// Host prefetch hint for the base page-table entry (overlay hits
@@ -1188,17 +1091,52 @@ impl<'a> ShardMemView<'a> {
     }
 
     /// Read raw bytes: overlaid pages serve this worker's own writes,
-    /// everything else comes from the frozen base (zeros where nothing
-    /// was written, like fresh anonymous mappings).
+    /// everything else comes from the frozen base (see
+    /// [`PageStore::read`]).
     #[inline]
     pub fn read_bytes(&self, addr: VAddr, out: &mut [u8]) {
-        for_each_page(addr, out.len(), |pidx, in_page, range| {
-            let dst = &mut out[range];
-            match self.data.page(pidx).or_else(|| self.base.data.page(pidx)) {
-                Some(p) => dst.copy_from_slice(&p[in_page..in_page + dst.len()]),
-                None => dst.fill(0),
-            }
-        });
+        self.data.read(Some(&self.base.data), addr, out);
+    }
+}
+
+/// The overlay: entries this worker wrote, else the frozen base's, and
+/// a private capacity snapshot (region-start counts plus this worker's
+/// own assignments and migrations).
+impl PageTable for ShardMemView<'_> {
+    #[inline]
+    fn entry(&self, page: usize) -> Option<PageEntry> {
+        let slot = *self.page_slot.get(page)?;
+        if slot == u32::MAX {
+            self.base.pages.get(page).copied()
+        } else {
+            Some(self.page_entries[slot as usize].1)
+        }
+    }
+
+    #[inline]
+    fn set_entry(&mut self, page: usize, e: PageEntry) {
+        let slot = self.page_slot[page];
+        if slot == u32::MAX {
+            self.page_slot[page] = self.page_entries.len() as u32;
+            self.page_entries.push((page, e));
+        } else {
+            self.page_entries[slot as usize].1 = e;
+        }
+    }
+
+    #[inline]
+    fn used(&self) -> &[u64] {
+        &self.node_used_pages
+    }
+
+    #[inline]
+    fn used_mut(&mut self) -> &mut [u64] {
+        &mut self.node_used_pages
+    }
+
+    #[inline]
+    fn nodes(&self) -> &Nodes {
+        &self.base.nodes
     }
 }
 
@@ -1731,6 +1669,100 @@ mod tests {
         }
     }
 
+    /// The serial-vs-sharded differential's memory: machine B, whose node
+    /// 0 is full when `tight` (1 024 pages per node, two huge frames
+    /// bound there), with a deferred huge frame and small interleaved
+    /// and first-touch mappings. Returns the memory and each mapping's
+    /// `(start, pages)`; a fifth, unmapped range follows the last.
+    fn differential_memory(tight: bool) -> (Memory, [(VAddr, u64); 5]) {
+        let mut machine = machines::machine_b();
+        if tight {
+            machine.mem_per_node_bytes = 1024 * SMALL_PAGE;
+        }
+        let mut m = Memory::new(&machine);
+        let mut map = |bytes, policy| (m.map(bytes, policy, 0, true).unwrap(), bytes / SMALL_PAGE);
+        let regions = [
+            map(2 * HUGE_PAGE, MemPolicy::Preferred(0)),
+            map(HUGE_PAGE, MemPolicy::FirstTouch),
+            map(64 * SMALL_PAGE, MemPolicy::Interleave),
+            map(64 * SMALL_PAGE, MemPolicy::FirstTouch),
+        ];
+        let [a, b, c, d] = regions;
+        assert_eq!(tight, m.node_used_pages()[0] == 1024, "node 0 full iff tight");
+        let unmapped = (m.mapped_high_water(), 64);
+        (m, [a, b, c, d, unmapped])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// One worker cannot observe isolation, so the page-table rules
+        /// run through one [`ShardMemView`] and merged back must leave
+        /// what they leave run on [`Memory`] directly: the same result
+        /// from every op, and the same page table, per-node page counts
+        /// and bytes — a full target node included.
+        #[test]
+        fn one_shard_worker_matches_serial_memory(
+            ops in proptest::prop::collection::vec(
+                (0u8..8, 0usize..5, 0usize..4096, 0usize..4, proptest::any::<u64>()),
+                1..200,
+            ),
+            tight in proptest::any::<bool>(),
+        ) {
+            let (mut serial, regions) = differential_memory(tight);
+            let mut merged = serial.clone();
+            let mut view = ShardMemView::new(&merged);
+            for (kind, region, page, node, seed) in ops {
+                let (start, pages) = regions[region];
+                let addr = start + (page as u64 % pages) * SMALL_PAGE + seed % SMALL_PAGE;
+                match kind {
+                    0 => proptest::prop_assert_eq!(
+                        serial.resolve_touch(addr, node),
+                        view.resolve_touch(addr, node)
+                    ),
+                    // A touch then its AutoNUMA bookkeeping, as the
+                    // engine runs them; kind 2 is a blocked migration.
+                    1..=2 | 6..=7 => {
+                        let touched = serial.resolve_touch(addr, node);
+                        proptest::prop_assert_eq!(&touched, &view.resolve_touch(addr, node));
+                        if touched.is_ok() {
+                            let allow = kind != 2;
+                            proptest::prop_assert_eq!(
+                                serial.autonuma_touch(addr, node, 2, allow),
+                                view.autonuma_touch(addr, node, 2, allow)
+                            );
+                        }
+                    }
+                    3 => {
+                        let epoch = (seed % 3) as u8;
+                        proptest::prop_assert_eq!(
+                            serial.hint_fault_due(addr, epoch),
+                            view.hint_fault_due(addr, epoch)
+                        );
+                    }
+                    4 => {
+                        let data = bytes(seed, page % 300, seed % 4 == 0);
+                        serial.write_bytes(addr, &data);
+                        view.write_bytes(addr, &data);
+                    }
+                    _ => {
+                        let (mut a, mut b) = (vec![0xAA; page % 300], vec![0x55; page % 300]);
+                        serial.read_bytes(addr, &mut a);
+                        view.read_bytes(addr, &mut b);
+                        proptest::prop_assert_eq!(a, b);
+                    }
+                }
+            }
+            let delta = view.into_delta();
+            merged.merge_shard(delta);
+            proptest::prop_assert_eq!(serial.node_used_pages(), merged.node_used_pages());
+            let differ = serial.pages.iter().zip(&merged.pages).position(|(a, b)| a != b);
+            proptest::prop_assert_eq!(differ, None, "page tables differ");
+            proptest::prop_assert!(serial.data == merged.data, "byte stores differ");
+            proptest::prop_assert!(serial == merged);
+        }
+    }
+
     #[test]
     fn store_equality_compares_contents_not_layout() {
         let (mut a, mut b) = (PageStore::default(), PageStore::default());
@@ -1766,9 +1798,9 @@ mod tests {
     fn tlb_tags_differ_by_page_size() {
         let mut m = mem();
         let a = m.map(HUGE_PAGE, MemPolicy::FirstTouch, 0, true).unwrap();
-        let t1 = m.tlb_tag(a, true);
-        let t2 = m.tlb_tag(a + HUGE_PAGE - 1, true);
+        let t1 = tlb_tag(a, true);
+        let t2 = tlb_tag(a + HUGE_PAGE - 1, true);
         assert_eq!(t1, t2, "whole huge frame shares one 2MB translation");
-        assert_ne!(m.tlb_tag(a, false), m.tlb_tag(a + SMALL_PAGE, false));
+        assert_ne!(tlb_tag(a, false), tlb_tag(a + SMALL_PAGE, false));
     }
 }

@@ -222,6 +222,20 @@ for side in ref s2; do
   diff -r "$SMOKE/ttrace" "$SMOKE/tt-$side"
 done
 
+# The grid above never migrates a page onto a full DRAM node, so its
+# bytes do not depend on the node-capacity rule. This W3 run does: with
+# AutoNUMA on, its workers keep trying to migrate onto B_CXL's filled
+# 8 MB DRAM nodes, and the serial and sharded paths must refuse alike
+# (one page-table rule set, DESIGN.md §4h). Its stdout must be
+# identical across shard counts and under the reference model.
+CAPARGS=(workload w3 --machine machine_b_cxl --threads 8 --policy interleave --tier none)
+"$CLI" "${CAPARGS[@]}" --shards 1 > "$SMOKE/cap-s1.txt"
+"$CLI" "${CAPARGS[@]}" --shards 3 > "$SMOKE/cap-s3.txt"
+NQP_REFERENCE=1 "$CLI" "${CAPARGS[@]}" > "$SMOKE/cap-ref.txt"
+grep -q "slow-tier-hits" "$SMOKE/cap-s1.txt"
+diff "$SMOKE/cap-s1.txt" "$SMOKE/cap-s3.txt"
+diff "$SMOKE/cap-s1.txt" "$SMOKE/cap-ref.txt"
+
 # Malformed --tier specs and unknown machines are typed BadSpec errors:
 # nonzero exit, the flag and token named — never a panic.
 if "$CLI" sweep w3 --machine machine_b_cxl --trials 1 --tier bogus > /dev/null 2> "$SMOKE/tbad.err"; then

@@ -108,7 +108,8 @@ fn tier_grid_tuned_means() {
 
 /// `workload w3 --machine machine_b_cxl --threads 8 --policy interleave
 /// --tier none|hot-watermark`: slow-tier demand hits and the hit ratio
-/// as the CLI prints it.
+/// as the CLI prints it. The `none` row moved from 77 077 (14.6%) when
+/// sharded AutoNUMA stopped migrating pages onto full DRAM nodes.
 #[test]
 fn slow_tier_hit_ratios() {
     let base =
@@ -124,7 +125,7 @@ fn slow_tier_hit_ratios() {
             (name, c.slow_tier_hits, ratio)
         })
         .collect();
-    let want = [("none", 77_077, "14.6%"), ("hot-watermark", 7_044, "1.3%")]
+    let want = [("none", 78_396, "14.8%"), ("hot-watermark", 7_044, "1.3%")]
         .map(|(name, hits, ratio)| (name.to_string(), hits, ratio.to_string()));
     assert_eq!(got, want, "slow-tier hit ratios moved; got {got:?}");
 }
